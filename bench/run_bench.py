@@ -55,7 +55,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from repro.common.config import EnergyConfig, ProcessorConfig
 from repro.common.types import Topology
 from repro.engine import KernelResult, get_kernel, simulate, simulate_batch
-from repro.sweep import ResultStore, RetryPolicy, SweepSpec, run_sweep
+from repro.exec import RetryPolicy
+from repro.sweep import ResultStore, SweepSpec, run_sweep
 from repro.workloads import generate_trace
 
 from naive_ref import NaivePipeline

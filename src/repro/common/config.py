@@ -23,13 +23,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.jsonutil import content_digest
 from repro.common.types import FuType, InstrClass, Topology
 from repro.energy import EnergyConfig
-from repro.steering import BUILTIN_POLICIES, STEERING_REGISTRY, list_policies
-
-#: Backwards-compatible alias: the three policies of the original frozen
-#: tuple.  Validation consults the live :data:`repro.steering.STEERING_REGISTRY`
-#: — policies added via :func:`repro.steering.register_policy` are accepted
-#: without touching this module.
-STEERING_POLICIES = BUILTIN_POLICIES
+from repro.steering import STEERING_REGISTRY, list_policies
 
 _T = TypeVar("_T")
 
@@ -414,7 +408,6 @@ class ProcessorConfig:
 
 
 __all__ = [
-    "STEERING_POLICIES",
     "BranchPredictorConfig",
     "BusConfig",
     "CacheConfig",

@@ -32,7 +32,6 @@ from repro.fabric.scheduler import (
     DEFAULT_SHARD_SIZE,
     FabricCoordinator,
     FabricSummary,
-    dedup_points,
     plan_shards,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "Shard",
     "ShardExecutionError",
     "ShardValidationError",
-    "dedup_points",
     "plan_shards",
     "validate_record_bytes",
 ]

@@ -19,47 +19,24 @@ errors, 130 on interrupt.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import shutil
 import sys
 import tempfile
 from typing import List, Optional
 
 from repro.common.errors import FabricError, ReproError
-from repro.fabric.backends import LocalBackend, PeerBackend, RunnerBackend
-from repro.fabric.scheduler import (
-    DEFAULT_SHARD_SIZE,
-    FabricCoordinator,
-)
 from repro.exec.attempts import RetryPolicy
-from repro.sweep.grid import SweepSpec, paper_spec, smoke_spec
+from repro.fabric.backends import LocalBackend, PeerBackend, RunnerBackend
+from repro.fabric.scheduler import DEFAULT_SHARD_SIZE, FabricCoordinator
+from repro.sweep.cli import (
+    DEFAULT_STORE,
+    add_spec_args,
+    load_spec,
+    print_failures,
+)
 from repro.sweep.store import ResultStore
 
-DEFAULT_STORE = "sweeps/store.jsonl"
 DEFAULT_PEER_PORT = 8765
-
-
-def _load_spec(args: argparse.Namespace) -> SweepSpec:
-    chosen = [bool(args.spec), args.smoke, args.paper]
-    if sum(chosen) != 1:
-        raise ReproError(
-            "choose exactly one of --spec FILE, --smoke, --paper"
-        )
-    if args.smoke:
-        return smoke_spec()
-    if args.paper:
-        return paper_spec()
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ReproError(f"cannot read sweep spec {args.spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ReproError(
-            f"sweep spec {args.spec!r} is not valid JSON: {exc}"
-        ) from exc
-    return SweepSpec.from_dict(data)
 
 
 def _parse_peer(value: str) -> "tuple[str, int]":
@@ -106,13 +83,10 @@ def _build_backends(args: argparse.Namespace,
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
+    spec = load_spec(args)
     if args.energy:
-        # Same fold as the sweep CLI / service: energy-enabled points have
-        # their own cache keys, and peers see the already-folded spec.
-        spec = dataclasses.replace(
-            spec, base=tuple(spec.base) + (("energy.enabled", True),)
-        )
+        # Peers see the already-folded spec.
+        spec = spec.with_energy()
     store = ResultStore(args.store)
     if store.recovered_bytes:
         print(f"store: recovered truncated tail "
@@ -136,16 +110,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             summary = coordinator.run(spec, store)
         except FabricError as exc:
             print(f"fabric failed: {exc}", file=sys.stderr)
-            if exc.summary is not None and exc.summary.failures:
-                # Same per-point failure lines the sweep CLI prints — the
-                # two summaries share one failure schema.
-                for failure in exc.summary.failures.values():
-                    print(
-                        f"FAILED {failure.label}: {failure.error}: "
-                        f"{failure.message} ({failure.attempts} attempt(s), "
-                        f"{failure.elapsed_s:.2f}s)",
-                        file=sys.stderr,
-                    )
+            if exc.summary is not None:
+                print_failures(exc.summary)
             print(
                 "the merged prefix is durable — re-run the same command "
                 "to resume",
@@ -200,11 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser(
         "run", help="shard a spec across local + peer backends"
     )
-    run_p.add_argument("--spec", help="JSON sweep spec file")
-    run_p.add_argument("--smoke", action="store_true",
-                       help="built-in 24-point CI grid")
-    run_p.add_argument("--paper", action="store_true",
-                       help="built-in full paper-style grid")
+    add_spec_args(run_p)
     run_p.add_argument("--store", default=DEFAULT_STORE,
                        help="merged (coordinator-side) result store")
     run_p.add_argument("--peer", action="append", metavar="HOST[:PORT]",

@@ -2,13 +2,13 @@
 
 The coordinator turns one sweep spec into the same store bytes a
 single-host ``python -m repro.sweep run`` would produce, using however
-many backends happen to survive.  Since the :mod:`repro.exec` refactor
-the coordinator holds no private coordination machinery: leases come
-from :class:`repro.exec.lease.LeaseTable`, attempt budgets from
-:class:`repro.exec.attempts.AttemptTracker`, the merge frontier is a
-:class:`repro.exec.frontier.FlushFrontier` whose emit callback is
-``store.merge``, and checkpoints ride on :mod:`repro.exec.checkpoint`.
-The pieces:
+many backends happen to survive.  It holds no private coordination
+machinery: leases come from :class:`repro.exec.lease.LeaseTable`, attempt
+budgets from :class:`repro.exec.attempts.AttemptTracker`, the merge
+frontier is a :class:`repro.exec.frontier.FlushFrontier` whose emit
+callback is ``store.merge``, and checkpoints ride on
+:mod:`repro.exec.checkpoint`.  One run's mutable state lives in a
+:class:`_Run`, with one method per transition.  The pieces:
 
 **Planning.**  The spec is expanded and deduped into the canonical
 expansion-order point list (exactly as the pool runner and the service do
@@ -35,7 +35,7 @@ merge) makes duplicates invisible.
 
 **Deterministic merge.**  Completed shards buffer in the merge frontier
 and are folded into the store strictly in shard order (the inter-host
-mirror of the runner's flush frontier — literally the same class now).
+mirror of the runner's flush frontier — literally the same class).
 Records therefore land in the file in expansion order no matter which
 backend finished first — this is what makes the final store
 byte-identical to the fault-free single-host store under any cluster
@@ -43,10 +43,10 @@ shape, assignment, failover, or retry history (the abelian-networks
 property the reproduction is built around).  A shard that keeps failing
 everywhere exhausts ``max_shard_attempts`` and raises
 :class:`~repro.common.errors.FabricError` carrying a partial
-:class:`FabricSummary` (per-point ``failures`` in the sweep summary's
-schema, plus ``n_discarded`` for completed-but-unmerged work); everything
-merged up to that point stays durable, and re-running resumes from the
-cached prefix.
+:class:`FabricSummary` (a :class:`~repro.sweep.runner.SweepSummary`, so
+per-point ``failures`` and ``n_discarded`` mean what they mean for a
+sweep); everything merged up to that point stays durable, and re-running
+resumes from the cached prefix.
 
 **Checkpoint / handoff.**  With ``checkpoint_path`` set, the coordinator
 periodically snapshots its plan, merge position, attempt counters, and
@@ -67,24 +67,27 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, FabricError, StoreError
-from repro.common.jsonutil import content_digest
 from repro.exec.attempts import AttemptTracker
 from repro.exec.checkpoint import (
     clear_checkpoint,
     read_checkpoint,
     write_checkpoint,
 )
-from repro.exec.frontier import FlushFrontier, dedup_ordered
-from repro.exec.lease import LeaseTable
+from repro.exec.frontier import FlushFrontier
+from repro.exec.lease import Lease, LeaseTable
 from repro.fabric.backends import PeerBackend, RunnerBackend, Shard
 from repro.fabric.health import DEAD, BackendHealth
-from repro.sweep.grid import ExperimentPoint, SweepSpec
-from repro.sweep.runner import FailureRecord
+from repro.sweep.grid import (
+    ExperimentPoint,
+    SweepSpec,
+    dedup_points,
+    spec_digest,
+)
+from repro.sweep.runner import FailureRecord, SweepSummary
 from repro.sweep.store import ResultStore
 
 #: Default shard size: small enough that a lost peer forfeits little work,
@@ -95,70 +98,47 @@ DEFAULT_SHARD_SIZE = 8
 #: (a mismatched version is simply ignored and the run re-plans fresh).
 CHECKPOINT_VERSION = 1
 
+#: A backend thread's report: ``(lease ticket, records, exception)``.
+Arrival = Tuple[int, Optional[List[Dict[str, Any]]], Optional[BaseException]]
+
 
 @dataclass
-class FabricSummary:
-    """What one coordinated run did, across every backend.
+class FabricSummary(SweepSummary):
+    """What one coordinated run did, across every backend: a sweep summary
+    plus the shard, lease and backend counters."""
 
-    The failure schema is shared with the sweep runner's ``SweepSummary``:
-    ``failures`` maps point keys to the same
-    :class:`~repro.sweep.runner.FailureRecord` and ``n_discarded`` counts
-    computed-but-unpersisted points, so tooling that consumes one summary
-    consumes the other unchanged.
-    """
-
-    n_points: int                 # deduped points in the spec
-    n_cached: int                 # already in the store when the run began
-    n_computed: int               # newly merged by this run
-    n_shards: int                 # shards planned (0 on a pure cache hit)
+    n_shards: int = 0             # shards planned (0 on a pure cache hit)
     n_requeues: int = 0           # shard dispatches beyond the first
     n_expired_leases: int = 0     # leases lost to missed heartbeats
-    elapsed_s: float = 0.0
     degraded: bool = False        # peers were configured but all ended dead
-    #: ``point key -> FailureRecord`` for the shard that exhausted its
-    #: attempt budget (same schema as ``SweepSummary.failures``).
-    failures: Dict[str, FailureRecord] = field(default_factory=dict)
-    #: Records completed by backends but never merged because an earlier
-    #: shard's failure blocked the merge frontier — recomputed (or
-    #: cache-hit) on the next run, like the sweep's computed-but-unflushed.
-    n_discarded: int = 0
     #: backend name -> health/status counters (shards completed included).
     backends: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.n_cached / self.n_points if self.n_points else 0.0
+    def _ran_on(self) -> str:
+        return (f"over {self.n_shards} shard(s) "
+                f"via {len(self.backends)} backend(s)")
 
-    def describe(self) -> str:
-        tail = ""
-        if self.n_requeues:
-            tail += f"; {self.n_requeues} shard requeue(s)"
-        if self.n_expired_leases:
-            tail += f"; {self.n_expired_leases} lease(s) expired"
-        if self.failures:
-            tail += f"; {len(self.failures)} FAILED"
-        if self.n_discarded:
-            tail += f"; {self.n_discarded} computed-but-unflushed"
-        if self.degraded:
-            tail += "; degraded to local-only (all peers down)"
-        return (
-            f"{self.n_points} points: {self.n_cached} cached, "
-            f"{self.n_computed} computed over {self.n_shards} shard(s) "
-            f"via {len(self.backends)} backend(s) "
-            f"in {self.elapsed_s:.2f}s{tail}"
-        )
+    def _notes(self) -> List[str]:
+        return [note for shown, note in (
+            (self.n_requeues, f"{self.n_requeues} shard requeue(s)"),
+            (self.n_expired_leases,
+             f"{self.n_expired_leases} lease(s) expired"),
+        ) if shown] + super()._notes() + (
+            ["degraded to local-only (all peers down)"]
+            if self.degraded else [])
 
 
-def dedup_points(
-    points: Sequence[ExperimentPoint],
-) -> "OrderedDict[str, ExperimentPoint]":
-    """Unique points in expansion order — the canonical list every layer
-    (pool runner, service shard jobs, fabric) agrees on index by index."""
-    return dedup_ordered((point.key(), point) for point in points)
+def _shard(items: List[Tuple[str, ExperimentPoint]], index: int,
+           start: int, stop: int) -> Shard:
+    """Shard ``index`` over ``items[start:stop]`` of the deduped expansion."""
+    chunk = items[start:stop]
+    return Shard(index=index, start=start, stop=stop,
+                 points=tuple(point for _key, point in chunk),
+                 keys=tuple(key for key, _point in chunk))
 
 
 def plan_shards(
-    keyed: "OrderedDict[str, ExperimentPoint]",
+    keyed: Dict[str, ExperimentPoint],
     store: ResultStore,
     shard_size: int,
 ) -> List[Shard]:
@@ -174,63 +154,15 @@ def plan_shards(
     items = list(keyed.items())
     shards: List[Shard] = []
     run_start: Optional[int] = None
-
-    def close_run(end: int) -> None:
-        nonlocal run_start
-        if run_start is None:
-            return
-        for chunk_start in range(run_start, end, shard_size):
-            chunk_stop = min(chunk_start + shard_size, end)
-            chunk = items[chunk_start:chunk_stop]
-            shards.append(Shard(
-                index=len(shards),
-                start=chunk_start,
-                stop=chunk_stop,
-                points=tuple(point for _key, point in chunk),
-                keys=tuple(key for key, _point in chunk),
-            ))
-        run_start = None
-
-    for position, (key, _point) in enumerate(items):
-        if key in store:
-            close_run(position)
-        elif run_start is None:
+    for position in range(len(items) + 1):
+        pending = position < len(items) and items[position][0] not in store
+        if pending and run_start is None:
             run_start = position
-    close_run(len(items))
-    return shards
-
-
-def _shards_from_ranges(
-    ranges: Any,
-    keyed: "OrderedDict[str, ExperimentPoint]",
-) -> Optional[List[Shard]]:
-    """Reconstruct a checkpointed shard plan from its ``(start, stop)``
-    ranges over the deterministic expansion; ``None`` on any anomaly."""
-    if not isinstance(ranges, list) or not ranges:
-        return None
-    items = list(keyed.items())
-    shards: List[Shard] = []
-    prev_stop = 0
-    try:
-        for position, entry in enumerate(ranges):
-            index = int(entry["index"])
-            start = int(entry["start"])
-            stop = int(entry["stop"])
-            if index != position:
-                return None
-            if not (0 <= start < stop <= len(items)) or start < prev_stop:
-                return None
-            chunk = items[start:stop]
-            shards.append(Shard(
-                index=index,
-                start=start,
-                stop=stop,
-                points=tuple(point for _key, point in chunk),
-                keys=tuple(key for key, _point in chunk),
-            ))
-            prev_stop = stop
-    except (KeyError, TypeError, ValueError):
-        return None
+        elif not pending and run_start is not None:
+            for start in range(run_start, position, shard_size):
+                stop = min(start + shard_size, position)
+                shards.append(_shard(items, len(shards), start, stop))
+            run_start = None
     return shards
 
 
@@ -315,7 +247,6 @@ class FabricCoordinator:
             for backend in self.backends
         }
 
-    # -- the run -----------------------------------------------------------
     def run(self, spec: SweepSpec, store: ResultStore) -> FabricSummary:
         """Compute every pending point of ``spec`` into ``store``.
 
@@ -326,35 +257,29 @@ class FabricCoordinator:
         either way — re-running resumes from it.
         """
         t0 = time.monotonic()
-        keyed = dedup_points(spec.expand())
-        shards, resume = self._plan_or_resume(spec, keyed, store)
-        n_points = len(keyed)
-        n_cached = sum(1 for key in keyed if key in store)
-        summary = FabricSummary(
-            n_points=n_points,
-            n_cached=n_cached,
-            n_computed=0,
-            n_shards=len(shards),
-        )
+        state = _Run(self, spec, store)
+        summary = state.summary
         self._say(
-            f"fabric: spec {spec.name!r}: {n_points} points, "
-            f"{n_cached} cached, {n_points - n_cached} pending in "
-            f"{len(shards)} shard(s) across {len(self.backends)} backend(s)"
+            f"fabric: spec {spec.name!r}: {summary.n_points} points, "
+            f"{summary.n_cached} cached, "
+            f"{summary.n_points - summary.n_cached} pending in "
+            f"{len(state.shards)} shard(s) across {len(self.backends)} "
+            "backend(s)"
         )
         try:
-            if shards:
-                self._execute(spec, store, shards, summary, resume)
+            if state.shards:
+                state.execute()
         except FabricError as exc:
-            summary.elapsed_s = time.monotonic() - t0
-            summary.degraded = self._is_degraded()
-            summary.backends = self._backend_stats()
+            self._finish(summary, t0)
             if exc.summary is None:
                 exc.summary = summary
-            # Terminal outcome: the checkpoint must not memoise the
-            # exhausted attempt budget into the next (fresh) run.
-            if self.checkpoint_path:
-                clear_checkpoint(self.checkpoint_path)
             raise
+        self._finish(summary, t0)
+        return summary
+
+    def _finish(self, summary: FabricSummary, t0: float) -> None:
+        # Any terminal outcome clears the checkpoint: it must not memoise
+        # an exhausted attempt budget into the next (fresh) run.
         if self.checkpoint_path:
             clear_checkpoint(self.checkpoint_path)
         summary.elapsed_s = time.monotonic() - t0
@@ -362,273 +287,285 @@ class FabricCoordinator:
         # the promoting ``state`` property, which can flip a dead peer to
         # post-cooldown probation while this very summary is being built —
         # "ended the run dead" must not depend on wall-clock read order.
-        summary.degraded = self._is_degraded()
-        summary.backends = self._backend_stats()
-        return summary
-
-    def _plan_or_resume(
-        self,
-        spec: SweepSpec,
-        keyed: "OrderedDict[str, ExperimentPoint]",
-        store: ResultStore,
-    ) -> Tuple[List[Shard], Optional[Dict[str, Any]]]:
-        """The shard plan for this run: reconstructed from a live
-        checkpoint when one matches this spec, planned fresh otherwise."""
-        if self.checkpoint_path:
-            data = read_checkpoint(self.checkpoint_path)
-            if (
-                data is not None
-                and data.get("version") == CHECKPOINT_VERSION
-                and data.get("spec_digest") == _spec_digest(spec)
-            ):
-                shards = _shards_from_ranges(data.get("shards"), keyed)
-                if shards is not None:
-                    return shards, data
-            if data is not None:
-                self._say(
-                    "fabric: ignoring checkpoint (stale or mismatched); "
-                    "planning fresh from the store"
-                )
-        return plan_shards(keyed, store, self.shard_size), None
-
-    def _backend_stats(self) -> Dict[str, Dict[str, Any]]:
+        peers = [b for b in self.backends if isinstance(b, PeerBackend)]
+        # _state (not available()) on purpose: a peer in post-cooldown
+        # probation still *ended the run* dead for degradation purposes.
+        summary.degraded = bool(peers) and all(
+            self.health[peer.name]._state == DEAD for peer in peers
+        )
         counts = self.lease_counts()
-        stats = {}
         for backend in self.backends:
             entry = self.health[backend.name].status()
             entry["kind"] = type(backend).__name__
             entry["shards_completed"] = self._completed_by[backend.name]
             entry["inflight_leases"] = counts[backend.name]
             entry["max_inflight"] = self.max_inflight_shards
-            stats[backend.name] = entry
-        return stats
+            summary.backends[backend.name] = entry
 
-    def _is_degraded(self) -> bool:
-        peers = [b for b in self.backends if isinstance(b, PeerBackend)]
-        # state (not available()) on purpose: a peer in post-cooldown
-        # probation still *ended the run* dead for degradation purposes.
-        return bool(peers) and all(
-            self.health[peer.name]._state == DEAD for peer in peers
+
+class _Run:
+    """One :meth:`FabricCoordinator.run`'s state, one method per transition:
+    dispatch, arrival, failure, lease expiry, requeue-or-give-up, and
+    snapshot.  The checkpoint payload is built (:meth:`snapshot`) and
+    parsed (:meth:`_resume_plan`, :meth:`_rehydrate`) side by side here."""
+
+    def __init__(self, coordinator: FabricCoordinator, spec: SweepSpec,
+                 store: ResultStore) -> None:
+        self.c = coordinator
+        self.spec = spec
+        self.store = store
+        self.digest = spec_digest(spec)
+        keyed = dedup_points(spec.expand())
+        self.summary = FabricSummary(
+            n_points=len(keyed),
+            n_cached=sum(1 for key in keyed if key in store),
+            n_computed=0,
         )
+        self.resume: Optional[Dict[str, Any]] = None
+        self.shards = self._resume_plan(keyed)
+        if self.shards is None:
+            self.shards = plan_shards(keyed, store, coordinator.shard_size)
+        self.summary.n_shards = len(self.shards)
+        self.frontier = FlushFrontier(len(self.shards), emit=self._merge)
+        self.attempts = AttemptTracker(coordinator.max_shard_attempts)
+        self.pending: List[Shard] = []
+        self.first_dispatch: Dict[int, float] = {}
+        self.arrivals: "queue.Queue[Arrival]" = queue.Queue()
+        self.threads: List[threading.Thread] = []
+        self.dirty = False
+        self.last_snapshot = coordinator.clock()
 
-    def _execute(self, spec: SweepSpec, store: ResultStore,
-                 shards: List[Shard], summary: FabricSummary,
-                 resume: Optional[Dict[str, Any]] = None) -> None:
-        leases = LeaseTable(self.lease_timeout_s, clock=self.clock)
-        self._leases = leases
-        attempts = AttemptTracker(self.max_shard_attempts)
-        first_dispatch: Dict[int, float] = {}
-        done_q: "queue.Queue[Tuple[int, Optional[List[Dict[str, Any]]], Optional[BaseException]]]" = queue.Queue()
-        threads: List[threading.Thread] = []
-        spec_digest = _spec_digest(spec)
-
-        def merge_shard(index: int, records: List[Dict[str, Any]]) -> None:
-            summary.n_computed += store.merge(records)
-            self._say(
-                f"fabric: merged {shards[index].label()} "
-                f"({len(records)} record(s))"
-            )
-
-        frontier = FlushFrontier(len(shards), emit=merge_shard)
-
-        if resume is not None:
-            self._rehydrate(frontier, attempts, summary, shards,
-                            store, resume)
-
-        pending: List[Shard] = [
-            shard for shard in shards
-            if not frontier.is_complete(shard.index)
-        ]
-
-        # -- checkpointing -------------------------------------------------
-        ckpt_state = {"dirty": False, "last": self.clock()}
-
-        def save_checkpoint(force: bool = False) -> None:
-            if not self.checkpoint_path:
-                return
-            now = self.clock()
-            if not force and not (
-                ckpt_state["dirty"]
-                and now - ckpt_state["last"] >= self.checkpoint_interval_s
-            ):
-                return
-            write_checkpoint(self.checkpoint_path, {
-                "version": CHECKPOINT_VERSION,
-                "spec_digest": spec_digest,
-                "shard_size": self.shard_size,
-                "shards": [
-                    {"index": s.index, "start": s.start, "stop": s.stop}
-                    for s in shards
-                ],
-                "merged_through": frontier.position,
-                "attempts": attempts.snapshot(),
-                "completed": {
-                    str(index): records
-                    for index, records in frontier.buffered().items()
-                },
-                "n_requeues": summary.n_requeues,
-                "n_expired_leases": summary.n_expired_leases,
-            })
-            ckpt_state["dirty"] = False
-            ckpt_state["last"] = now
-
-        def dispatch(shard: Shard, backend: RunnerBackend) -> None:
-            lease = leases.issue(shard, backend.name)
-            first_dispatch.setdefault(shard.index, self.clock())
-            n = attempts.charge(shard.index)
-            self._say(
-                f"fabric: {shard.label()} -> {backend.name} (attempt {n})"
-            )
-
-            def work() -> None:
-                try:
-                    records = backend.run_shard(spec, shard, lease.beat)
-                except BaseException as exc:
-                    done_q.put((lease.ticket, None, exc))
-                else:
-                    done_q.put((lease.ticket, records, None))
-
-            thread = threading.Thread(
-                target=work, daemon=True,
-                name=f"fabric-{backend.name}-s{shard.index}",
-            )
-            threads.append(thread)
-            thread.start()
-
-        def drop_from_pending(index: int) -> None:
-            stale = [s for s in pending if s.index == index]
-            for shard in stale:
-                pending.remove(shard)
-
-        def give_up(shard: Shard, reason: str, error_kind: str) -> None:
-            n = attempts.attempts(shard.index)
-            elapsed = self.clock() - first_dispatch.get(
-                shard.index, self.clock())
-            for key, point in zip(shard.keys, shard.points):
-                summary.failures[key] = FailureRecord(
-                    key=key,
-                    label=point.label(),
-                    attempts=n,
-                    error=error_kind,
-                    message=reason,
-                    elapsed_s=elapsed,
-                )
-            # Records computed by backends but stuck behind the failed
-            # shard: counted (point granularity, like the sweep summary)
-            # and dropped — the next run recomputes or cache-hits them.
-            summary.n_discarded += sum(
-                len(records) for records in frontier.buffered().values()
-            )
-            frontier.discard()
-            raise FabricError(
-                f"{shard.label()} failed {n} time(s) across the fabric "
-                f"(last: {reason}); giving up — {frontier.position} "
-                "shard(s) are merged and durable, re-run to resume"
-            )
-
-        def requeue(shard: Shard, reason: str, error_kind: str) -> None:
-            if frontier.is_complete(shard.index):
-                return
-            if attempts.exhausted(shard.index):
-                give_up(shard, reason, error_kind)
-            summary.n_requeues += 1
-            ckpt_state["dirty"] = True
-            pending.append(shard)
-            self._say(f"fabric: requeueing {shard.label()}: {reason}")
-
-        save_checkpoint(force=True)
-
-        while not frontier.done:
-            # Work-stealing dispatch: every available backend may hold up
-            # to ``max_inflight_shards`` leases; the idle-most backend
-            # (ties broken in configured order) steals the oldest
-            # unleased shard — the one the merge frontier needs next.
-            while pending:
-                candidates = [
-                    backend for backend in self.backends
-                    if self.health[backend.name].available()
-                    and leases.held_by(backend.name) < self.max_inflight_shards
-                ]
-                if not candidates:
-                    break
-                candidates.sort(key=lambda b: leases.held_by(b.name))
-                shard = min(pending, key=lambda s: s.index)
-                pending.remove(shard)
-                dispatch(shard, candidates[0])
-
-            # Wait for one completion (or just tick), then drain whatever
-            # else has queued up: fast backends can finish several shards
-            # per poll interval, and consuming one completion per tick
-            # would lag the merge frontier and redispatch behind them.
-            arrivals: List[Tuple[int, Optional[List[Dict[str, Any]]],
-                                 Optional[BaseException]]] = []
-            try:
-                arrivals.append(done_q.get(timeout=self.poll_s))
-            except queue.Empty:
-                pass
-            while True:
-                try:
-                    arrivals.append(done_q.get_nowait())
-                except queue.Empty:
-                    break
-            for ticket, records, exc in arrivals:
-                lease = leases.lookup(ticket)
-                shard, holder = lease.item, lease.holder
-                if not lease.expired:
-                    leases.release(ticket)
-                if exc is None and records is not None:
-                    # A late result from an expired lease is still a
-                    # success — accepted iff the shard is still open
-                    # (at-least-once; the merge dedups the rest).  Health
-                    # is only updated for live leases: the expiry already
-                    # charged this backend a failure, and a late success
-                    # must not resurrect a DEAD peer straight to ALIVE,
-                    # bypassing the probation trial health.py documents.
-                    if not lease.expired:
-                        self.health[holder].record_success()
-                    if not frontier.is_complete(shard.index):
-                        self._completed_by[holder] += 1
-                        drop_from_pending(shard.index)
-                        ckpt_state["dirty"] = True
-                        if frontier.complete(shard.index, records):
-                            # The merge frontier advanced: snapshot now —
-                            # this is the state a handoff must not lose.
-                            save_checkpoint(force=True)
-                else:
-                    self._say(
-                        f"fabric: {shard.label()} failed on "
-                        f"{holder}: {exc}"
-                    )
-                    if not lease.expired:
-                        self.health[holder].record_failure()
-                        requeue(shard, f"{type(exc).__name__}: {exc}",
-                                type(exc).__name__)
-
-            # Expire leases that stopped heartbeating.
-            for lease in leases.expire_stale():
-                self.health[lease.holder].record_failure()
-                summary.n_expired_leases += 1
-                ckpt_state["dirty"] = True
-                requeue(
-                    lease.item,
-                    f"lease expired on {lease.holder} "
-                    f"(no heartbeat for {self.lease_timeout_s:.1f}s)",
-                    "LeaseExpired",
-                )
-
-            save_checkpoint()
-
+    # -- the loop ----------------------------------------------------------
+    def execute(self) -> None:
+        c = self.c
+        self.leases = LeaseTable(c.lease_timeout_s, clock=c.clock)
+        c._leases = self.leases
+        if self.resume is not None:
+            self._rehydrate()
+        self.pending = [shard for shard in self.shards
+                        if not self.frontier.is_complete(shard.index)]
+        self.snapshot(force=True)
+        while not self.frontier.done:
+            self._dispatch_idle()
+            for ticket, records, exc in self._drain():
+                self._arrive(ticket, records, exc)
+            for lease in self.leases.expire_stale():
+                self._expire(lease)
+            self.snapshot()
         # Give promptly-finishing workers a moment to park; stragglers are
         # daemon threads blocked in bounded (timeout-bearing) I/O.
-        for thread in threads:
+        for thread in self.threads:
             thread.join(timeout=0.2)
 
-    def _rehydrate(self, frontier: FlushFrontier, attempts: AttemptTracker,
-                   summary: FabricSummary, shards: List[Shard],
-                   store: ResultStore,
-                   resume: Dict[str, Any]) -> None:
-        """Restore coordinator state from a checkpoint written by a
-        predecessor on the same store.
+    def _merge(self, index: int, records: List[Dict[str, Any]]) -> None:
+        self.summary.n_computed += self.store.merge(records)
+        self.c._say(f"fabric: merged {self.shards[index].label()} "
+                    f"({len(records)} record(s))")
+
+    # -- transitions -------------------------------------------------------
+    def _dispatch_idle(self) -> None:
+        """Work-stealing dispatch: every available backend may hold up to
+        ``max_inflight_shards`` leases; the idle-most backend (ties broken
+        in configured order) steals the oldest unleased shard — the one
+        the merge frontier needs next."""
+        c = self.c
+        while self.pending:
+            candidates = [
+                backend for backend in c.backends
+                if c.health[backend.name].available()
+                and self.leases.held_by(backend.name) < c.max_inflight_shards
+            ]
+            if not candidates:
+                return
+            backend = min(candidates,
+                          key=lambda b: self.leases.held_by(b.name))
+            shard = min(self.pending, key=lambda s: s.index)
+            self.pending.remove(shard)
+            self._dispatch(shard, backend)
+
+    def _dispatch(self, shard: Shard, backend: RunnerBackend) -> None:
+        lease = self.leases.issue(shard, backend.name)
+        self.first_dispatch.setdefault(shard.index, self.c.clock())
+        n = self.attempts.charge(shard.index)
+        self.c._say(f"fabric: {shard.label()} -> {backend.name} "
+                    f"(attempt {n})")
+
+        def work() -> None:
+            try:
+                records = backend.run_shard(self.spec, shard, lease.beat)
+            except BaseException as exc:
+                self.arrivals.put((lease.ticket, None, exc))
+            else:
+                self.arrivals.put((lease.ticket, records, None))
+
+        thread = threading.Thread(
+            target=work, daemon=True,
+            name=f"fabric-{backend.name}-s{shard.index}",
+        )
+        self.threads.append(thread)
+        thread.start()
+
+    def _drain(self) -> List[Arrival]:
+        """Wait one ``poll_s`` tick for an arrival, then take every other
+        queued one: fast backends can finish several shards per tick, and
+        one completion per tick would lag the merge and redispatch."""
+        arrivals = []
+        try:
+            arrivals.append(self.arrivals.get(timeout=self.c.poll_s))
+        except queue.Empty:
+            pass
+        while True:
+            try:
+                arrivals.append(self.arrivals.get_nowait())
+            except queue.Empty:
+                return arrivals
+
+    def _arrive(self, ticket: int,
+                records: Optional[List[Dict[str, Any]]],
+                exc: Optional[BaseException]) -> None:
+        lease = self.leases.lookup(ticket)
+        if not lease.expired:
+            self.leases.release(ticket)
+        if exc is not None or records is None:
+            self._fail(lease, exc)
+            return
+        shard, holder = lease.item, lease.holder
+        # A late result from an expired lease is still a success —
+        # accepted iff the shard is still open (at-least-once; the merge
+        # dedups the rest).  Health is only updated for live leases: the
+        # expiry already charged this backend a failure, and a late success
+        # must not resurrect a DEAD peer straight to ALIVE, bypassing the
+        # probation trial health.py documents.
+        if not lease.expired:
+            self.c.health[holder].record_success()
+        if self.frontier.is_complete(shard.index):
+            return
+        self.c._completed_by[holder] += 1
+        self.pending = [s for s in self.pending if s.index != shard.index]
+        self.dirty = True
+        if self.frontier.complete(shard.index, records):
+            # The merge frontier advanced: snapshot now — this is the
+            # state a handoff must not lose.
+            self.snapshot(force=True)
+
+    def _fail(self, lease: Lease, exc: Optional[BaseException]) -> None:
+        self.c._say(f"fabric: {lease.item.label()} failed on "
+                    f"{lease.holder}: {exc}")
+        if not lease.expired:
+            self.c.health[lease.holder].record_failure()
+            self._requeue(lease.item, f"{type(exc).__name__}: {exc}",
+                          type(exc).__name__)
+
+    def _expire(self, lease: Lease) -> None:
+        self.c.health[lease.holder].record_failure()
+        self.summary.n_expired_leases += 1
+        self.dirty = True
+        self._requeue(
+            lease.item,
+            f"lease expired on {lease.holder} "
+            f"(no heartbeat for {self.c.lease_timeout_s:.1f}s)",
+            "LeaseExpired",
+        )
+
+    def _requeue(self, shard: Shard, reason: str, error_kind: str) -> None:
+        if self.frontier.is_complete(shard.index):
+            return
+        if not self.attempts.exhausted(shard.index):
+            self.summary.n_requeues += 1
+            self.dirty = True
+            self.pending.append(shard)
+            self.c._say(f"fabric: requeueing {shard.label()}: {reason}")
+            return
+        n = self.attempts.attempts(shard.index)
+        now = self.c.clock()
+        elapsed = now - self.first_dispatch.get(shard.index, now)
+        for key, point in zip(shard.keys, shard.points):
+            self.summary.failures[key] = FailureRecord(
+                key=key, label=point.label(), attempts=n,
+                error=error_kind, message=reason, elapsed_s=elapsed,
+            )
+        # Records computed by backends but stuck behind the failed shard:
+        # counted (point granularity, like the sweep summary) and dropped —
+        # the next run recomputes or cache-hits them.
+        self.summary.n_discarded += sum(
+            len(records) for records in self.frontier.buffered().values()
+        )
+        self.frontier.discard()
+        raise FabricError(
+            f"{shard.label()} failed {n} time(s) across the fabric "
+            f"(last: {reason}); giving up — {self.frontier.position} "
+            "shard(s) are merged and durable, re-run to resume"
+        )
+
+    # -- checkpoint: build and parse ---------------------------------------
+    def snapshot(self, force: bool = False) -> None:
+        """Write the checkpoint — forced, or when dirty and due."""
+        c = self.c
+        if not c.checkpoint_path:
+            return
+        now = c.clock()
+        if not force and not (
+            self.dirty
+            and now - self.last_snapshot >= c.checkpoint_interval_s
+        ):
+            return
+        write_checkpoint(c.checkpoint_path, {
+            "version": CHECKPOINT_VERSION,
+            "spec_digest": self.digest,
+            "shard_size": c.shard_size,
+            "shards": [
+                {"index": s.index, "start": s.start, "stop": s.stop}
+                for s in self.shards
+            ],
+            "merged_through": self.frontier.position,
+            "attempts": self.attempts.snapshot(),
+            "completed": {
+                str(index): records
+                for index, records in self.frontier.buffered().items()
+            },
+            "n_requeues": self.summary.n_requeues,
+            "n_expired_leases": self.summary.n_expired_leases,
+        })
+        self.dirty = False
+        self.last_snapshot = now
+
+    def _resume_plan(
+        self, keyed: Dict[str, ExperimentPoint],
+    ) -> Optional[List[Shard]]:
+        """The shard plan of a live checkpoint written for this spec (its
+        ``(start, stop)`` ranges over the deterministic expansion), or
+        ``None`` to plan fresh; keeps the payload for :meth:`_rehydrate`."""
+        if not self.c.checkpoint_path:
+            return None
+        data = read_checkpoint(self.c.checkpoint_path)
+        if data is None:
+            return None
+        ranges = data.get("shards")
+        if (data.get("version") == CHECKPOINT_VERSION
+                and data.get("spec_digest") == self.digest
+                and isinstance(ranges, list) and ranges):
+            items = list(keyed.items())
+            shards: List[Shard] = []
+            try:
+                for position, entry in enumerate(ranges):
+                    index = int(entry["index"])
+                    start, stop = int(entry["start"]), int(entry["stop"])
+                    prev_stop = shards[-1].stop if shards else 0
+                    if index != position or not (
+                            prev_stop <= start < stop <= len(items)):
+                        break
+                    shards.append(_shard(items, index, start, stop))
+                else:
+                    self.resume = data
+                    return shards
+            except (KeyError, TypeError, ValueError):
+                pass
+        self.c._say("fabric: ignoring checkpoint (stale or mismatched); "
+                    "planning fresh from the store")
+        return None
+
+    def _rehydrate(self) -> None:
+        """Restore state from the predecessor's checkpoint on this store.
 
         The merged prefix is recomputed from the store — the predecessor
         may have died between a merge and its next snapshot, and the
@@ -636,18 +573,19 @@ class FabricCoordinator:
         ``completed`` payload that conflicts with the store is dropped and
         recomputed; losing checkpoint state costs work, never bytes.
         """
+        data = self.resume
         merged = 0
-        for shard in shards:
-            if all(key in store for key in shard.keys):
-                merged += 1
-            else:
+        for shard in self.shards:
+            if not all(key in self.store for key in shard.keys):
                 break
-        frontier.advance_to(merged)
+            merged += 1
+        self.frontier.advance_to(merged)
         try:
-            attempts.restore(resume.get("attempts", {}) or {}, key=int)
-            summary.n_requeues = int(resume.get("n_requeues", 0))
-            summary.n_expired_leases = int(resume.get("n_expired_leases", 0))
-            completed = resume.get("completed", {}) or {}
+            self.attempts.restore(data.get("attempts", {}) or {}, key=int)
+            self.summary.n_requeues = int(data.get("n_requeues", 0))
+            self.summary.n_expired_leases = int(
+                data.get("n_expired_leases", 0))
+            completed = data.get("completed", {}) or {}
             rehydrated = sorted(
                 (int(raw_index), records)
                 for raw_index, records in completed.items()
@@ -655,24 +593,18 @@ class FabricCoordinator:
         except (TypeError, ValueError):
             rehydrated = []
         for index, records in rehydrated:
-            if not (0 <= index < len(shards)) or index < merged:
-                continue
-            if not isinstance(records, list):
+            if not merged <= index < len(self.shards) \
+                    or not isinstance(records, list):
                 continue
             try:
-                frontier.complete(index, records)
+                self.frontier.complete(index, records)
             except StoreError:
-                frontier.drop(index)
-        self._say(
-            f"fabric: resumed from checkpoint: {frontier.position}/"
-            f"{len(shards)} shard(s) already merged, "
-            f"{len(frontier.buffered())} rehydrated in buffer"
+                self.frontier.drop(index)
+        self.c._say(
+            f"fabric: resumed from checkpoint: {self.frontier.position}/"
+            f"{len(self.shards)} shard(s) already merged, "
+            f"{len(self.frontier.buffered())} rehydrated in buffer"
         )
-
-
-def _spec_digest(spec: SweepSpec) -> str:
-    """Content digest binding a checkpoint to the spec that produced it."""
-    return content_digest({"sweep_spec": spec.to_dict()}, 16)
 
 
 __all__ = [
@@ -680,6 +612,5 @@ __all__ = [
     "DEFAULT_SHARD_SIZE",
     "FabricCoordinator",
     "FabricSummary",
-    "dedup_points",
     "plan_shards",
 ]

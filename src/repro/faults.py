@@ -1,52 +1,45 @@
-"""Deterministic fault injection for sweep execution.
+"""Deterministic fault injection for sweep execution and peer RPCs.
 
 The fault-tolerant runner in :mod:`repro.sweep.runner` promises that the
 result store ends up byte-identical to a fault-free run no matter which
-workers crash, hang, or raise along the way.  That promise is only worth
-anything if it is *tested* against real failure modes, so this module gives
-tests and the CI chaos job a way to inject the three that matter — worker
-exceptions, hung workers, and hard worker death — deterministically:
+workers crash, hang, or raise along the way, and the fabric promises the
+same across hosts whatever the network does.  Those promises are only
+worth anything if they are *tested* against real failure modes, so this
+module gives tests and the CI chaos jobs one seeded :class:`FaultPlan`
+type that serves two domains:
 
-Two independent plans live here:
-
-* :class:`FaultPlan` sabotages *point execution* (worker exceptions, hangs,
+* ``point`` plans sabotage *point execution* (worker exceptions, hangs,
   hard deaths) through :func:`maybe_inject`, hooked inside
-  :func:`repro.sweep.runner.execute_point`.
-* :class:`NetworkFaultPlan` sabotages *peer RPCs* (connection refused,
-  mid-body disconnects, stalled responses, truncated/corrupted result
-  bytes, flapping peers) through :func:`net_fault_action` /
-  :func:`inject_net_fault`, hooked inside
-  :class:`repro.service.client.ServiceClient` — which is how the
-  distributed fabric's whole transport layer is chaos-tested the same way
-  the pool runner already is.
+  :func:`repro.sweep.runner.execute_point`;
+* ``net`` plans sabotage *peer RPCs* (connection refused, mid-body
+  disconnects, stalled responses, corrupted result bytes, flapping peers)
+  through :func:`net_fault`, hooked inside
+  :class:`repro.service.client.ServiceClient`.
 
-The point-plan machinery:
+A plan decides, per ``(key, attempt)``, whether to inject and what: a
+point key, or ``"{peer} {op}"`` for an RPC.  Decisions are pure functions
+of the plan's ``seed`` and the key (sha256-derived, not Python's
+randomized ``hash``), so the same plan injects the same faults in every
+process, at every worker count, on every platform — the precondition for
+asserting byte-identical stores under chaos.
 
-* A :class:`FaultPlan` decides, per ``(point key, attempt)``, whether to
-  inject and what.  Decisions are pure functions of the plan's ``seed`` and
-  the point key (sha256-derived, not Python's randomized ``hash``), so the
-  same plan injects the same faults in every process, at every worker
-  count, on every platform — the precondition for asserting byte-identical
-  stores under chaos.
-* :func:`maybe_inject` is the single hook the runner's
-  :func:`~repro.sweep.runner.execute_point` calls before doing any real
-  work.  It is a no-op unless a plan is active.
-* A plan is activated either in-process via :func:`install_plan` (tests) or
-  through the :data:`ENV_VAR` environment variable holding the plan as JSON
-  (the CI chaos job; inherited by pool workers under both the ``fork`` and
-  ``spawn`` start methods).
+A plan is activated either in-process via :func:`install_plan` (tests) or
+through its domain's environment variable (:data:`ENV_VARS`) holding the
+plan as JSON — the CI chaos jobs, and what carries a plan into pool
+workers under both the ``fork`` and ``spawn`` start methods.  The JSON
+shape is :meth:`FaultPlan.to_dict`'s; ``domain`` may be left out there.
 
-Fatal faults (``hang``, ``death``) only manifest literally inside pool
-worker processes.  When the runner executes a point in the orchestrating
-process — single-worker runs, small inline shards, or the final
-graceful-degradation attempt — they are demoted to an
+Fatal point faults (``hang``, ``death``) only manifest literally inside
+pool worker processes.  When the runner executes a point in the
+orchestrating process — single-worker runs, small inline shards, or the
+final graceful-degradation attempt — they are demoted to an
 :class:`InjectedFault` exception: killing or stalling the orchestrator is
 not a *worker* fault, and would take the flush frontier down with it.
 
-Every injected fault consumes one attempt, so a plan whose
-``max_faults_per_point`` is below the runner's retry budget is guaranteed
-to let every point eventually succeed — which is how the chaos CI job can
-demand a byte-identical final store.
+Every injected fault consumes one attempt, so a plan whose ``max_faults``
+is below the caller's retry budget is guaranteed to let every point (or
+RPC) eventually succeed — which is how the chaos CI jobs can demand a
+byte-identical final store.
 """
 
 from __future__ import annotations
@@ -56,25 +49,55 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 
-#: Environment variable read by :func:`active_plan`: a JSON object with
-#: :meth:`FaultPlan.from_dict` keys.  Environment wiring is what lets the
-#: CI chaos job inject faults into ``python -m repro.sweep run`` without a
-#: dedicated CLI flag, and what carries the plan into pool workers.
-ENV_VAR = "REPRO_FAULTS"
+#: Fault domains: point execution and peer RPCs.
+POINT = "point"
+NET = "net"
 
-#: Injection actions, in the priority order :meth:`FaultPlan.decide` maps
-#: its uniform draw onto.  ``FAULT_OK`` is only meaningful inside scripted
-#: action lists ("this attempt succeeds").
+#: Environment variable per domain, read by :func:`active_plan`: a JSON
+#: object with :meth:`FaultPlan.from_dict` keys.  Environment wiring is
+#: what lets the CI chaos jobs arm ``python -m repro.sweep run`` and
+#: ``python -m repro.fabric run`` without a dedicated CLI flag.
+ENV_VARS = {POINT: "REPRO_FAULTS", NET: "REPRO_NET_FAULTS"}
+
+#: Point actions.  ``ok`` is only meaningful inside scripted action lists
+#: ("this attempt succeeds"), in either domain.
 FAULT_EXCEPTION = "exception"
 FAULT_HANG = "hang"
 FAULT_DEATH = "death"
 FAULT_OK = "ok"
-_ACTIONS = (FAULT_EXCEPTION, FAULT_HANG, FAULT_DEATH, FAULT_OK)
+
+#: Network actions.  ``refuse`` fails before anything is sent (connection
+#: refused); ``disconnect`` kills the connection after the request went
+#: out (mid-body reset — the caller cannot know whether the server acted);
+#: ``stall`` blocks for ``sleep_s`` and then times out; ``corrupt``
+#: delivers the response with truncated/flipped bytes (the receiver's
+#: digest validation must catch it); ``flap`` is a peer that is down
+#: across *every* sabotaged attempt of the operation, not just one —
+#: transient retry cannot ride it out, only failover can.
+NET_REFUSE = "refuse"
+NET_DISCONNECT = "disconnect"
+NET_STALL = "stall"
+NET_CORRUPT = "corrupt"
+NET_FLAP = "flap"
+
+#: Per domain, the per-attempt actions in the threshold order a seeded
+#: draw is mapped onto (the first action's band starts at 0).
+_THRESHOLDS = {
+    POINT: (FAULT_DEATH, FAULT_HANG, FAULT_EXCEPTION),
+    NET: (NET_REFUSE, NET_DISCONNECT, NET_STALL, NET_CORRUPT),
+}
+#: Per domain, rate-bearing actions drawn once per key instead of per
+#: attempt (excluded from the per-attempt sum).
+_STICKY = {POINT: (), NET: (NET_FLAP,)}
+#: Per domain, the prefix of the per-attempt draw key.
+_DRAW_PREFIX = {POINT: "", NET: "net|"}
+#: Per domain, the default ``sleep_s`` (a hang, a stall).
+_DEFAULT_SLEEP_S = {POINT: 30.0, NET: 5.0}
 
 #: Exit status used for injected hard worker death — distinctive enough to
 #: recognise in CI logs and process tables.
@@ -89,256 +112,6 @@ class InjectedFault(RuntimeError):
     the retry layer must survive without special-casing the library's own
     exception hierarchy.
     """
-
-
-def _unit(seed: int, key: str, attempt: int) -> float:
-    """Deterministic uniform draw in ``[0, 1)`` for one (point, attempt)."""
-    digest = hashlib.sha256(f"{seed}:{key}:{attempt}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0**64
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """A seeded, serializable schedule of faults to inject.
-
-    ``*_rate`` values are per-attempt probabilities (their sum must not
-    exceed 1).  ``max_faults_per_point`` caps how many *attempts* of one
-    point may be sabotaged: attempts beyond the cap always run clean, so a
-    runner allowed ``max_faults_per_point + 1`` attempts is guaranteed to
-    finish every point.  ``scripted`` pins exact per-attempt actions for
-    chosen point keys (tests targeting "kill attempt 1 of point X"), taking
-    precedence over the seeded draw; attempts past the end of a script run
-    clean.
-    """
-
-    seed: int = 0
-    exception_rate: float = 0.0
-    hang_rate: float = 0.0
-    death_rate: float = 0.0
-    max_faults_per_point: int = 2
-    hang_s: float = 30.0
-    scripted: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
-
-    def __post_init__(self) -> None:
-        if isinstance(self.scripted, Mapping):
-            normalized = tuple(
-                (key, tuple(actions)) for key, actions in self.scripted.items()
-            )
-        else:
-            normalized = tuple(
-                (key, tuple(actions)) for key, actions in self.scripted
-            )
-        object.__setattr__(self, "scripted", normalized)
-        for rate_name in ("exception_rate", "hang_rate", "death_rate"):
-            rate = getattr(self, rate_name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigurationError(
-                    f"FaultPlan.{rate_name} must be in [0, 1], got {rate!r}"
-                )
-        total = self.exception_rate + self.hang_rate + self.death_rate
-        if total > 1.0:
-            raise ConfigurationError(
-                f"FaultPlan rates must sum to at most 1, got {total}"
-            )
-        if self.max_faults_per_point < 0:
-            raise ConfigurationError(
-                "FaultPlan.max_faults_per_point must be non-negative, "
-                f"got {self.max_faults_per_point}"
-            )
-        if self.hang_s < 0:
-            raise ConfigurationError(
-                f"FaultPlan.hang_s must be non-negative, got {self.hang_s}"
-            )
-        for key, actions in self.scripted:
-            for action in actions:
-                if action not in _ACTIONS:
-                    raise ConfigurationError(
-                        f"FaultPlan.scripted[{key!r}]: unknown action "
-                        f"{action!r}; valid: {list(_ACTIONS)}"
-                    )
-
-    # -- decisions --------------------------------------------------------
-    def decide(self, key: str, attempt: int) -> Optional[str]:
-        """Action to inject for ``attempt`` (1-based) of point ``key``.
-
-        Returns one of :data:`FAULT_EXCEPTION` / :data:`FAULT_HANG` /
-        :data:`FAULT_DEATH`, or ``None`` for a clean attempt.  Pure and
-        process-independent: the runner, the workers, and the tests all see
-        the same schedule.
-        """
-        if attempt < 1:
-            raise ConfigurationError(
-                f"FaultPlan.decide: attempt is 1-based, got {attempt}"
-            )
-        for scripted_key, actions in self.scripted:
-            if scripted_key == key:
-                if attempt <= len(actions) and actions[attempt - 1] != FAULT_OK:
-                    return actions[attempt - 1]
-                return None
-        if attempt > self.max_faults_per_point:
-            return None
-        draw = _unit(self.seed, key, attempt)
-        if draw < self.death_rate:
-            return FAULT_DEATH
-        if draw < self.death_rate + self.hang_rate:
-            return FAULT_HANG
-        if draw < self.death_rate + self.hang_rate + self.exception_rate:
-            return FAULT_EXCEPTION
-        return None
-
-    # -- serialization ----------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "exception_rate": self.exception_rate,
-            "hang_rate": self.hang_rate,
-            "death_rate": self.death_rate,
-            "max_faults_per_point": self.max_faults_per_point,
-            "hang_s": self.hang_s,
-            "scripted": {key: list(actions) for key, actions in self.scripted},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        allowed = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise ConfigurationError(
-                f"FaultPlan.from_dict: unknown key(s) {unknown}; "
-                f"valid keys: {sorted(allowed)}"
-            )
-        return cls(**dict(data))
-
-    def to_env(self) -> str:
-        """JSON form for the :data:`ENV_VAR` environment variable."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
-# -- activation -----------------------------------------------------------
-#: Plan installed in-process (takes precedence over the environment).
-_installed: Optional[FaultPlan] = None
-#: Memoized parse of the env var: ``(raw string, parsed plan)``.
-_env_cache: Tuple[Optional[str], Optional[FaultPlan]] = (None, None)
-
-
-def install_plan(plan: FaultPlan) -> None:
-    """Activate ``plan`` in this process (and ``fork`` children created
-    afterwards).  Use :data:`ENV_VAR` instead to reach ``spawn`` workers."""
-    global _installed
-    if not isinstance(plan, FaultPlan):
-        raise ConfigurationError(
-            f"install_plan expects a FaultPlan, got {type(plan).__name__}"
-        )
-    _installed = plan
-
-
-def clear_plan() -> None:
-    """Deactivate any in-process plan (the environment still applies)."""
-    global _installed
-    _installed = None
-
-
-def active_plan() -> Optional[FaultPlan]:
-    """The plan in effect: installed one first, then :data:`ENV_VAR`.
-
-    A malformed environment value raises :class:`ConfigurationError` — a
-    chaos harness that silently fails to arm would let a broken runner pass
-    its determinism gate.
-    """
-    if _installed is not None:
-        return _installed
-    raw = os.environ.get(ENV_VAR)
-    if not raw:
-        return None
-    global _env_cache
-    if _env_cache[0] == raw:
-        return _env_cache[1]
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"{ENV_VAR} is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"{ENV_VAR} must be a JSON object, got {type(data).__name__}"
-        )
-    plan = FaultPlan.from_dict(data)
-    _env_cache = (raw, plan)
-    return plan
-
-
-def maybe_inject(
-    key: str, attempt: int, fatal_ok: Optional[bool] = None
-) -> Optional[str]:
-    """Injection hook: act on the active plan's decision for this attempt.
-
-    * ``exception`` — raise :class:`InjectedFault`.
-    * ``hang`` — sleep ``hang_s`` seconds, then *continue normally* (a hung
-      worker that eventually wakes; the runner's per-point timeout decides
-      whether anyone is still listening).
-    * ``death`` — ``os._exit(DEATH_EXIT_CODE)``: no cleanup, no exception
-      propagation, exactly like an OOM kill or segfault.
-
-    ``fatal_ok`` gates the two fatal actions; by default they are allowed
-    only when running inside a child process (``multiprocessing``'s
-    ``parent_process`` is set).  In the orchestrating process both are
-    demoted to :class:`InjectedFault` so the frontier survives to handle
-    them.  Returns the action taken-and-survived (``"hang"`` after its
-    sleep) or ``None`` for a clean attempt.
-    """
-    plan = active_plan()
-    if plan is None:
-        return None
-    action = plan.decide(key, attempt)
-    if action is None:
-        return None
-    if fatal_ok is None:
-        fatal_ok = multiprocessing.parent_process() is not None
-    if action == FAULT_DEATH:
-        if fatal_ok:
-            os._exit(DEATH_EXIT_CODE)
-            return FAULT_DEATH  # only reachable with a stubbed os._exit
-        raise InjectedFault(
-            f"injected worker death (demoted to exception in-process) "
-            f"for point {key} attempt {attempt}"
-        )
-    if action == FAULT_HANG:
-        if fatal_ok:
-            time.sleep(plan.hang_s)
-            return FAULT_HANG
-        raise InjectedFault(
-            f"injected hang (demoted to exception in-process) "
-            f"for point {key} attempt {attempt}"
-        )
-    raise InjectedFault(
-        f"injected exception for point {key} attempt {attempt}"
-    )
-
-
-# -- network faults --------------------------------------------------------
-#: Environment variable read by :func:`active_net_plan`: a JSON object with
-#: :meth:`NetworkFaultPlan.from_dict` keys.  Like :data:`ENV_VAR`, it lets
-#: the CI chaos job arm the fabric's transport without any CLI flag.
-NET_ENV_VAR = "REPRO_NET_FAULTS"
-
-#: Network injection actions.  ``refuse`` fails before anything is sent
-#: (connection refused); ``disconnect`` kills the connection after the
-#: request went out (mid-body reset — the caller cannot know whether the
-#: server acted); ``stall`` blocks for ``stall_s`` and then times out;
-#: ``corrupt`` delivers the response with truncated/flipped bytes (the
-#: receiver's digest validation must catch it); ``flap`` is a peer that is
-#: down across *every* sabotaged attempt of the operation, not just one —
-#: transient retry cannot ride it out, only failover can.  ``ok`` is only
-#: meaningful inside scripted action lists.
-NET_REFUSE = "refuse"
-NET_DISCONNECT = "disconnect"
-NET_STALL = "stall"
-NET_CORRUPT = "corrupt"
-NET_FLAP = "flap"
-NET_OK = "ok"
-_NET_ACTIONS = (NET_REFUSE, NET_DISCONNECT, NET_STALL, NET_CORRUPT,
-                NET_FLAP, NET_OK)
 
 
 class InjectedNetworkFault(ConnectionError):
@@ -359,234 +132,270 @@ class InjectedNetworkTimeout(TimeoutError):
     """
 
 
-@dataclass(frozen=True)
-class NetworkFaultPlan:
-    """A seeded, serializable schedule of peer-RPC faults.
+def _unit(seed: int, key: str, attempt: int) -> float:
+    """Deterministic uniform draw in ``[0, 1)`` for one (key, attempt)."""
+    digest = hashlib.sha256(f"{seed}:{key}:{attempt}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") / 2.0**64
 
-    Decisions are pure functions of ``(seed, peer, op, attempt)`` — the
-    same plan injects the same faults in every process and at every
-    cluster shape, which is what lets chaos runs assert byte-identical
-    merged stores.  ``*_rate`` values are per-attempt probabilities (sum
-    at most 1); ``flap_rate`` is drawn once per ``(peer, op)`` and, when
-    it fires, makes every attempt up to ``max_faults_per_op`` refuse.
-    ``max_faults_per_op`` caps sabotaged attempts per operation, so any
-    retry budget above it is guaranteed to converge.  ``scripted`` pins
-    exact per-attempt actions for chosen ``"peer op"`` keys, taking
-    precedence over the seeded draw.
+
+@dataclass(frozen=True)
+class FaultPlan:
+    """A seeded, serializable schedule of faults for one domain.
+
+    ``rates`` maps actions to per-attempt probabilities (their sum must not
+    exceed 1); a ``net`` plan's ``flap`` rate is instead drawn once per
+    ``(peer, op)`` and, when it fires, makes every capped attempt of that
+    operation fail.  ``max_faults`` caps how many *attempts* of one key may
+    be sabotaged: attempts beyond the cap always run clean, so a caller
+    allowed ``max_faults + 1`` attempts is guaranteed to finish.
+    ``sleep_s`` is how long a ``hang`` or ``stall`` lasts (default 30 s for
+    points, 5 s for the network).  ``scripted`` pins exact per-attempt
+    actions for chosen keys (tests targeting "kill attempt 1 of point X"),
+    taking precedence over the seeded draw; attempts past the end of a
+    script run clean.
     """
 
+    domain: str = POINT
     seed: int = 0
-    refuse_rate: float = 0.0
-    disconnect_rate: float = 0.0
-    stall_rate: float = 0.0
-    corrupt_rate: float = 0.0
-    flap_rate: float = 0.0
-    max_faults_per_op: int = 2
-    stall_s: float = 5.0
-    scripted: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
+    rates: Mapping[str, float] = field(default_factory=dict)
+    max_faults: int = 2
+    sleep_s: Optional[float] = None
+    scripted: Mapping[str, Sequence[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if isinstance(self.scripted, Mapping):
-            normalized = tuple(
-                (key, tuple(actions)) for key, actions in self.scripted.items()
+        if self.domain not in ENV_VARS:
+            raise ConfigurationError(
+                f"FaultPlan.domain must be one of {sorted(ENV_VARS)}, "
+                f"got {self.domain!r}"
             )
-        else:
-            normalized = tuple(
-                (key, tuple(actions)) for key, actions in self.scripted
-            )
-        object.__setattr__(self, "scripted", normalized)
-        rate_names = ("refuse_rate", "disconnect_rate", "stall_rate",
-                      "corrupt_rate", "flap_rate")
-        for rate_name in rate_names:
-            rate = getattr(self, rate_name)
+        rated = _THRESHOLDS[self.domain] + _STICKY[self.domain]
+        object.__setattr__(self, "rates", dict(self.rates))
+        object.__setattr__(self, "scripted", {
+            key: tuple(actions) for key, actions in dict(self.scripted).items()
+        })
+        if self.sleep_s is None:
+            object.__setattr__(self, "sleep_s", _DEFAULT_SLEEP_S[self.domain])
+        for action, rate in self.rates.items():
+            if action not in rated:
+                raise ConfigurationError(
+                    f"FaultPlan.rates: unknown {self.domain} action "
+                    f"{action!r}; valid: {list(rated)}"
+                )
             if not 0.0 <= rate <= 1.0:
                 raise ConfigurationError(
-                    f"NetworkFaultPlan.{rate_name} must be in [0, 1], "
+                    f"FaultPlan.rates[{action!r}] must be in [0, 1], "
                     f"got {rate!r}"
                 )
-        total = (self.refuse_rate + self.disconnect_rate + self.stall_rate
-                 + self.corrupt_rate)
+        total = sum(self.rates.get(a, 0.0) for a in _THRESHOLDS[self.domain])
         if total > 1.0:
             raise ConfigurationError(
-                "NetworkFaultPlan per-attempt rates must sum to at most 1, "
+                "FaultPlan per-attempt rates must sum to at most 1, "
                 f"got {total}"
             )
-        if self.max_faults_per_op < 0:
+        if self.max_faults < 0:
             raise ConfigurationError(
-                "NetworkFaultPlan.max_faults_per_op must be non-negative, "
-                f"got {self.max_faults_per_op}"
+                "FaultPlan.max_faults must be non-negative, "
+                f"got {self.max_faults}"
             )
-        if self.stall_s < 0:
+        if self.sleep_s < 0:
             raise ConfigurationError(
-                f"NetworkFaultPlan.stall_s must be non-negative, "
-                f"got {self.stall_s}"
+                f"FaultPlan.sleep_s must be non-negative, got {self.sleep_s}"
             )
-        for key, actions in self.scripted:
+        for key, actions in self.scripted.items():
             for action in actions:
-                if action not in _NET_ACTIONS:
+                if action not in rated + (FAULT_OK,):
                     raise ConfigurationError(
-                        f"NetworkFaultPlan.scripted[{key!r}]: unknown action "
-                        f"{action!r}; valid: {list(_NET_ACTIONS)}"
+                        f"FaultPlan.scripted[{key!r}]: unknown action "
+                        f"{action!r}; valid: {list(rated + (FAULT_OK,))}"
                     )
 
-    # -- decisions --------------------------------------------------------
-    def decide(self, peer: str, op: str, attempt: int) -> Optional[str]:
-        """Action to inject for ``attempt`` (1-based) of ``op`` at ``peer``.
-
-        Scripted entries are keyed ``"{peer} {op}"``.  Attempts beyond
-        ``max_faults_per_op`` (or past the end of a script) always run
-        clean.
-        """
+    def decide(self, key: str, attempt: int) -> Optional[str]:
+        """Action to inject for ``attempt`` (1-based) of ``key``, or ``None``
+        for a clean attempt.  Pure and process-independent: the runner, the
+        workers, the client, and the tests all see the same schedule."""
         if attempt < 1:
             raise ConfigurationError(
-                f"NetworkFaultPlan.decide: attempt is 1-based, got {attempt}"
+                f"FaultPlan.decide: attempt is 1-based, got {attempt}"
             )
-        key = f"{peer} {op}"
-        for scripted_key, actions in self.scripted:
-            if scripted_key == key:
-                if attempt <= len(actions) and actions[attempt - 1] != NET_OK:
-                    return actions[attempt - 1]
-                return None
-        if attempt > self.max_faults_per_op:
+        actions = self.scripted.get(key)
+        if actions is not None:
+            if attempt <= len(actions) and actions[attempt - 1] != FAULT_OK:
+                return actions[attempt - 1]
             return None
-        # Flap is an op-level condition: one draw decides whether the peer
-        # is down for this operation's whole sabotage window, so retrying
-        # the same op cannot succeed until the attempt cap lifts it —
-        # forcing the caller to fail over instead of waiting it out.
-        if self.flap_rate and _unit(self.seed, f"flap|{key}", 0) < self.flap_rate:
-            return NET_FLAP
-        draw = _unit(self.seed, f"net|{key}", attempt)
-        if draw < self.refuse_rate:
-            return NET_REFUSE
-        if draw < self.refuse_rate + self.disconnect_rate:
-            return NET_DISCONNECT
-        if draw < self.refuse_rate + self.disconnect_rate + self.stall_rate:
-            return NET_STALL
-        if draw < (self.refuse_rate + self.disconnect_rate + self.stall_rate
-                   + self.corrupt_rate):
-            return NET_CORRUPT
+        if attempt > self.max_faults:
+            return None
+        # A sticky action is a key-level condition: one draw decides it for
+        # the key's whole sabotage window, so retrying the same RPC cannot
+        # succeed until the cap lifts it — the caller must fail over.
+        for action in _STICKY[self.domain]:
+            rate = self.rates.get(action)
+            if rate and _unit(self.seed, f"{action}|{key}", 0) < rate:
+                return action
+        draw = _unit(self.seed, _DRAW_PREFIX[self.domain] + key, attempt)
+        edge = 0.0
+        for action in _THRESHOLDS[self.domain]:
+            edge += self.rates.get(action, 0.0)
+            if draw < edge:
+                return action
         return None
 
-    # -- serialization ----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {
+            "domain": self.domain,
             "seed": self.seed,
-            "refuse_rate": self.refuse_rate,
-            "disconnect_rate": self.disconnect_rate,
-            "stall_rate": self.stall_rate,
-            "corrupt_rate": self.corrupt_rate,
-            "flap_rate": self.flap_rate,
-            "max_faults_per_op": self.max_faults_per_op,
-            "stall_s": self.stall_s,
-            "scripted": {key: list(actions) for key, actions in self.scripted},
+            "rates": dict(self.rates),
+            "max_faults": self.max_faults,
+            "sleep_s": self.sleep_s,
+            "scripted": {key: list(a) for key, a in self.scripted.items()},
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NetworkFaultPlan":
+    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
         allowed = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - allowed)
         if unknown:
             raise ConfigurationError(
-                f"NetworkFaultPlan.from_dict: unknown key(s) {unknown}; "
+                f"FaultPlan.from_dict: unknown key(s) {unknown}; "
                 f"valid keys: {sorted(allowed)}"
             )
         return cls(**dict(data))
 
     def to_env(self) -> str:
-        """JSON form for the :data:`NET_ENV_VAR` environment variable."""
+        """JSON form for the domain's environment variable."""
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-#: Network plan installed in-process (takes precedence over the env).
-_net_installed: Optional[NetworkFaultPlan] = None
-#: Memoized parse of the env var: ``(raw string, parsed plan)``.
-_net_env_cache: Tuple[Optional[str], Optional[NetworkFaultPlan]] = (None, None)
+# -- activation -----------------------------------------------------------
+#: Plans installed in-process, by domain (they take precedence over the
+#: environment).
+_installed: Dict[str, FaultPlan] = {}
+#: Memoized parse of each domain's env var: ``domain -> (raw, plan)``.
+_env_cache: Dict[str, Tuple[str, FaultPlan]] = {}
 
 
-def install_net_plan(plan: NetworkFaultPlan) -> None:
-    """Activate a network fault plan in this process (tests)."""
-    global _net_installed
-    if not isinstance(plan, NetworkFaultPlan):
+def install_plan(plan: FaultPlan) -> None:
+    """Activate ``plan`` for its domain in this process (and ``fork``
+    children created afterwards).  Use :data:`ENV_VARS` instead to reach
+    ``spawn`` workers."""
+    if not isinstance(plan, FaultPlan):
         raise ConfigurationError(
-            f"install_net_plan expects a NetworkFaultPlan, "
-            f"got {type(plan).__name__}"
+            f"install_plan expects a FaultPlan, got {type(plan).__name__}"
         )
-    _net_installed = plan
+    _installed[plan.domain] = plan
 
 
-def clear_net_plan() -> None:
-    """Deactivate any in-process network plan (the env still applies)."""
-    global _net_installed
-    _net_installed = None
+def clear_plan() -> None:
+    """Deactivate every in-process plan (the environment still applies)."""
+    _installed.clear()
 
 
-def active_net_plan() -> Optional[NetworkFaultPlan]:
-    """The network plan in effect: installed first, then :data:`NET_ENV_VAR`."""
-    if _net_installed is not None:
-        return _net_installed
-    raw = os.environ.get(NET_ENV_VAR)
+def active_plan(domain: str = POINT) -> Optional[FaultPlan]:
+    """The ``domain`` plan in effect: installed one first, then its env var.
+
+    A malformed environment value raises :class:`ConfigurationError` — a
+    chaos harness that silently fails to arm would let a broken runner pass
+    its determinism gate.
+    """
+    plan = _installed.get(domain)
+    if plan is not None:
+        return plan
+    var = ENV_VARS[domain]
+    raw = os.environ.get(var)
     if not raw:
         return None
-    global _net_env_cache
-    if _net_env_cache[0] == raw:
-        return _net_env_cache[1]
+    cached = _env_cache.get(domain)
+    if cached is not None and cached[0] == raw:
+        return cached[1]
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"{NET_ENV_VAR} is not valid JSON: {exc}"
-        ) from exc
+        raise ConfigurationError(f"{var} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(
-            f"{NET_ENV_VAR} must be a JSON object, got {type(data).__name__}"
+            f"{var} must be a JSON object, got {type(data).__name__}"
         )
-    plan = NetworkFaultPlan.from_dict(data)
-    _net_env_cache = (raw, plan)
+    plan = FaultPlan.from_dict({"domain": domain, **data})
+    if plan.domain != domain:
+        raise ConfigurationError(f"{var} holds a {plan.domain!r} plan")
+    _env_cache[domain] = (raw, plan)
     return plan
 
 
-def net_fault_action(peer: str, op: str, attempt: int) -> Optional[str]:
-    """The active plan's decision for this RPC attempt (no side effects).
+def maybe_inject(
+    key: str, attempt: int, fatal_ok: Optional[bool] = None
+) -> Optional[str]:
+    """Point hook: act on the active plan's decision for this attempt.
 
-    The client asks *before* the request so pre-flight faults can fire,
-    then applies post-flight actions itself: ``disconnect`` after the
-    request went out, ``corrupt`` to the received bytes (see
-    :func:`corrupt_bytes`).  Returns ``None`` when no plan is active.
+    * ``exception`` — raise :class:`InjectedFault`.
+    * ``hang`` — sleep ``sleep_s`` seconds, then *continue normally* (a hung
+      worker that eventually wakes; the runner's per-point timeout decides
+      whether anyone is still listening).
+    * ``death`` — ``os._exit(DEATH_EXIT_CODE)``: no cleanup, no exception
+      propagation, exactly like an OOM kill or segfault.
+
+    ``fatal_ok`` gates the two fatal actions; by default they are allowed
+    only when running inside a child process (``multiprocessing``'s
+    ``parent_process`` is set).  In the orchestrating process both are
+    demoted to :class:`InjectedFault` so the frontier survives to handle
+    them.  Returns the action taken-and-survived (``"hang"`` after its
+    sleep) or ``None`` for a clean attempt.
     """
-    plan = active_net_plan()
+    plan = active_plan(POINT)
     if plan is None:
         return None
-    return plan.decide(peer, op, attempt)
+    action = plan.decide(key, attempt)
+    if action is None:
+        return None
+    if fatal_ok is None:
+        fatal_ok = multiprocessing.parent_process() is not None
+    if action == FAULT_DEATH:
+        if fatal_ok:
+            os._exit(DEATH_EXIT_CODE)
+            return FAULT_DEATH  # only reachable with a stubbed os._exit
+        raise InjectedFault(
+            f"injected worker death (demoted to exception in-process) "
+            f"for point {key} attempt {attempt}"
+        )
+    if action == FAULT_HANG:
+        if fatal_ok:
+            time.sleep(plan.sleep_s)
+            return FAULT_HANG
+        raise InjectedFault(
+            f"injected hang (demoted to exception in-process) "
+            f"for point {key} attempt {attempt}"
+        )
+    raise InjectedFault(
+        f"injected exception for point {key} attempt {attempt}"
+    )
 
 
-def inject_net_fault(action: str, peer: str, op: str, attempt: int) -> None:
-    """Raise the exception an injected pre/mid-flight ``action`` stands for.
+def net_fault(peer: str, op: str, attempt: int, sent: bool = False) -> Optional[str]:
+    """RPC hook: inject this attempt's network fault at one stage.
 
-    ``refuse``/``flap`` → :class:`InjectedNetworkFault` (connection
-    refused); ``disconnect`` → :class:`InjectedNetworkFault` (reset);
-    ``stall`` → sleep the plan's ``stall_s``, then
-    :class:`InjectedNetworkTimeout`.  ``corrupt`` is not raised here — the
-    caller applies :func:`corrupt_bytes` to the payload instead, because a
-    corruption that never reaches the validator tests nothing.
+    Before the request goes out (``sent=False``), ``refuse`` and ``flap``
+    raise :class:`InjectedNetworkFault` and ``stall`` sleeps the plan's
+    ``sleep_s``, then raises :class:`InjectedNetworkTimeout`.  Once the
+    response arrived (``sent=True``), ``disconnect`` raises
+    :class:`InjectedNetworkFault` — the server may well have acted, which
+    retrying must (and does) tolerate.  Returns ``corrupt`` when the caller
+    must damage what it received (:func:`corrupt_bytes`: a corruption that
+    never reaches the validator tests nothing), else ``None``.
     """
+    plan = active_plan(NET)
+    if plan is None:
+        return None
+    action = plan.decide(f"{peer} {op}", attempt)
     where = f"{op} at {peer} (attempt {attempt})"
-    if action in (NET_REFUSE, NET_FLAP):
+    if not sent and action in (NET_REFUSE, NET_FLAP):
         raise InjectedNetworkFault(
             f"injected connection refused ({action}) for {where}"
         )
-    if action == NET_DISCONNECT:
-        raise InjectedNetworkFault(
-            f"injected mid-body disconnect for {where}"
-        )
-    if action == NET_STALL:
-        plan = active_net_plan()
-        time.sleep(plan.stall_s if plan is not None else 0.0)
-        raise InjectedNetworkTimeout(
-            f"injected stalled response for {where}"
-        )
-    raise ConfigurationError(
-        f"inject_net_fault cannot raise for action {action!r}"
-    )
+    if not sent and action == NET_STALL:
+        time.sleep(plan.sleep_s)
+        raise InjectedNetworkTimeout(f"injected stalled response for {where}")
+    if sent and action == NET_DISCONNECT:
+        raise InjectedNetworkFault(f"injected mid-body disconnect for {where}")
+    return NET_CORRUPT if sent and action == NET_CORRUPT else None
 
 
 def corrupt_bytes(payload: bytes) -> bytes:
@@ -608,7 +417,7 @@ def corrupt_bytes(payload: bytes) -> bytes:
 
 __all__ = [
     "DEATH_EXIT_CODE",
-    "ENV_VAR",
+    "ENV_VARS",
     "FAULT_DEATH",
     "FAULT_EXCEPTION",
     "FAULT_HANG",
@@ -617,22 +426,17 @@ __all__ = [
     "InjectedFault",
     "InjectedNetworkFault",
     "InjectedNetworkTimeout",
+    "NET",
     "NET_CORRUPT",
     "NET_DISCONNECT",
-    "NET_ENV_VAR",
     "NET_FLAP",
-    "NET_OK",
     "NET_REFUSE",
     "NET_STALL",
-    "NetworkFaultPlan",
-    "active_net_plan",
+    "POINT",
     "active_plan",
-    "clear_net_plan",
     "clear_plan",
     "corrupt_bytes",
-    "inject_net_fault",
-    "install_net_plan",
     "install_plan",
     "maybe_inject",
-    "net_fault_action",
+    "net_fault",
 ]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import signal
 import sys
 from typing import List, Optional
@@ -25,8 +24,7 @@ from typing import List, Optional
 from repro.common.errors import ReproError
 from repro.service.client import ServiceClient
 from repro.service.server import SweepService
-from repro.sweep.cli import DEFAULT_STORE
-from repro.sweep.grid import paper_spec, smoke_spec
+from repro.sweep.cli import DEFAULT_STORE, add_spec_args, load_spec
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
@@ -60,27 +58,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return asyncio.run(_serve_async(args))
 
 
-def _load_spec_dict(args: argparse.Namespace) -> dict:
-    chosen = [bool(args.spec), args.smoke, args.paper]
-    if sum(chosen) != 1:
-        raise ReproError("choose exactly one of --spec FILE, --smoke, --paper")
-    if args.smoke:
-        return smoke_spec().to_dict()
-    if args.paper:
-        return paper_spec().to_dict()
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ReproError(f"cannot read sweep spec {args.spec!r}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ReproError(
-            f"sweep spec {args.spec!r} is not valid JSON: {exc}"
-        ) from exc
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
-    spec = _load_spec_dict(args)
+    # ``--energy`` travels as a job option: the service folds it into the
+    # spec (the same fold as the other CLIs) before digesting the job id.
+    spec = load_spec(args).to_dict()
     client = ServiceClient(args.host, args.port, timeout=args.timeout)
     options = {}
     if args.workers is not None:
@@ -141,11 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="submit a spec to a running service")
     submit_p.add_argument("--host", default=DEFAULT_HOST)
     submit_p.add_argument("--port", type=int, default=DEFAULT_PORT)
-    submit_p.add_argument("--spec", help="JSON sweep spec file")
-    submit_p.add_argument("--smoke", action="store_true",
-                          help="built-in 24-point CI grid")
-    submit_p.add_argument("--paper", action="store_true",
-                          help="built-in full paper-style grid")
+    add_spec_args(submit_p)
     submit_p.add_argument("--workers", type=int, default=None)
     submit_p.add_argument("--energy", action="store_true",
                           help="enable the per-event energy model")

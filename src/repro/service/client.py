@@ -16,11 +16,12 @@ Transient-error handling, which the distributed fabric leans on:
   the caller sees each event exactly once, in order, across any number of
   mid-stream disconnects.
 
-The network chaos harness hooks in here: before each request the client
-asks :func:`repro.faults.net_fault_action` for this attempt's injected
-fault, so one seeded :class:`~repro.faults.NetworkFaultPlan` exercises
-refusals, mid-body disconnects, stalls, and corrupted payloads through
-exactly the code paths real failures would take.
+The network chaos harness hooks in here: before each request goes out and
+again once its response arrived, the client calls
+:func:`repro.faults.net_fault` for this attempt, so one seeded ``net``
+:class:`~repro.faults.FaultPlan` exercises refusals, mid-body disconnects,
+stalls, and corrupted payloads through exactly the code paths real
+failures would take.
 """
 
 from __future__ import annotations
@@ -32,13 +33,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import ReproError
 from repro.exec.attempts import backoff_delay
-from repro.faults import (
-    NET_CORRUPT,
-    NET_DISCONNECT,
-    corrupt_bytes,
-    inject_net_fault,
-    net_fault_action,
-)
+from repro.faults import InjectedNetworkFault, corrupt_bytes, net_fault
 from repro.service.events import TERMINAL_EVENTS
 
 #: Parsed SSE event: ``(id, name, data)``.
@@ -67,7 +62,7 @@ class ServiceClient:
     ``retries`` bounds extra delivery attempts per request (0 disables
     retrying); ``backoff_s`` is the pause before the first retry, doubling
     per attempt and capped at ``backoff_cap_s`` — deterministic, no
-    jitter, like the sweep runner's :class:`~repro.sweep.runner.RetryPolicy`.
+    jitter, like the sweep runner's :class:`~repro.exec.attempts.RetryPolicy`.
     ``peer_name`` identifies this endpoint to the network fault plan (and
     in error messages); it defaults to ``host:port``.
     """
@@ -95,9 +90,7 @@ class ServiceClient:
                       body: Optional[Dict[str, Any]],
                       attempt: int) -> Tuple[int, bytes]:
         op = f"{method} {path}"
-        action = net_fault_action(self.peer_name, op, attempt)
-        if action is not None and action not in (NET_DISCONNECT, NET_CORRUPT):
-            inject_net_fault(action, self.peer_name, op, attempt)
+        net_fault(self.peer_name, op, attempt)
         conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
         try:
             payload = None
@@ -110,12 +103,10 @@ class ServiceClient:
             raw = response.read()
         finally:
             conn.close()
-        if action == NET_DISCONNECT:
-            # The request reached the wire before the injected reset: the
-            # server may well have acted on it.  Retrying must be safe —
-            # which it is, because every mutating endpoint is idempotent.
-            inject_net_fault(action, self.peer_name, op, attempt)
-        if action == NET_CORRUPT:
+        # Post-flight faults: an injected reset raises here (the server may
+        # have acted, which is safe to retry: every mutating endpoint is
+        # idempotent); injected corruption damages the received bytes.
+        if net_fault(self.peer_name, op, attempt, sent=True):
             raw = corrupt_bytes(raw)
         return response.status, raw
 
@@ -227,9 +218,7 @@ class ServiceClient:
                      attempt: int) -> Iterator[SSEEvent]:
         """One SSE connection's events; raises on transport failure."""
         op = f"SSE /jobs/{job_id}/events"
-        action = net_fault_action(self.peer_name, op, attempt)
-        if action is not None and action not in (NET_DISCONNECT, NET_CORRUPT):
-            inject_net_fault(action, self.peer_name, op, attempt)
+        net_fault(self.peer_name, op, attempt)
         conn = HTTPConnection(self.host, self.port,
                               timeout=self.timeout if timeout is None
                               else timeout)
@@ -262,13 +251,13 @@ class ServiceClient:
                         yielded += 1
                         if name in TERMINAL_EVENTS:
                             return
-                        if action in (NET_DISCONNECT, NET_CORRUPT) \
-                                and yielded >= 1:
-                            # Mid-body disconnect (a corrupted frame is the
-                            # same thing to an SSE reader: the stream is
-                            # unusable from here on).
-                            inject_net_fault(NET_DISCONNECT, self.peer_name,
-                                             op, attempt)
+                        if yielded == 1 and net_fault(
+                                self.peer_name, op, attempt, sent=True):
+                            # A corrupted frame is a mid-body disconnect to
+                            # an SSE reader: the stream is unusable.
+                            raise InjectedNetworkFault(
+                                f"injected corrupt frame for {op} at "
+                                f"{self.peer_name} (attempt {attempt})")
                     name = ""
                     data_line = ""
         finally:

@@ -42,7 +42,6 @@ Two extensions serve the distributed fabric:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import queue
@@ -51,12 +50,11 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
-from repro.common.jsonutil import canonical_json, content_digest
+from repro.common.jsonutil import canonical_json
 from repro.exec.attempts import RetryPolicy
-from repro.exec.frontier import dedup_ordered
 from repro.service.events import EventBroadcaster
 from repro.service.schemas import SchemaError
-from repro.sweep.grid import ExperimentPoint, SweepSpec
+from repro.sweep.grid import SweepSpec, dedup_points, spec_digest
 from repro.sweep.report import relative_ipc_table, rows_from_records
 from repro.sweep.runner import (
     SweepInterrupted,
@@ -163,17 +161,13 @@ class Job:
 def effective_spec(body: Dict[str, Any]) -> SweepSpec:
     """The spec a submission actually runs: body ``spec`` + option folds.
 
-    ``energy: true`` appends ``energy.enabled`` to the spec's base exactly
-    like the CLI's ``--energy`` flag, *before* the job digest is taken —
-    an energy run and a plain run of the same grid are different jobs with
+    ``energy: true`` applies :meth:`SweepSpec.with_energy` exactly like
+    the CLIs' ``--energy`` flag, *before* the job digest is taken — an
+    energy run and a plain run of the same grid are different jobs with
     different point keys, never dedupe collisions.
     """
     spec = SweepSpec.from_dict(body["spec"])
-    if body.get("energy"):
-        spec = dataclasses.replace(
-            spec, base=tuple(spec.base) + (("energy.enabled", True),)
-        )
-    return spec
+    return spec.with_energy() if body.get("energy") else spec
 
 
 def job_id_for(spec: SweepSpec,
@@ -184,10 +178,11 @@ def job_id_for(spec: SweepSpec,
     spec are different units of work.  ``shard=None`` reproduces the
     pre-shard digest exactly, so existing job ids are stable.
     """
-    payload: Dict[str, Any] = {"sweep_spec": spec.to_dict()}
-    if shard is not None:
-        payload["shard"] = {"start": shard["start"], "stop": shard["stop"]}
-    return content_digest(payload, 16)
+    if shard is None:
+        return spec_digest(spec)
+    return spec_digest(
+        spec, shard={"start": shard["start"], "stop": shard["stop"]}
+    )
 
 
 class JobManager:
@@ -524,9 +519,7 @@ class JobManager:
             return
         # Unique keys in expansion order — the same dedup run_sweep does,
         # so progress counts line up with its summary.
-        keyed: Dict[str, ExperimentPoint] = dedup_ordered(
-            (point.key(), point) for point in points
-        )
+        keyed = dedup_points(points)
         if job.shard is not None:
             # A shard indexes the deduped expansion-order list — the exact
             # list a coordinator computed from the same spec (expansion is

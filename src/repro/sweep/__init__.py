@@ -7,8 +7,9 @@ methodology at scale:
   content-addressed :class:`ExperimentPoint` grids;
 * :mod:`repro.sweep.runner` — :func:`run_sweep` shards points over worker
   processes with deterministic results, incremental expansion-order
-  flushing, and :class:`RetryPolicy`-driven retry/timeout/backoff fault
-  handling (see :mod:`repro.faults` for the matching injection harness);
+  flushing, and :class:`~repro.exec.RetryPolicy`-driven retry/timeout/
+  backoff fault handling (see :mod:`repro.faults` for the matching
+  injection harness);
 * :mod:`repro.sweep.store` — append-only JSON-lines :class:`ResultStore`
   keyed by content hash, giving free re-runs and resumable sweeps;
 * :mod:`repro.sweep.report` — paper-style IPC / communication tables as
@@ -20,7 +21,6 @@ from repro.sweep.grid import ExperimentPoint, SweepSpec, paper_spec, smoke_spec
 from repro.sweep.report import build_tables, load_rows, render_markdown, write_report
 from repro.sweep.runner import (
     FailureRecord,
-    RetryPolicy,
     SweepInterrupted,
     SweepSummary,
     default_workers,
@@ -33,7 +33,6 @@ __all__ = [
     "ExperimentPoint",
     "FailureRecord",
     "ResultStore",
-    "RetryPolicy",
     "SweepInterrupted",
     "SweepSpec",
     "SweepSummary",

@@ -20,17 +20,17 @@ points).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import List, Optional
 
 from repro.common.errors import ReproError
+from repro.exec.attempts import RetryPolicy
 from repro.sweep.grid import SweepSpec, paper_spec, smoke_spec
 from repro.sweep.report import build_tables, load_rows, write_report
 from repro.sweep.runner import (
-    RetryPolicy,
     SweepInterrupted,
+    SweepSummary,
     default_workers,
     run_sweep,
 )
@@ -41,7 +41,18 @@ DEFAULT_STORE = "sweeps/store.jsonl"
 DEFAULT_REPORT_DIR = "sweeps/report"
 
 
-def _load_spec(args: argparse.Namespace) -> SweepSpec:
+def add_spec_args(parser: argparse.ArgumentParser) -> None:
+    """The spec-source flags every CLI shares (see :func:`load_spec`)."""
+    parser.add_argument("--spec", help="JSON sweep spec file")
+    parser.add_argument("--smoke", action="store_true",
+                        help="built-in 24-point CI grid")
+    parser.add_argument("--paper", action="store_true",
+                        help="built-in full paper-style grid")
+
+
+def load_spec(args: argparse.Namespace) -> SweepSpec:
+    """The spec chosen by :func:`add_spec_args`' flags — the one spec
+    loader of the sweep, service and fabric CLIs."""
     chosen = [bool(args.spec), args.smoke, args.paper]
     if sum(chosen) != 1:
         raise ReproError(
@@ -70,14 +81,22 @@ def _load_spec(args: argparse.Namespace) -> SweepSpec:
     return SweepSpec.from_dict(data)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
-    if args.energy:
-        # Enable the per-event energy model (default costs) on every point.
-        # Appended last so it wins over any energy.* entry a JSON spec set.
-        spec = dataclasses.replace(
-            spec, base=tuple(spec.base) + (("energy.enabled", True),)
+def print_failures(summary: SweepSummary) -> None:
+    """One ``FAILED <label>: ...`` line per permanently failed point, on
+    stderr (the sweep and fabric CLIs share the failure schema)."""
+    for failure in summary.failures.values():
+        print(
+            f"FAILED {failure.label}: {failure.error}: "
+            f"{failure.message} ({failure.attempts} attempt(s), "
+            f"{failure.elapsed_s:.2f}s)",
+            file=sys.stderr,
         )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    spec = load_spec(args)
+    if args.energy:
+        spec = spec.with_energy()
     points = spec.expand()
     store = ResultStore(args.store)
     if store.recovered_bytes:
@@ -107,13 +126,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 130
     print(summary.describe())
     if summary.failures:
-        for failure in summary.failures.values():
-            print(
-                f"FAILED {failure.label}: {failure.error}: "
-                f"{failure.message} ({failure.attempts} attempt(s), "
-                f"{failure.elapsed_s:.2f}s)",
-                file=sys.stderr,
-            )
+        print_failures(summary)
         print(
             f"{len(summary.failures)} point(s) permanently failed; the "
             "store keeps the clean prefix before the first failure — "
@@ -186,11 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="expand a spec and compute its points")
-    run_p.add_argument("--spec", help="JSON sweep spec file")
-    run_p.add_argument("--smoke", action="store_true",
-                       help="built-in 24-point CI grid")
-    run_p.add_argument("--paper", action="store_true",
-                       help="built-in full paper-style grid")
+    add_spec_args(run_p)
     run_p.add_argument("--store", default=DEFAULT_STORE)
     run_p.add_argument("--workers", type=int, default=None,
                        help=f"worker processes (default {default_workers()})")
@@ -268,4 +277,5 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
 
-__all__ = ["build_parser", "main"]
+__all__ = ["add_spec_args", "build_parser", "load_spec", "main",
+           "print_failures"]

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Mapping, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.common.config import ProcessorConfig
 from repro.common.errors import ConfigurationError
@@ -25,6 +25,7 @@ from repro.common.jsonutil import canonical_json, content_digest
 from repro.common.types import Topology
 from repro.energy import EnergyConfig
 from repro.engine.kernel import ENGINE_VERSION
+from repro.exec.frontier import dedup_ordered
 from repro.steering import STEERING_REGISTRY, list_policies
 from repro.workloads import get_mix
 
@@ -218,6 +219,12 @@ class SweepSpec:
             )
         return cls(**dict(data))
 
+    def with_energy(self) -> "SweepSpec":
+        """This spec with the per-event energy model (default costs) on
+        every point.  Appended last, so it wins over any ``energy.*`` entry
+        of ``base``; energy-enabled points have their own cache keys."""
+        return replace(self, base=self.base + (("energy.enabled", True),))
+
     # -- expansion --------------------------------------------------------
     def n_points(self) -> int:
         total = (
@@ -268,6 +275,21 @@ class SweepSpec:
         return points
 
 
+def spec_digest(spec: SweepSpec, **extra: Any) -> str:
+    """Content digest of ``spec`` plus any ``extra`` payload entries (a
+    shard range): the service's job id and the fabric checkpoint's spec
+    binding."""
+    return content_digest({"sweep_spec": spec.to_dict(), **extra}, 16)
+
+
+def dedup_points(
+        points: Sequence[ExperimentPoint]) -> Dict[str, ExperimentPoint]:
+    """Unique points by key, in expansion order — the canonical list the
+    pool runner, service shard jobs and fabric shards number index by
+    index."""
+    return dedup_ordered((point.key(), point) for point in points)
+
+
 def smoke_spec(n_instructions: int = 2_000) -> SweepSpec:
     """The CI grid: 2 mixes x 2 topologies x 3 cluster counts x 2 steerings
     = 24 points, small enough to finish in seconds."""
@@ -298,4 +320,5 @@ def paper_spec(n_instructions: int = 100_000) -> SweepSpec:
     )
 
 
-__all__ = ["ExperimentPoint", "SweepSpec", "paper_spec", "smoke_spec"]
+__all__ = ["ExperimentPoint", "SweepSpec", "dedup_points", "paper_spec",
+           "smoke_spec", "spec_digest"]

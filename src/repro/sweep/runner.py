@@ -22,8 +22,8 @@ appends records to the store.  (Before :mod:`repro.exec` existed this
 module carried its own private frontier implementation; anything that
 imported those internals should import :mod:`repro.exec` instead.)
 
-Failures are handled per point by a :class:`RetryPolicy` (now defined in
-:mod:`repro.exec.attempts` and re-exported here): failed attempts
+Failures are handled per point by a
+:class:`~repro.exec.attempts.RetryPolicy`: failed attempts
 retry with deterministic exponential backoff, a per-point timeout detects
 hung *and* hard-died workers (a task whose worker was killed never
 completes — the timeout is its obituary), a timed-out pool is replaced
@@ -83,9 +83,9 @@ from repro.engine.kernel import ENGINE_VERSION
 from repro.engine.pipeline import Pipeline, resolve_kernel_variant
 from repro.engine.trace import Trace
 from repro.exec.attempts import RetryPolicy
-from repro.exec.frontier import FlushFrontier, dedup_ordered
+from repro.exec.frontier import FlushFrontier
 from repro.faults import maybe_inject
-from repro.sweep.grid import ExperimentPoint
+from repro.sweep.grid import ExperimentPoint, dedup_points
 from repro.sweep.store import ResultStore
 from repro.workloads import (
     MIX_REGISTRY,
@@ -281,13 +281,18 @@ class FailureRecord:
 
 @dataclass
 class SweepSummary:
-    """What one :func:`run_sweep` call did."""
+    """What one :func:`run_sweep` call did.
+
+    The fabric's summary extends this one (same failure schema), so
+    :meth:`describe` is assembled from two overridable parts: where the
+    work ran (:meth:`_ran_on`) and the trailing notes (:meth:`_notes`).
+    """
 
     n_points: int
     n_cached: int
     n_computed: int
-    n_workers: int
-    elapsed_s: float
+    n_workers: int = 0
+    elapsed_s: float = 0.0
     #: ``point key -> wall-clock seconds`` for freshly computed points only.
     timings: Dict[str, float] = field(default_factory=dict)
     #: Resolved kernel variant the computed points ran under.  Summary-only
@@ -311,24 +316,25 @@ class SweepSummary:
         return self.n_cached / self.n_points if self.n_points else 0.0
 
     def describe(self) -> str:
-        slowest = ""
-        if self.timings:
-            worst_key = max(self.timings, key=self.timings.__getitem__)
-            slowest = (
-                f"; slowest point {self.timings[worst_key]*1e3:.0f} ms"
-            )
-        variant = f" [{self.kernel_variant}]" if self.kernel_variant else ""
-        tail = ""
-        if self.failures:
-            tail += f"; {len(self.failures)} FAILED"
-        if self.n_discarded:
-            tail += f"; {self.n_discarded} computed-but-unflushed"
         head = "interrupted: " if self.interrupted else ""
         return (
             f"{head}{self.n_points} points: {self.n_cached} cached, "
-            f"{self.n_computed} computed on {self.n_workers} worker(s)"
-            f"{variant} in {self.elapsed_s:.2f}s{slowest}{tail}"
+            f"{self.n_computed} computed {self._ran_on()} "
+            f"in {self.elapsed_s:.2f}s"
+            + "".join(f"; {note}" for note in self._notes())
         )
+
+    def _ran_on(self) -> str:
+        variant = f" [{self.kernel_variant}]" if self.kernel_variant else ""
+        return f"on {self.n_workers} worker(s){variant}"
+
+    def _notes(self) -> List[str]:
+        slowest = max(self.timings.values(), default=0.0)
+        return [note for shown, note in (
+            (self.timings, f"slowest point {slowest*1e3:.0f} ms"),
+            (self.failures, f"{len(self.failures)} FAILED"),
+            (self.n_discarded, f"{self.n_discarded} computed-but-unflushed"),
+        ) if shown]
 
 
 class SweepInterrupted(ReproError):
@@ -866,11 +872,8 @@ def run_sweep(
 
     # Deduplicate while preserving expansion order: a grid with repeated
     # points (e.g. overlapping specs) must not compute the same key twice.
-    # dedup_ordered is the shared canonical-ordering helper — the service
-    # job manager and the fabric coordinator number the same list.
-    unique = list(
-        dedup_ordered((point.key(), point) for point in points).items()
-    )
+    # The service job manager and the fabric coordinator number this list.
+    unique = list(dedup_points(points).items())
 
     pending = [
         (key, point) for key, point in unique if force or key not in store
@@ -935,7 +938,6 @@ __all__ = [
     "MIN_POINTS_PER_WORKER",
     "TRACE_CACHE_SIZE",
     "FailureRecord",
-    "RetryPolicy",
     "SweepInterrupted",
     "SweepSummary",
     "clear_trace_cache",

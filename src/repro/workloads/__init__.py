@@ -7,10 +7,8 @@ EIO or textual traces) plug in here later behind the same
 """
 
 from repro.workloads.synthetic import (
-    MIXES,
     MIX_REGISTRY,
     WorkloadMix,
-    available_mixes,
     generate_trace,
     get_mix,
     list_mixes,
@@ -18,10 +16,8 @@ from repro.workloads.synthetic import (
 )
 
 __all__ = [
-    "MIXES",
     "MIX_REGISTRY",
     "WorkloadMix",
-    "available_mixes",
     "generate_trace",
     "get_mix",
     "list_mixes",

@@ -145,17 +145,9 @@ MIX_REGISTRY: Dict[str, WorkloadMix] = {
 }
 
 
-#: Backwards-compatible alias (pre-registry name).
-MIXES = MIX_REGISTRY
-
-
 def list_mixes() -> Tuple[str, ...]:
     """Names of all registered workload mixes, sorted."""
     return tuple(sorted(MIX_REGISTRY))
-
-
-#: Backwards-compatible alias for :func:`list_mixes`.
-available_mixes = list_mixes
 
 
 def get_mix(name: str) -> WorkloadMix:
@@ -275,10 +267,8 @@ def generate_trace(
 
 
 __all__ = [
-    "MIXES",
     "MIX_REGISTRY",
     "WorkloadMix",
-    "available_mixes",
     "generate_trace",
     "get_mix",
     "list_mixes",

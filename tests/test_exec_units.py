@@ -60,13 +60,6 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError, match="timeout_s"):
             RetryPolicy(timeout_s=0)
 
-    def test_runner_reexport_is_the_same_class(self):
-        # repro.sweep.runner re-exports (not redefines) the exec policy:
-        # exactly one retry implementation remains in the codebase.
-        from repro.sweep.runner import RetryPolicy as runner_policy
-
-        assert runner_policy is RetryPolicy
-
 
 class TestAttemptTracker:
     def test_charge_and_exhaustion(self):

@@ -16,12 +16,11 @@ from repro.fabric import (
     Shard,
     ShardExecutionError,
     ShardValidationError,
-    dedup_points,
     plan_shards,
     validate_record_bytes,
 )
 from repro.fabric.health import ALIVE, DEAD, PROBATION, SUSPECT
-from repro.sweep.grid import SweepSpec
+from repro.sweep.grid import SweepSpec, dedup_points
 from repro.sweep.runner import run_sweep
 from repro.sweep.store import ResultStore
 
@@ -244,7 +243,7 @@ class TestLocalBackend:
         assert os.listdir(str(tmp_path / "scratch")) == []
 
     def test_point_failure_fails_the_shard(self, tmp_path, monkeypatch):
-        from repro.faults import ENV_VAR, FaultPlan
+        from repro.faults import ENV_VARS, FaultPlan
         spec = tiny_spec()
         keyed = dedup_points(spec.expand())
         items = list(keyed.items())
@@ -254,11 +253,11 @@ class TestLocalBackend:
         # Exception on every attempt: the pool runner's retry budget
         # exhausts and the shard must surface a ShardExecutionError.
         monkeypatch.setenv(
-            ENV_VAR,
-            FaultPlan(seed=1, exception_rate=1.0,
-                      max_faults_per_point=99).to_env(),
+            ENV_VARS["point"],
+            FaultPlan(seed=1, rates={"exception": 1.0},
+                      max_faults=99).to_env(),
         )
-        from repro.sweep.runner import RetryPolicy
+        from repro.exec import RetryPolicy
         backend = LocalBackend(str(tmp_path / "scratch"), workers=1,
                                policy=RetryPolicy(max_attempts=2,
                                                   backoff_s=0.0))
@@ -549,6 +548,11 @@ class TestFabricCoordinator:
         bad.write_text("{nope")
         assert main(["run", "--spec", str(bad), "--store", store]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+        # a non-UTF-8 spec file is an input error (2), not a shard give-up
+        bad.write_bytes(b'{"name": "\xff\xfe"}')
+        assert main(["run", "--spec", str(bad), "--store", store]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep spec") and "not UTF-8" in err
         # a FabricError (bad shard size) exits 1 with the resume hint
         assert main(["run", "--smoke", "--store", store,
                      "--shard-size", "0", "--local-workers", "1"]) == 1

@@ -9,7 +9,7 @@ network fault storm, and whoever dies mid-run, the merged store is
 Peers are real :class:`~repro.service.server.ServiceThread` instances on
 ephemeral ports with ``sweep_workers=1`` (tiny shards run inline, so a
 hard kill cannot orphan pool workers).  Network faults come from a seeded
-:class:`~repro.faults.NetworkFaultPlan` installed process-wide, which the
+``net`` :class:`~repro.faults.FaultPlan` installed process-wide, which the
 ``ServiceClient`` inside each :class:`~repro.fabric.backends.PeerBackend`
 consults on every RPC.
 """
@@ -21,12 +21,7 @@ import time
 import pytest
 
 from repro.fabric import FabricCoordinator, LocalBackend, PeerBackend
-from repro.faults import (
-    NET_ENV_VAR,
-    NetworkFaultPlan,
-    clear_net_plan,
-    install_net_plan,
-)
+from repro.faults import ENV_VARS, NET, FaultPlan, clear_plan, install_plan
 from repro.service.server import ServiceThread
 from repro.sweep.grid import SweepSpec
 from repro.sweep.runner import run_sweep
@@ -35,10 +30,10 @@ from repro.sweep.store import ResultStore
 
 @pytest.fixture(autouse=True)
 def _clean_net_plan(monkeypatch):
-    monkeypatch.delenv(NET_ENV_VAR, raising=False)
-    clear_net_plan()
+    monkeypatch.delenv(ENV_VARS[NET], raising=False)
+    clear_plan()
     yield
-    clear_net_plan()
+    clear_plan()
 
 
 def chaos_spec(name="fab-chaos"):
@@ -100,19 +95,19 @@ def assert_no_leaks(threads_before):
 STORMS = [
     pytest.param(
         1,
-        dict(seed=7, refuse_rate=0.2, disconnect_rate=0.1),
+        dict(seed=7, rates={"refuse": 0.2, "disconnect": 0.1}),
         id="1peer-refuse-disconnect",
     ),
     pytest.param(
         2,
-        dict(seed=11, refuse_rate=0.15, disconnect_rate=0.1,
-             corrupt_rate=0.1),
+        dict(seed=11, rates={"refuse": 0.15, "disconnect": 0.1,
+                            "corrupt": 0.1}),
         id="2peers-refuse-disconnect-corrupt",
     ),
     pytest.param(
         3,
-        dict(seed=23, refuse_rate=0.1, disconnect_rate=0.1,
-             corrupt_rate=0.15, flap_rate=0.2),
+        dict(seed=23, rates={"refuse": 0.1, "disconnect": 0.1,
+                            "corrupt": 0.15, "flap": 0.2}),
         id="3peers-full-storm",
     ),
 ]
@@ -125,7 +120,7 @@ class TestChaosMatrix:
         reference = reference_bytes(spec, tmp_path)
         threads_before = threading.active_count()
         peers = start_peers(tmp_path, n_peers)
-        install_net_plan(NetworkFaultPlan(**storm))
+        install_plan(FaultPlan(domain=NET, **storm))
         store = ResultStore(str(tmp_path / "merged.jsonl"))
         try:
             coordinator = FabricCoordinator(
@@ -136,7 +131,7 @@ class TestChaosMatrix:
             )
             summary = coordinator.run(spec, store)
         finally:
-            clear_net_plan()
+            clear_plan()
             stop_peers(peers)
         assert summary.n_cached == 0
         assert summary.n_computed == 6
@@ -149,7 +144,7 @@ class TestChaosMatrix:
         spec = chaos_spec(f"fab-rerun-{n_peers}")
         reference = reference_bytes(spec, tmp_path)
         peers = start_peers(tmp_path, n_peers)
-        install_net_plan(NetworkFaultPlan(**storm))
+        install_plan(FaultPlan(domain=NET, **storm))
         store_path = tmp_path / "merged.jsonl"
         try:
             backends = (
@@ -163,7 +158,7 @@ class TestChaosMatrix:
             summary = FabricCoordinator(backends, shard_size=2).run(
                 spec, ResultStore(str(store_path)))
         finally:
-            clear_net_plan()
+            clear_plan()
             stop_peers(peers)
         assert summary.n_computed == 0
         assert summary.n_shards == 0

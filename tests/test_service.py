@@ -510,6 +510,12 @@ class TestModuleCli:
                    "--spec", str(bad)])
         assert rc == 2
         assert "not valid JSON" in capsys.readouterr().err
+        bad.write_bytes(b'{"name": "\xff\xfe"}')
+        rc = main(["submit", "--host", svc.host, "--port", str(svc.port),
+                   "--spec", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep spec") and "not UTF-8" in err
 
     def test_submit_requires_exactly_one_spec_source(self, capsys):
         from repro.service.__main__ import main

@@ -12,13 +12,14 @@ import threading
 import pytest
 
 from repro.faults import (
+    FAULT_OK as NET_OK,
+    NET,
     NET_CORRUPT,
     NET_DISCONNECT,
-    NET_OK,
     NET_REFUSE,
-    NetworkFaultPlan,
-    clear_net_plan,
-    install_net_plan,
+    FaultPlan,
+    clear_plan,
+    install_plan,
 )
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import JobManager, job_id_for
@@ -43,9 +44,9 @@ def spec_dict(name="fab-tiny", seeds=(1, 2), **kwargs):
 
 @pytest.fixture(autouse=True)
 def _no_leftover_net_plan():
-    clear_net_plan()
+    clear_plan()
     yield
-    clear_net_plan()
+    clear_plan()
 
 
 @pytest.fixture()
@@ -213,7 +214,7 @@ class TestClientRetry:
         svc, _ = service
         client = ServiceClient(svc.host, svc.port, retries=2,
                                backoff_s=0.01, peer_name="pA")
-        install_net_plan(NetworkFaultPlan(scripted={
+        install_plan(FaultPlan(domain=NET, scripted={
             "pA GET /healthz": (NET_REFUSE, NET_REFUSE, NET_OK),
         }))
         assert client.health()["status"] == "ok"
@@ -222,7 +223,7 @@ class TestClientRetry:
         svc, _ = service
         client = ServiceClient(svc.host, svc.port, retries=1,
                                backoff_s=0.01, peer_name="pA")
-        install_net_plan(NetworkFaultPlan(scripted={
+        install_plan(FaultPlan(domain=NET, scripted={
             "pA GET /healthz": (NET_REFUSE, NET_REFUSE, NET_REFUSE),
         }))
         with pytest.raises(ServiceError) as excinfo:
@@ -235,7 +236,7 @@ class TestClientRetry:
                                backoff_s=0.01, peer_name="pA")
         # Disconnect AFTER the request reaches the server: the retry hits
         # the dedup path instead of starting a second run.
-        install_net_plan(NetworkFaultPlan(scripted={
+        install_plan(FaultPlan(domain=NET, scripted={
             "pA POST /jobs": (NET_DISCONNECT, NET_OK),
         }))
         sub = client.submit(spec_dict(), workers=1)
@@ -243,7 +244,7 @@ class TestClientRetry:
         # attempt created: deduplicated while it runs, resubmitted if the
         # tiny grid already finished — never a second job.
         assert sub["disposition"] in ("deduplicated", "resubmitted")
-        clear_net_plan()
+        clear_plan()
         assert client.wait(sub["job_id"])["state"] == "done"
         assert len(client.jobs()) == 1
 
@@ -254,7 +255,7 @@ class TestClientRetry:
         key = ResultStore(str(svc.service.manager.store.path)).keys()[0]
         client = ServiceClient(svc.host, svc.port, retries=0,
                                backoff_s=0.01, peer_name="pA")
-        install_net_plan(NetworkFaultPlan(scripted={
+        install_plan(FaultPlan(domain=NET, scripted={
             f"pA GET /results/{key}": (NET_CORRUPT, NET_OK),
         }))
         first = client.result(key, attempt=1)
@@ -274,7 +275,7 @@ class TestClientRetry:
 
         client = ServiceClient(svc.host, svc.port, retries=2,
                                backoff_s=0.01, peer_name="pA")
-        install_net_plan(NetworkFaultPlan(scripted={
+        install_plan(FaultPlan(domain=NET, scripted={
             f"pA SSE /jobs/{job_id}/events": (NET_DISCONNECT, NET_OK),
         }))
         events = list(client.stream(job_id))
@@ -289,7 +290,7 @@ class TestClientRetry:
         job_id = sub["job_id"]
         client = ServiceClient(svc.host, svc.port, retries=1,
                                backoff_s=0.01, peer_name="pA")
-        install_net_plan(NetworkFaultPlan(scripted={
+        install_plan(FaultPlan(domain=NET, scripted={
             f"pA SSE /jobs/{job_id}/events":
                 (NET_DISCONNECT, NET_DISCONNECT),
         }))
@@ -304,7 +305,7 @@ class TestClientRetry:
         job_id = sub["job_id"]
         client = ServiceClient(svc.host, svc.port, retries=0,
                                backoff_s=0.01, peer_name="pA")
-        install_net_plan(NetworkFaultPlan(scripted={
+        install_plan(FaultPlan(domain=NET, scripted={
             f"pA SSE /jobs/{job_id}/events": (NET_DISCONNECT,),
         }))
         assert client.wait(job_id)["state"] == "done"

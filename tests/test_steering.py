@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from repro.common.config import ProcessorConfig, STEERING_POLICIES
+from repro.common.config import ProcessorConfig
 from repro.common.errors import ConfigurationError, SteeringError
 from repro.common.types import Topology
 from repro.energy import EnergyConfig
@@ -46,11 +46,6 @@ class TestRegistry:
 
     def test_list_policies_sorted(self):
         assert list_policies() == tuple(sorted(STEERING_REGISTRY))
-
-    def test_steering_policies_alias_is_builtins(self):
-        # The old frozen tuple survives as an alias for the three
-        # tuple-era policies; validation no longer reads it.
-        assert STEERING_POLICIES == BUILTIN_POLICIES
 
     def test_get_policy_returns_registered(self):
         for name in list_policies():

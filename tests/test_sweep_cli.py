@@ -199,8 +199,8 @@ class TestFaultHandlingFlags:
     def test_permanent_failure_exits_1_with_diagnostics(self, tmp_path, capsys):
         spec = tiny_spec_file(tmp_path)
         store = str(tmp_path / "store.jsonl")
-        install_plan(FaultPlan(seed=1, exception_rate=1.0,
-                               max_faults_per_point=5))
+        install_plan(FaultPlan(seed=1, rates={"exception": 1.0},
+                               max_faults=5))
         assert main(["run", "--spec", spec, "--store", store,
                      "--workers", "1", "--retries", "0"]) == 1
         err = capsys.readouterr().err
@@ -212,8 +212,8 @@ class TestFaultHandlingFlags:
         spec = tiny_spec_file(tmp_path)
         store = str(tmp_path / "store.jsonl")
         # Every point faults exactly once; one retry absorbs it.
-        install_plan(FaultPlan(seed=1, exception_rate=1.0,
-                               max_faults_per_point=1))
+        install_plan(FaultPlan(seed=1, rates={"exception": 1.0},
+                               max_faults=1))
         assert main(["run", "--spec", spec, "--store", store,
                      "--workers", "1", "--retries", "1",
                      "--backoff", "0"]) == 0

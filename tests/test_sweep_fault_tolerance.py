@@ -18,8 +18,9 @@ import time
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.exec import RetryPolicy
 from repro.faults import (
-    ENV_VAR,
+    ENV_VARS,
     FAULT_DEATH,
     FAULT_EXCEPTION,
     FAULT_HANG,
@@ -31,12 +32,12 @@ from repro.faults import (
 from repro.sweep.grid import SweepSpec
 from repro.sweep.runner import (
     FailureRecord,
-    RetryPolicy,
     SweepInterrupted,
     run_sweep,
 )
 from repro.sweep.store import ResultStore
 
+ENV_VAR = ENV_VARS["point"]
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -223,7 +224,7 @@ class TestRetryRecovery:
         points = small_spec().expand()
         ref = reference_bytes(points, tmp_path)
         plan = FaultPlan(
-            hang_s=30.0, scripted={points[2].key(): [FAULT_HANG]}
+            sleep_s=30.0, scripted={points[2].key(): [FAULT_HANG]}
         )
         monkeypatch.setenv(ENV_VAR, plan.to_env())
         path = str(tmp_path / "store.jsonl")
@@ -278,8 +279,8 @@ class TestChaosDeterminism:
     def test_seeded_exception_storm(self, tmp_path, monkeypatch, workers):
         points = small_spec(cluster_counts=(2, 3, 4, 8)).expand()  # 8 points
         ref = reference_bytes(points, tmp_path)
-        plan = FaultPlan(seed=2005, exception_rate=0.6,
-                         max_faults_per_point=2)
+        plan = FaultPlan(seed=2005, rates={FAULT_EXCEPTION: 0.6},
+                         max_faults=2)
         monkeypatch.setenv(ENV_VAR, plan.to_env())
         path = str(tmp_path / f"chaos{workers}.jsonl")
         summary = run_sweep(
@@ -294,8 +295,8 @@ class TestChaosDeterminism:
         points = small_spec().expand()
         ref = reference_bytes(points, tmp_path)
         plan = FaultPlan(
-            seed=7, exception_rate=0.35, hang_rate=0.15, death_rate=0.15,
-            max_faults_per_point=2, hang_s=30.0,
+            seed=7, max_faults=2, sleep_s=30.0,
+            rates={FAULT_EXCEPTION: 0.35, FAULT_HANG: 0.15, FAULT_DEATH: 0.15},
         )
         # The seeded schedule must actually contain at least one fault in
         # the attempt window or this test would assert nothing.

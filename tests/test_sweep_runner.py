@@ -422,17 +422,17 @@ class TestBatchVariant:
         # Every point's first attempt raises an injected fault, so every
         # batched call fails wholesale; each member is charged one attempt
         # and recomputed point by point — converging on identical bytes.
-        from repro.faults import ENV_VAR, FaultPlan
-        from repro.sweep.runner import RetryPolicy
+        from repro.exec import RetryPolicy
+        from repro.faults import ENV_VARS, FaultPlan
 
         spec = small_spec(seeds=(1, 2, 3))
         reference = str(tmp_path / "generic.jsonl")
         run_sweep(spec.expand(), ResultStore(reference), workers=1,
                   kernel_variant="generic")
         monkeypatch.setenv(
-            ENV_VAR,
-            FaultPlan(seed=5, exception_rate=1.0,
-                      max_faults_per_point=1).to_env(),
+            ENV_VARS["point"],
+            FaultPlan(seed=5, rates={"exception": 1.0},
+                      max_faults=1).to_env(),
         )
         batch = str(tmp_path / "batch.jsonl")
         messages = []

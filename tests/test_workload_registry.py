@@ -6,9 +6,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.types import InstrClass
 from repro.workloads import (
     MIX_REGISTRY,
-    MIXES,
     WorkloadMix,
-    available_mixes,
     generate_trace,
     get_mix,
     list_mixes,
@@ -17,17 +15,11 @@ from repro.workloads import (
 
 
 class TestRegistry:
-    def test_mixes_alias_is_the_registry(self):
-        assert MIXES is MIX_REGISTRY
-
     def test_list_mixes_sorted_and_complete(self):
         assert list_mixes() == tuple(sorted(MIX_REGISTRY))
         assert set(list_mixes()) >= {
             "int_heavy", "fp_heavy", "memory_bound", "branchy",
         }
-
-    def test_available_mixes_alias(self):
-        assert available_mixes() == list_mixes()
 
     def test_get_mix_returns_registered(self):
         assert get_mix("int_heavy") is MIX_REGISTRY["int_heavy"]

@@ -4,12 +4,12 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import FP_CLASSES, InstrClass
-from repro.workloads import MIXES, WorkloadMix, available_mixes, generate_trace
+from repro.workloads import WorkloadMix, generate_trace, list_mixes
 
 
 class TestMixRegistry:
     def test_all_four_paper_mixes_present(self):
-        assert set(available_mixes()) == {
+        assert set(list_mixes()) == {
             "int_heavy", "fp_heavy", "memory_bound", "branchy"
         }
 
@@ -29,7 +29,7 @@ class TestMixRegistry:
 
 class TestGeneration:
     def test_traces_are_structurally_valid(self):
-        for mix in available_mixes():
+        for mix in list_mixes():
             trace = generate_trace(mix, 2000, seed=1)
             trace.validate()  # raises TraceError on any violation
 
