@@ -31,6 +31,7 @@ from repro.fabric.scheduler import DEFAULT_SHARD_SIZE, FabricCoordinator
 from repro.sweep.cli import (
     DEFAULT_STORE,
     add_spec_args,
+    check_workers,
     load_spec,
     print_failures,
 )
@@ -83,6 +84,7 @@ def _build_backends(args: argparse.Namespace,
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    check_workers(args.local_workers, "--local-workers")
     spec = load_spec(args)
     if args.energy:
         # Peers see the already-folded spec.

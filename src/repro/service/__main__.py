@@ -24,7 +24,12 @@ from typing import List, Optional
 from repro.common.errors import ReproError
 from repro.service.client import ServiceClient
 from repro.service.server import SweepService
-from repro.sweep.cli import DEFAULT_STORE, add_spec_args, load_spec
+from repro.sweep.cli import (
+    DEFAULT_STORE,
+    add_spec_args,
+    check_workers,
+    load_spec,
+)
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
@@ -55,10 +60,12 @@ async def _serve_async(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    check_workers(args.workers)
     return asyncio.run(_serve_async(args))
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
+    check_workers(args.workers)
     # ``--energy`` travels as a job option: the service folds it into the
     # spec (the same fold as the other CLIs) before digesting the job id.
     spec = load_spec(args).to_dict()

@@ -81,6 +81,13 @@ def load_spec(args: argparse.Namespace) -> SweepSpec:
     return SweepSpec.from_dict(data)
 
 
+def check_workers(value: Optional[int], flag: str = "--workers") -> None:
+    """Reject a worker count below 1 given on the command line (the sweep,
+    fabric and service CLIs); :func:`run_sweep` itself clamps it to 1."""
+    if value is not None and value < 1:
+        raise ReproError(f"{flag} must be >= 1, got {value}")
+
+
 def print_failures(summary: SweepSummary) -> None:
     """One ``FAILED <label>: ...`` line per permanently failed point, on
     stderr (the sweep and fabric CLIs share the failure schema)."""
@@ -94,6 +101,7 @@ def print_failures(summary: SweepSummary) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    check_workers(args.workers)
     spec = load_spec(args)
     if args.energy:
         spec = spec.with_energy()
@@ -277,5 +285,5 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
 
-__all__ = ["add_spec_args", "build_parser", "load_spec", "main",
-           "print_failures"]
+__all__ = ["add_spec_args", "build_parser", "check_workers", "load_spec",
+           "main", "print_failures"]

@@ -3,10 +3,14 @@
 :func:`run_sweep` takes expanded :class:`~repro.sweep.grid.ExperimentPoint`
 lists, skips every point whose key is already in the
 :class:`~repro.sweep.store.ResultStore` (a *cache hit*), and dispatches the
-rest to ``multiprocessing`` workers point by point.  Completions arrive in
-whatever order the workers finish; an **expansion-order flush frontier**
-buffers out-of-order results and appends each record the moment every
-earlier point has been appended, so
+rest to ``multiprocessing`` workers point by point, at most one in flight
+per worker.  Dispatch is event-driven: each finished task's
+``apply_async`` callback wakes the orchestrator, which first refills the
+freed worker slots and only then hands the finished records on, so no
+worker idles while the orchestrator appends and fsyncs.  Completions
+arrive in whatever order the workers finish; an **expansion-order flush
+frontier** buffers out-of-order results and appends each record the
+moment every earlier point has been appended, so
 
 * partial progress is durable within moments of being computed — a crash
   at point N of M keeps the N-1 finished prefix on disk, and
@@ -68,6 +72,7 @@ unchanged.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import signal
 import threading
@@ -108,9 +113,9 @@ TRACE_CACHE_SIZE = 8
 #: well before this many lanes for sweep-sized traces.
 MAX_BATCH_LANES = 32
 
-#: Sleep between dispatch-loop iterations while results are outstanding.
-#: Small enough that flush latency is invisible next to point runtimes,
-#: large enough that the orchestrator does not busy-spin.
+#: Cap on the pool loop's wait for a completion.  Completions wake the
+#: loop at once, so this only bounds how often it checks ``should_stop``,
+#: timeouts and retry backoff while nothing finishes.
 _POLL_INTERVAL_S = 0.01
 
 #: ``(mix_name, n_instructions, seed) -> (mix_definition, trace)``.
@@ -356,6 +361,7 @@ class _PointTask:
     __slots__ = (
         "index", "key", "point", "payload",
         "attempts", "elapsed", "ready_at", "async_result", "deadline",
+        "settled",
     )
 
     def __init__(self, index: int, key: str, point: ExperimentPoint,
@@ -369,6 +375,7 @@ class _PointTask:
         self.ready_at = 0.0        # monotonic time when dispatchable again
         self.async_result = None   # in-flight multiprocessing AsyncResult
         self.deadline = None       # monotonic timeout for the in-flight try
+        self.settled = False       # the in-flight try's callback has run
 
 
 def _worker_init() -> None:
@@ -431,6 +438,7 @@ class _FrontierExecutor:
         self.on_point_done = on_point_done
         self.should_stop = should_stop
         self.pool: Optional[multiprocessing.pool.Pool] = None
+        self._wake = threading.Event()
         self._work: List[_PointTask] = list(tasks)
         self.frontier = FlushFrontier(len(tasks), emit=self._emit)
         self.timings: Dict[str, float] = {}
@@ -701,11 +709,29 @@ class _FrontierExecutor:
                     break
 
     # -- pooled execution -------------------------------------------------
+    def _on_settled(self, task: _PointTask, _outcome: Any) -> None:
+        """``apply_async`` callback for either outcome, run on the pool's
+        result-handler thread: flag ``task`` for collection and wake the
+        orchestrator.  The pool runs this just *before* it marks the result
+        ready, so collection keys off the flag rather than ``ready()`` (a
+        wake-up that ran ahead of ``ready()`` would be lost for a whole
+        wait cap), and its ``get()`` waits out the gap."""
+        task.settled = True
+        self._wake.set()
+
     def _dispatch(self, task: _PointTask,
                   in_flight: Dict[int, _PointTask]) -> None:
         payload = dict(task.payload, _attempt=task.attempts + 1)
         assert self.pool is not None
-        task.async_result = self.pool.apply_async(execute_point, (payload,))
+        # Safe to reset: a replaced pool is joined, callbacks and all,
+        # before its tasks are re-dispatched, and a task is re-dispatched
+        # on the same pool only after its previous result was collected.
+        task.settled = False
+        on_settled = functools.partial(self._on_settled, task)
+        task.async_result = self.pool.apply_async(
+            execute_point, (payload,),
+            callback=on_settled, error_callback=on_settled,
+        )
         task.deadline = (
             time.monotonic() + self.policy.timeout_s
             if self.policy.timeout_s is not None
@@ -743,35 +769,18 @@ class _FrontierExecutor:
         in_flight: Dict[int, _PointTask] = {}
         while waiting or in_flight:
             self._check_stop()
+            # Cleared before collecting, so a task that settles from here
+            # on is either collected below or wakes the wait in step 5.
+            self._wake.clear()
+            # 1. Collect completions and worker exceptions; note timeouts.
+            #    Finished records are held back until step 4.
             now = time.monotonic()
-            # 1. Dispatch tasks whose backoff has elapsed, lowest expansion
-            #    index first so the frontier advances soonest, capped at one
-            #    in-flight task per worker: a dispatched task then starts on
-            #    a free worker immediately, which is what lets ``deadline``
-            #    measure actual execution instead of queue time (dispatching
-            #    the whole shard at once would start every timeout clock up
-            #    front and falsely expire tasks still waiting in the pool's
-            #    queue).  A task on its final attempt runs in-process
-            #    instead (see above).
-            waiting.sort(key=lambda t: t.index)
-            still_waiting: List[_PointTask] = []
-            for task in waiting:
-                if task.ready_at > now:
-                    still_waiting.append(task)
-                elif task.attempts > 0 and \
-                        task.attempts + 1 >= self.policy.max_attempts:
-                    self._attempt_in_process(task)
-                elif len(in_flight) < self.n_workers:
-                    self._dispatch(task, in_flight)
-                else:
-                    still_waiting.append(task)
-            waiting = still_waiting
-            # 2. Collect completions and worker exceptions; note timeouts.
-            now = time.monotonic()
+            n_busy = len(in_flight)
+            finished: List[Tuple[_PointTask, Dict[str, Any], float]] = []
             timed_out: List[_PointTask] = []
             for index, task in list(in_flight.items()):
                 assert task.async_result is not None
-                if task.async_result.ready():
+                if task.settled:
                     del in_flight[index]
                     task.attempts += 1
                     try:
@@ -780,10 +789,10 @@ class _FrontierExecutor:
                         self._on_error(task, exc, waiting)
                     else:
                         task.elapsed += elapsed
-                        self._complete(task, record, elapsed)
+                        finished.append((task, record, elapsed))
                 elif task.deadline is not None and now >= task.deadline:
                     timed_out.append(task)
-            # 3. Timeouts: the worker holding the task is hung or dead
+            # 2. Timeouts: the worker holding the task is hung or dead
             #    (a killed worker's task never completes — this is how
             #    hard death is detected).  multiprocessing.Pool cannot
             #    reap one worker, so the pool is replaced wholesale and
@@ -812,8 +821,41 @@ class _FrontierExecutor:
                 for task in collateral:
                     task.ready_at = 0.0
                     waiting.append(task)
-            if waiting or in_flight:
-                time.sleep(_POLL_INTERVAL_S)
+            collected = len(in_flight) < n_busy
+            # 3. Refill free worker slots with tasks whose backoff has
+            #    elapsed, lowest expansion index first so the frontier
+            #    advances soonest, capped at one in-flight task per worker:
+            #    a dispatched task then starts on a free worker immediately,
+            #    which is what lets ``deadline`` measure actual execution
+            #    instead of queue time (dispatching the whole shard at once
+            #    would start every timeout clock up front and falsely expire
+            #    tasks still waiting in the pool's queue).  A task on its
+            #    final attempt runs in-process instead (see above).
+            now = time.monotonic()
+            waiting.sort(key=lambda t: t.index)
+            still_waiting: List[_PointTask] = []
+            for task in waiting:
+                if task.ready_at > now:
+                    still_waiting.append(task)
+                elif task.attempts > 0 and \
+                        task.attempts + 1 >= self.policy.max_attempts:
+                    self._attempt_in_process(task)
+                elif len(in_flight) < self.n_workers:
+                    self._dispatch(task, in_flight)
+                else:
+                    still_waiting.append(task)
+            waiting = still_waiting
+            # 4. Only now, with the workers busy again, hand the finished
+            #    records to the frontier (store append + fsync, then
+            #    ``on_point_done``).
+            for task, record, elapsed in finished:
+                self._complete(task, record, elapsed)
+            # 5. Wait for a completion only if this pass collected nothing.
+            #    The cap bounds how late ``should_stop``, deadlines and
+            #    backoff are noticed; ``Event.wait`` stays interruptible by
+            #    SIGINT/SIGTERM on the main thread.
+            if not collected and (waiting or in_flight):
+                self._wake.wait(_POLL_INTERVAL_S)
 
 
 def run_sweep(

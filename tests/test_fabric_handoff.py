@@ -450,7 +450,7 @@ class TestFailureSchema:
 # -- CLI flags --------------------------------------------------------------
 
 class TestCliFlags:
-    def test_bad_values_exit_2(self, tmp_path):
+    def test_bad_values_exit_2(self, tmp_path, capsys):
         from repro.fabric.cli import main
         store = str(tmp_path / "s.jsonl")
         assert main(["run", "--smoke", "--store", store,
@@ -458,6 +458,12 @@ class TestCliFlags:
         assert main(["run", "--smoke", "--store", store,
                      "--checkpoint", str(tmp_path / "c.ckpt"),
                      "--checkpoint-interval", "0"]) == 2
+        capsys.readouterr()
+        for workers in ("0", "-1"):
+            assert main(["run", "--smoke", "--store", store,
+                         "--local-workers", workers]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --local-workers must be >= 1")
 
     def test_probe_shows_inflight_lease_counts(self, tmp_path, capsys):
         from repro.fabric.cli import main

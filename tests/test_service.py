@@ -524,6 +524,21 @@ class TestModuleCli:
         assert rc == 2
         assert "exactly one of" in capsys.readouterr().err
 
+    def test_non_positive_workers_exit_2(self, tmp_path, capsys):
+        from repro.service.__main__ import main
+
+        # Rejected before any server starts or any connection is made.
+        for workers in ("0", "-1"):
+            for argv in (
+                ["serve", "--port", "0", "--store",
+                 str(tmp_path / "store.jsonl")],
+                ["submit", "--smoke"],
+            ):
+                assert main(argv + ["--workers", workers]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: --workers must be >= 1")
+        assert not (tmp_path / "store.jsonl").exists()
+
     def test_submit_unreachable_service_exits_2(self, tmp_path, capsys):
         from repro.service.__main__ import main
 

@@ -225,6 +225,11 @@ class TestFaultHandlingFlags:
         assert main(["run", "--spec", spec, "--store", store,
                      "--workers", "1", "--timeout", "0"]) == 2
         assert "timeout_s" in capsys.readouterr().err
+        for workers in ("0", "-1"):
+            assert main(["run", "--spec", spec, "--store", store,
+                         "--workers", workers]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --workers must be >= 1")
 
 
 @pytest.mark.parametrize("argv", [["run", "--smoke", "--workers", "1"]])

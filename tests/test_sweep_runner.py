@@ -337,6 +337,131 @@ class TestProgressHooks:
             assert fa.read() == fb.read()
 
 
+class TestEventDrivenPool:
+    """The pool loop is woken by completions, not by its wait cap, and
+    refills free workers before it appends finished records."""
+
+    #: Far above the runtime of the whole 12-point sweep below.
+    CAP_S = 2.0
+
+    def _spec(self):
+        return small_spec(cluster_counts=(2, 4, 8), seeds=(7, 8))  # 12 points
+
+    def test_completions_wake_the_loop(self, tmp_path, monkeypatch):
+        import time
+
+        from repro.sweep import runner
+
+        monkeypatch.setattr(runner, "_POLL_INTERVAL_S", self.CAP_S)
+        store = ResultStore(str(tmp_path / "store.jsonl"))
+        t0 = time.perf_counter()
+        summary = run_sweep(self._spec().expand(), store, workers=2)
+        assert summary.n_computed == 12
+        # A loop that slept one cap per iteration would take >= 12 caps.
+        assert time.perf_counter() - t0 < self.CAP_S
+
+    def test_wake_ahead_of_readiness_is_not_lost(self, tmp_path,
+                                                 monkeypatch):
+        import time
+
+        from repro.sweep import runner
+
+        # The pool runs a task's callback just before it marks the result
+        # ready; widen that gap so the loop always sees the wake first.
+        real_on_settled = runner._FrontierExecutor._on_settled
+
+        def late_ready(executor, task, outcome):
+            real_on_settled(executor, task, outcome)
+            time.sleep(0.02)
+
+        monkeypatch.setattr(runner._FrontierExecutor, "_on_settled",
+                            late_ready)
+        monkeypatch.setattr(runner, "_POLL_INTERVAL_S", self.CAP_S)
+        store = ResultStore(str(tmp_path / "store.jsonl"))
+        t0 = time.perf_counter()
+        summary = run_sweep(self._spec().expand(), store, workers=2)
+        assert summary.n_computed == 12
+        assert time.perf_counter() - t0 < self.CAP_S
+
+    def test_stress_more_workers_than_cores(self, tmp_path, monkeypatch):
+        import sys
+        import time
+
+        from repro.sweep import runner
+
+        monkeypatch.setattr(runner, "_POLL_INTERVAL_S", self.CAP_S)
+        points = self._spec().expand()
+        reference = str(tmp_path / "reference.jsonl")
+        path = str(tmp_path / "store.jsonl")
+        run_sweep(points, ResultStore(reference), workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t0 = time.perf_counter()
+            # 6 workers: the most this 12-point sweep runs a pool with.
+            summary = run_sweep(points, ResultStore(path), workers=6)
+            elapsed = time.perf_counter() - t0
+        finally:
+            sys.setswitchinterval(interval)
+        assert summary.n_computed == 12
+        assert elapsed < self.CAP_S  # no wake-up lost to the interleaving
+        with open(reference, "rb") as fa, open(path, "rb") as fb:
+            assert fa.read() == fb.read()
+
+    def test_should_stop_noticed_under_a_long_cap(self, tmp_path,
+                                                  monkeypatch):
+        import time
+
+        import pytest
+
+        from repro.sweep import runner
+
+        monkeypatch.setattr(runner, "_POLL_INTERVAL_S", self.CAP_S)
+        points = self._spec().expand()
+        reference = str(tmp_path / "reference.jsonl")
+        path = str(tmp_path / "store.jsonl")
+        run_sweep(points, ResultStore(reference), workers=1)
+        done = []
+        t0 = time.perf_counter()
+        with pytest.raises(runner.SweepInterrupted) as err:
+            run_sweep(points, ResultStore(path), workers=2,
+                      on_point_done=lambda *args: done.append(args),
+                      should_stop=lambda: len(done) >= 3)
+        assert time.perf_counter() - t0 < self.CAP_S
+        summary = err.value.summary
+        assert summary.interrupted and 3 <= summary.n_computed < 12
+        with open(reference, "rb") as fh:
+            full = fh.read()
+        with open(path, "rb") as fh:
+            partial = fh.read()
+        assert full.startswith(partial) and len(partial) < len(full)
+
+    def test_workers_refilled_before_the_append(self, tmp_path, monkeypatch):
+        import multiprocessing.pool
+
+        dispatched = []
+        real_apply_async = multiprocessing.pool.Pool.apply_async
+
+        def counting_apply_async(pool, func, *args, **kwargs):
+            dispatched.append(func)
+            return real_apply_async(pool, func, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async",
+                            counting_apply_async)
+        points = self._spec().expand()
+        total, n_workers = len(points), 2
+        seen = []  # (dispatched so far, emitted so far) at each append
+        run_sweep(points, ResultStore(str(tmp_path / "store.jsonl")),
+                  workers=n_workers,
+                  on_point_done=lambda _k, _r, index:
+                  seen.append((len(dispatched), index + 1)))
+        assert len(seen) == total
+        # on_point_done fires right after the append: by then every worker
+        # freed by the appended points already has its next point.
+        for n_dispatched, emitted in seen:
+            assert n_dispatched >= min(total, emitted + n_workers)
+
+
 class TestBatchVariant:
     """kernel_variant="batch": the runner groups same-specialization-key
     points into single vectorized kernel calls, without touching bytes."""
