@@ -4,8 +4,7 @@ The :mod:`repro.common` package holds the pieces that do not belong to any
 particular pipeline stage: the instruction/functional-unit taxonomy
 (:mod:`repro.common.types`), the processor configuration dataclasses that
 encode Table 2 of the paper (:mod:`repro.common.config`), deterministic random
-number helpers (:mod:`repro.common.rng`), statistic counters and histograms
-(:mod:`repro.common.counters`) and the exception hierarchy
+number helpers (:mod:`repro.common.rng`) and the exception hierarchy
 (:mod:`repro.common.errors`).
 """
 
@@ -26,13 +25,6 @@ from repro.common.config import (
     FuLatencies,
     MemoryHierarchyConfig,
     ProcessorConfig,
-)
-from repro.common.counters import (
-    Counter,
-    Histogram,
-    RunningMean,
-    StatGroup,
-    format_stats,
 )
 from repro.common.errors import (
     ConfigurationError,
@@ -58,11 +50,6 @@ __all__ = [
     "FuLatencies",
     "MemoryHierarchyConfig",
     "ProcessorConfig",
-    "Counter",
-    "Histogram",
-    "RunningMean",
-    "StatGroup",
-    "format_stats",
     "ReproError",
     "ConfigurationError",
     "SimulationError",

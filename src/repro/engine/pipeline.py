@@ -1,10 +1,11 @@
-"""Public simulation API: ``Pipeline(config).run(trace) -> StatGroup``.
+"""Public simulation API: ``Pipeline(config).run(trace) -> KernelResult``.
 
-:class:`Pipeline` is a thin, stable facade over the hot kernel in
-:mod:`repro.engine.kernel`.  It validates inputs once, runs the kernel, and
-converts the kernel's raw totals into a :class:`~repro.common.counters.StatGroup`
-whose names are the reporting vocabulary used by benchmarks and (eventually)
-the paper-figure sweeps: ``ipc``, ``cycles``, ``comm.hops`` and friends.
+:class:`Pipeline` is a thin, stable facade over the simulation kernels.  It
+validates the variant once, runs the selected kernel, checks the result for
+forward progress, and returns the kernel's :class:`KernelResult` totals
+(``ipc``, ``cycles``, ``communications``, ``hop_histogram``,
+``issued_per_cluster`` and friends).  :meth:`Pipeline.run_record` wraps the
+same totals in the JSON record that :mod:`repro.sweep` stores.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ import os
 from typing import Dict, Optional
 
 from repro.common.config import ProcessorConfig
-from repro.common.counters import StatGroup
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.common.types import InstrClass
 from repro.engine.batch import simulate_batch
 from repro.engine.codegen import simulate_specialized
 from repro.engine.kernel import ENGINE_VERSION, KernelResult, simulate
@@ -56,9 +55,11 @@ class Pipeline:
     ``kernel_variant`` selects the simulation kernel: ``"specialized"``
     (default) runs the per-config compiled kernel from
     :mod:`repro.engine.codegen`; ``"generic"`` runs the readable
-    table-driven loop in :mod:`repro.engine.kernel`.  The two are required
-    to produce identical results — ``generic`` exists as the oracle and
-    debugging surface, not as a different model.
+    table-driven loop in :mod:`repro.engine.kernel`; ``"batch"`` runs the
+    lane-vectorized kernel from :mod:`repro.engine.batch` with one lane.
+    All variants are required to produce identical :class:`KernelResult`
+    totals — ``generic`` exists as the oracle and debugging surface, not as
+    a different model.
     """
 
     def __init__(
@@ -69,43 +70,8 @@ class Pipeline:
         self.config = config if config is not None else ProcessorConfig()
         self.kernel_variant = resolve_kernel_variant(kernel_variant)
 
-    def run(self, trace: Trace, stats_name: Optional[str] = None) -> StatGroup:
-        """Simulate ``trace`` and return its statistics.
-
-        The returned group contains counters (``instructions``, ``cycles``,
-        ``mispredicts``, ``l1_misses``, ``l2_misses``, ``comm.messages``,
-        ``issued.cluster<k>``, ``class.<name>``), the ``comm.hops`` histogram
-        and derived scalars (``ipc``, ``comm.per_instr``).
-        """
-        result = self._simulate_checked(trace)
-        name = stats_name if stats_name is not None else trace.name
-        return self._build_stats(name, result)
-
-    def run_record(self, trace: Trace) -> Dict[str, object]:
-        """Simulate ``trace`` and return a JSON-serializable result record.
-
-        This is the persistence-friendly sibling of :meth:`run`: the record
-        carries the raw :meth:`KernelResult.to_dict` totals plus the engine
-        version and the config digest so a result store can key and later
-        invalidate it.  Consumed by :mod:`repro.sweep`.
-
-        ``kernel_variant`` names the kernel that computed the record, so a
-        result in hand can be attributed to a variant (e.g. when triaging a
-        suspected codegen divergence).  It is *provenance, not content*:
-        both variants produce identical results by contract, and the sweep
-        runner strips the key before a record enters the result store so
-        stores stay byte-identical whichever variant computed them.
-        """
-        result = self._simulate_checked(trace)
-        return {
-            "engine_version": ENGINE_VERSION,
-            "config_digest": self.config.config_digest(),
-            "trace": trace.name,
-            "kernel_variant": self.kernel_variant,
-            "result": result.to_dict(),
-        }
-
-    def _simulate_checked(self, trace: Trace) -> KernelResult:
+    def run(self, trace: Trace) -> KernelResult:
+        """Simulate ``trace`` and return its :class:`KernelResult` totals."""
         if self.kernel_variant == "specialized":
             result = simulate_specialized(trace, self.config)
         elif self.kernel_variant == "batch":
@@ -118,34 +84,22 @@ class Pipeline:
             )
         return result
 
-    def _build_stats(self, name: str, result: KernelResult) -> StatGroup:
-        stats = StatGroup(name)
-        stats.counter("instructions").add(result.n_instructions)
-        stats.counter("cycles").add(result.cycles)
-        stats.counter("mispredicts").add(result.mispredicts)
-        stats.counter("l1_misses").add(result.l1_misses)
-        stats.counter("l2_misses").add(result.l2_misses)
-        stats.counter("comm.messages").add(result.communications)
-        hops = stats.histogram("comm.hops")
-        for distance, count in result.hop_histogram.items():
-            hops.add(distance, count)
-        for c, issued in enumerate(result.issued_per_cluster):
-            stats.counter(f"issued.cluster{c}").add(issued)
-        for k, count in enumerate(result.class_counts):
-            if count:
-                stats.counter(f"class.{InstrClass(k).name.lower()}").add(count)
-        if result.energy is not None:
-            for component, units in result.energy.items():
-                stats.counter(f"energy.{component}").add(units)
-            stats.set_scalar("energy.per_instr", result.energy_per_instr)
-        stats.set_scalar("ipc", result.ipc)
-        if result.n_instructions:
-            stats.set_scalar(
-                "comm.per_instr", result.communications / result.n_instructions
-            )
-        stats.set_scalar("topology.is_ring", float(self.config.topology.is_ring))
-        stats.set_scalar("n_clusters", float(self.config.n_clusters))
-        return stats
+    def run_record(self, trace: Trace) -> Dict[str, object]:
+        """Simulate ``trace`` and return a JSON-serializable result record.
+
+        This is the persistence-friendly form of :meth:`run`: the record
+        carries the raw :meth:`KernelResult.to_dict` totals plus the engine
+        version and the config digest so a result store can key and later
+        invalidate it.  Consumed by :mod:`repro.sweep`.  The record does not
+        name the kernel variant: every variant computes the same record, so
+        stores are byte-identical whichever variant filled them.
+        """
+        return {
+            "engine_version": ENGINE_VERSION,
+            "config_digest": self.config.config_digest(),
+            "trace": trace.name,
+            "result": self.run(trace).to_dict(),
+        }
 
 
 __all__ = [

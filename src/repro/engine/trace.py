@@ -132,6 +132,8 @@ class Trace:
                     f"got {len(op)} elements"
                 )
             k = int(op[0])
+            if not 0 <= k < _N_CLASSES:
+                raise TraceError(f"op {i}: invalid opclass {k}")
             d = op[1]
             rest = list(op[2:])
             f = 0

@@ -9,9 +9,9 @@ Schema (``type``, ``required``, ``properties``, ``additionalProperties``,
 surface without pulling in a dependency the container may not have.
 
 Deep domain validation stays where it belongs: a body that passes
-:data:`SUBMIT_SCHEMA` still has its ``spec`` object vetted by
-:meth:`repro.sweep.grid.SweepSpec.from_dict`, which knows about unknown
-steerings, empty axes, and override-path rules.
+:data:`SUBMIT_SCHEMA` still has its ``spec`` vetted by
+:meth:`repro.sweep.grid.SweepSpec.from_dict`, which knows about its shape,
+unknown steerings, empty axes, and override-path rules.
 """
 
 from __future__ import annotations
@@ -104,8 +104,9 @@ def validate(value: Any, schema: Mapping[str, Any], path: str = "body") -> None:
             validate(item, schema["items"], f"{path}[{index}]")
 
 
-#: ``POST /jobs`` body.  ``spec`` is a :class:`SweepSpec` dict (deep
-#: validation by ``SweepSpec.from_dict``); the remaining knobs mirror the
+#: ``POST /jobs`` body.  ``spec`` is a :class:`SweepSpec` dict, validated
+#: (its shape included) only by ``SweepSpec.from_dict``, so every malformed
+#: spec answers ``invalid_spec``; the remaining knobs mirror the
 #: CLI's execution flags — none of them can change result bytes, only
 #: wall-clock, which is what keeps job dedup sound on the spec alone.
 SUBMIT_SCHEMA: Dict[str, Any] = {
@@ -113,7 +114,7 @@ SUBMIT_SCHEMA: Dict[str, Any] = {
     "required": ["spec"],
     "additionalProperties": False,
     "properties": {
-        "spec": {"type": "object"},
+        "spec": {},
         "workers": {"type": "integer", "minimum": 1, "maximum": 64},
         "kernel_variant": {
             "type": "string",

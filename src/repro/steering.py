@@ -7,8 +7,9 @@ are objects registered in :data:`STEERING_REGISTRY` (the same API shape as
 the workload ``MIX_REGISTRY``), and every dispatch site consults the
 registry instead of a frozen tuple:
 
-* the **generic kernel** (:func:`repro.engine.kernel.simulate`) asks the
-  policy for a per-run steering closure via :meth:`SteeringPolicy.make_generic`;
+* the **generic kernel** (:func:`repro.engine.kernel.simulate`) asks a
+  plugin policy for a per-run steering closure via
+  :meth:`SteeringPolicy.make_generic`;
 * the **naive oracle** (``bench/naive_ref.py``) does the same through
   :meth:`SteeringPolicy.make_naive` over its object-per-instruction state;
 * the **batch kernel** (:func:`repro.engine.batch.simulate_batch`) asks for
@@ -24,11 +25,12 @@ registry instead of a frozen tuple:
 
 The three policies of the original tuple — ``dependence``, ``modulo``,
 ``round_robin`` — are the built-in registrations (:data:`BUILTIN_POLICIES`).
-The generic kernel and the naive oracle keep dedicated fast paths for those
-three names (the generic loop is performance-gated), and their codegen
-emitters delegate to the specializer's original stage emitters, so routing
-them through the registry changes neither results nor a single byte of
-emitted source.
+The two interpreted kernels (the generic loop and the naive oracle) serve
+those three names inline and never ask them for closures (the generic loop
+is performance-gated against the oracle), so the built-ins implement only
+the batch and codegen backends.  Their codegen emitters delegate to the
+specializer's original stage emitters, so routing them through the
+registry changes neither results nor a single byte of emitted source.
 
 Two further policies ship registered through the plugin path only:
 
@@ -73,8 +75,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 #: Names of the three original (tuple-era) policies.  The generic kernel and
-#: the naive oracle fast-path these names inline; everything else goes
-#: through the policy closures.
+#: the naive oracle serve these names inline; every other policy goes
+#: through its :meth:`SteeringPolicy.make_generic`/``make_naive`` closures.
 BUILTIN_POLICIES = ("dependence", "modulo", "round_robin")
 
 #: Registry of steering policies, keyed by name.  ``ProcessorConfig``
@@ -177,7 +179,9 @@ class SteeringPolicy:
       ``steer(i, s1, s2, fetch_cycle) -> cluster`` and
       ``steer(instr, fetch_cycle) -> cluster`` respectively; a fresh
       closure is requested for every simulation, so per-run state lives in
-      the closure, never on the policy object.
+      the closure, never on the policy object.  The built-ins
+      (:data:`BUILTIN_POLICIES`) do not implement these two: the two
+      interpreted kernels serve them inline.
     * :meth:`emit_steering` emits the policy's steering (and operands)
       stage into the specialized-kernel source; :meth:`emit_setup` /
       :meth:`emit_retire` contribute per-run state initialisation and the
@@ -255,8 +259,9 @@ class SteeringPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Built-in policies (fast-pathed inline by the interpreted kernels; codegen
-# delegates to the specializer's original emitters, byte for byte).
+# Built-in policies (served inline by the two interpreted kernels, so they
+# have no make_generic/make_naive; codegen delegates to the specializer's
+# original emitters, byte for byte).
 # ---------------------------------------------------------------------------
 
 
@@ -270,53 +275,6 @@ class DependencePolicy(SteeringPolicy):
     """
 
     name = "dependence"
-
-    def make_generic(self, ctx):
-        nc = ctx.n_clusters
-        is_ring = ctx.is_ring
-        cluster_col = ctx.cluster_col
-        complete_col = ctx.complete_col
-        rr = [0]
-
-        def steer(i, s1, s2, fetch_cycle):
-            if s1 >= 0:
-                if s2 >= 0 and complete_col[s2] > complete_col[s1]:
-                    base = cluster_col[s2]
-                else:
-                    base = cluster_col[s1]
-            elif s2 >= 0:
-                base = cluster_col[s2]
-            else:
-                cluster = rr[0] % nc
-                rr[0] += 1
-                return cluster
-            return (base + 1) % nc if is_ring else base
-
-        return steer
-
-    def make_naive(self, ctx):
-        nc = ctx.n_clusters
-        is_ring = ctx.is_ring
-        rr = [0]
-
-        def steer(instr, fetch_cycle):
-            critical = instr.src1
-            if critical is not None:
-                if (
-                    instr.src2 is not None
-                    and instr.src2.complete_cycle > instr.src1.complete_cycle
-                ):
-                    critical = instr.src2
-            else:
-                critical = instr.src2
-            if critical is None:
-                cluster = rr[0] % nc
-                rr[0] += 1
-                return cluster
-            base = critical.cluster
-            return (base + 1) % nc if is_ring else base
-
-        return steer
 
     def make_batch(self, ctx):
         import numpy as np
@@ -391,24 +349,6 @@ class ModuloPolicy(_SplitSteeringPolicy):
 
     name = "modulo"
 
-    def make_generic(self, ctx):
-        nc = ctx.n_clusters
-        fw = ctx.fetch_width
-
-        def steer(i, s1, s2, fetch_cycle):
-            return (i // fw) % nc
-
-        return steer
-
-    def make_naive(self, ctx):
-        nc = ctx.n_clusters
-        fw = ctx.fetch_width
-
-        def steer(instr, fetch_cycle):
-            return (instr.index // fw) % nc
-
-        return steer
-
     def make_batch(self, ctx):
         import numpy as np
 
@@ -431,22 +371,6 @@ class RoundRobinPolicy(_SplitSteeringPolicy):
     """Pure per-instruction round-robin."""
 
     name = "round_robin"
-
-    def make_generic(self, ctx):
-        nc = ctx.n_clusters
-
-        def steer(i, s1, s2, fetch_cycle):
-            return i % nc
-
-        return steer
-
-    def make_naive(self, ctx):
-        nc = ctx.n_clusters
-
-        def steer(instr, fetch_cycle):
-            return instr.index % nc
-
-        return steer
 
     def make_batch(self, ctx):
         import numpy as np

@@ -34,6 +34,54 @@ from repro.workloads import get_mix
 _AXIS_FIELDS = ("topology", "n_clusters", "steering")
 
 
+#: The list-valued :class:`SweepSpec` axes and the type of their elements.
+_AXES = (
+    ("topologies", str),
+    ("cluster_counts", int),
+    ("steerings", str),
+    ("mixes", str),
+    ("seeds", int),
+)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _axis(name: str, values: Any, element: type) -> Tuple[Any, ...]:
+    """``values`` as a tuple; a string, a non-sequence or an element that
+    is not an ``element`` raises :class:`ConfigurationError` naming
+    ``SweepSpec.<name>`` (``bool`` does not count as ``int``)."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Sequence):
+        raise ConfigurationError(
+            f"SweepSpec.{name} must be a list, got {type(values).__name__}"
+        )
+    for value in values:
+        if not (_is_int(value) if element is int else isinstance(value, element)):
+            raise ConfigurationError(
+                f"SweepSpec.{name}: {value!r} is not of type {element.__name__}"
+            )
+    return tuple(values)
+
+
+def _pairs(name: str, value: Any) -> Tuple[Tuple[str, Any], ...]:
+    """A mapping (or a sequence of pairs) from dotted paths to values, as a
+    tuple of ``(path, value)`` pairs."""
+    items = value.items() if isinstance(value, Mapping) else value
+    pairs = None
+    if not isinstance(items, (str, bytes)):
+        try:
+            pairs = tuple((path, entry) for path, entry in items)
+        except (TypeError, ValueError):
+            pass
+    if pairs is None or not all(isinstance(path, str) for path, _ in pairs):
+        raise ConfigurationError(
+            f"SweepSpec.{name} must map dotted config paths to values, "
+            f"got {value!r}"
+        )
+    return pairs
+
+
 def _set_path(tree: Dict[str, Any], path: str, value: Any) -> None:
     """Set ``tree[a][b]... = value`` for dotted ``path`` ``"a.b...."``.
 
@@ -141,30 +189,24 @@ class SweepSpec:
     base: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        # Normalise sequences (callers pass lists; JSON specs always do).
-        object.__setattr__(self, "topologies", tuple(self.topologies))
-        object.__setattr__(self, "cluster_counts", tuple(self.cluster_counts))
-        object.__setattr__(self, "steerings", tuple(self.steerings))
-        object.__setattr__(self, "mixes", tuple(self.mixes))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        if isinstance(self.overrides, Mapping):
-            object.__setattr__(
-                self,
-                "overrides",
-                tuple((k, tuple(v)) for k, v in self.overrides.items()),
+        # Normalise sequences (callers pass lists; JSON specs always do),
+        # rejecting malformed fields here so a bad spec fails at load time.
+        for axis_name, element in _AXES:
+            values = _axis(axis_name, getattr(self, axis_name), element)
+            if not values:
+                raise ConfigurationError(f"SweepSpec.{axis_name} must not be empty")
+            object.__setattr__(self, axis_name, values)
+        if not _is_int(self.n_instructions):
+            raise ConfigurationError(
+                f"SweepSpec.n_instructions must be an int, "
+                f"got {self.n_instructions!r}"
             )
-        else:
-            object.__setattr__(
-                self, "overrides", tuple((k, tuple(v)) for k, v in self.overrides)
-            )
-        if isinstance(self.base, Mapping):
-            object.__setattr__(self, "base", tuple(self.base.items()))
-        else:
-            object.__setattr__(self, "base", tuple(tuple(kv) for kv in self.base))
+        object.__setattr__(self, "overrides", tuple(
+            (path, _axis(f"overrides[{path!r}]", values, object))
+            for path, values in _pairs("overrides", self.overrides)
+        ))
+        object.__setattr__(self, "base", _pairs("base", self.base))
 
-        for axes_name in ("topologies", "cluster_counts", "steerings", "mixes", "seeds"):
-            if not getattr(self, axes_name):
-                raise ConfigurationError(f"SweepSpec.{axes_name} must not be empty")
         for topo in self.topologies:
             try:
                 Topology(topo)
@@ -210,6 +252,10 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"a sweep spec must be a JSON object, got {type(data).__name__}"
+            )
         allowed = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - allowed)
         if unknown:

@@ -195,11 +195,6 @@ def execute_point(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
     maybe_inject(point.key(), attempt)
     trace = _cached_trace(point.mix, point.n_instructions, point.seed)
     record = Pipeline(point.config, kernel_variant=kernel_variant).run_record(trace)
-    # run_record names the kernel variant that computed it (provenance for
-    # API callers), but the variant must never reach the store: stores are
-    # required to be byte-identical whichever variant computed them — CI
-    # cmp-checks generic-vs-specialized store files.
-    record.pop("kernel_variant", None)
     record["key"] = point.key()
     record["point"] = point.to_dict()
     return record, time.perf_counter() - t0

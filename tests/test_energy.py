@@ -29,6 +29,7 @@ from repro.energy import (
 )
 from repro.engine import (
     ENGINE_VERSION,
+    KERNEL_VARIANTS,
     KernelResult,
     Pipeline,
     emit_kernel_source,
@@ -403,24 +404,19 @@ class TestPipelineSurface:
     def test_stats_gain_energy_counters(self):
         cfg = ProcessorConfig(energy=ENERGY_ON)
         trace = generate_trace("int_heavy", 500, seed=6)
-        stats = Pipeline(cfg).run(trace).as_dict()
-        result = simulate(trace, cfg)
-        for component in ENERGY_COMPONENTS + ("total",):
-            assert stats[f"energy.{component}"] == result.energy[component]
-        assert stats["energy.per_instr"] == pytest.approx(
-            result.energy_per_instr
-        )
+        reference = simulate(trace, cfg)
+        assert set(reference.energy) == set(ENERGY_COMPONENTS) | {"total"}
+        for variant in KERNEL_VARIANTS:
+            result = Pipeline(cfg, kernel_variant=variant).run(trace)
+            assert result.energy == reference.energy, variant
+            assert result.energy_per_instr == pytest.approx(
+                reference.energy["total"] / len(trace)
+            )
 
     def test_stats_without_energy_have_no_energy_keys(self):
         trace = generate_trace("int_heavy", 500, seed=6)
-        stats = Pipeline(ProcessorConfig()).run(trace).as_dict()
-        assert not any(name.startswith("energy.") for name in stats)
-
-    def test_run_record_carries_kernel_variant(self):
-        # Regression: records must be attributable to the kernel variant
-        # that produced them (the sweep runner strips it before the store).
-        trace = generate_trace("int_heavy", 300, seed=6)
-        for variant in ("generic", "specialized", "batch"):
-            record = Pipeline(ProcessorConfig(),
-                              kernel_variant=variant).run_record(trace)
-            assert record["kernel_variant"] == variant
+        for variant in KERNEL_VARIANTS:
+            result = Pipeline(ProcessorConfig(), kernel_variant=variant).run(trace)
+            assert result.energy is None, variant
+            assert result.energy_per_instr == 0.0
+            assert "energy" not in result.to_dict()

@@ -12,6 +12,7 @@ from repro.common.types import InstrClass, Topology
 from repro.engine import (
     FLAG_L1_MISS,
     FLAG_MISPREDICT,
+    KERNEL_VARIANTS,
     Pipeline,
     SoAWindow,
     Trace,
@@ -75,6 +76,14 @@ class TestTrace:
         with pytest.raises(TraceError, match="not a register name"):
             Trace.from_ops([(IALU, "a"), (branch, None, "a", FLAG_MISPREDICT)])
 
+    @pytest.mark.parametrize("opclass", [99, -1, 200])
+    def test_from_ops_invalid_opclass_rejected(self, opclass):
+        # Regression: with a destination, 99 escaped as a ValueError from
+        # InstrClass(99); 200 overflowed the signed-byte opclass column.
+        for op in ((opclass, "r1"), (opclass, None)):
+            with pytest.raises(TraceError, match="invalid opclass"):
+                Trace.from_ops([op])
+
     def test_window_columns_parallel(self):
         t = chain_trace(10)
         win = SoAWindow(t)
@@ -110,7 +119,7 @@ class TestTopologySemantics:
         ipc = {}
         for topo in (Topology.CONV, Topology.RING):
             cfg = ProcessorConfig(n_clusters=4, topology=topo)
-            ipc[topo] = Pipeline(cfg).run(t).get_scalar("ipc")
+            ipc[topo] = Pipeline(cfg).run(t).ipc
         assert ipc[Topology.CONV] > ipc[Topology.RING]
         assert ipc[Topology.CONV] > 0.9  # bypass: ~1 instr/cycle
         assert ipc[Topology.RING] < 0.5  # >= 2 extra cycles per edge
@@ -118,20 +127,20 @@ class TestTopologySemantics:
     def test_ring_results_always_communicate(self):
         t = independent_trace(100)
         cfg = ProcessorConfig(n_clusters=4, topology=Topology.RING)
-        stats = Pipeline(cfg).run(t)
-        assert int(stats.counter("comm.messages")) == 100
+        result = Pipeline(cfg).run(t)
+        assert result.communications == 100
 
     def test_conv_local_values_never_communicate(self):
         t = chain_trace(100)
         cfg = ProcessorConfig(n_clusters=4, topology=Topology.CONV)
-        stats = Pipeline(cfg).run(t)
+        result = Pipeline(cfg).run(t)
         # Dependence steering keeps the chain in one cluster: no traffic.
-        assert int(stats.counter("comm.messages")) == 0
+        assert result.communications == 0
 
     def test_independent_work_reaches_fetch_limit(self):
         t = independent_trace(800)
         cfg = ProcessorConfig(n_clusters=4, topology=Topology.CONV)
-        ipc = Pipeline(cfg).run(t).get_scalar("ipc")
+        ipc = Pipeline(cfg).run(t).ipc
         assert ipc == pytest.approx(cfg.fetch_width, rel=0.1)
 
     def test_more_clusters_do_not_hurt_parallel_work(self):
@@ -139,7 +148,7 @@ class TestTopologySemantics:
         prev = 0.0
         for n_clusters in (1, 2, 4):
             cfg = ProcessorConfig(n_clusters=n_clusters, topology=Topology.CONV)
-            ipc = Pipeline(cfg).run(t).get_scalar("ipc")
+            ipc = Pipeline(cfg).run(t).ipc
             assert ipc >= prev * 0.95  # allow steering noise, no collapse
             prev = ipc
 
@@ -149,8 +158,8 @@ class TestPenalties:
         t = generate_trace("int_heavy", 3000, seed=5)
         big = ProcessorConfig(window_size=256)
         small = ProcessorConfig(window_size=8)
-        cycles_big = int(Pipeline(big).run(t).counter("cycles"))
-        cycles_small = int(Pipeline(small).run(t).counter("cycles"))
+        cycles_big = Pipeline(big).run(t).cycles
+        cycles_small = Pipeline(small).run(t).cycles
         assert cycles_small >= cycles_big
 
     def test_mispredicted_branch_costs_cycles(self):
@@ -159,8 +168,8 @@ class TestPenalties:
         taken = base_ops[:25] + [(branch, None, "r0", None, FLAG_MISPREDICT)] + base_ops[25:]
         clean = base_ops[:25] + [(branch, None, "r0", None, 0)] + base_ops[25:]
         cfg = ProcessorConfig()
-        c_taken = int(Pipeline(cfg).run(Trace.from_ops(taken)).counter("cycles"))
-        c_clean = int(Pipeline(cfg).run(Trace.from_ops(clean)).counter("cycles"))
+        c_taken = Pipeline(cfg).run(Trace.from_ops(taken)).cycles
+        c_clean = Pipeline(cfg).run(Trace.from_ops(clean)).cycles
         assert c_taken > c_clean
 
     def test_load_miss_stalls_consumer(self):
@@ -169,8 +178,8 @@ class TestPenalties:
         miss = [(load, "r0", None, None, FLAG_L1_MISS),
                 (IALU, "r1", "r0", None, 0)]
         cfg = ProcessorConfig()
-        c_hit = int(Pipeline(cfg).run(Trace.from_ops(hit)).counter("cycles"))
-        c_miss = int(Pipeline(cfg).run(Trace.from_ops(miss)).counter("cycles"))
+        c_hit = Pipeline(cfg).run(Trace.from_ops(hit)).cycles
+        c_miss = Pipeline(cfg).run(Trace.from_ops(miss)).cycles
         assert c_miss == c_hit + cfg.memory.l1d.miss_penalty
 
 
@@ -178,8 +187,8 @@ class TestDeterminism:
     def test_identical_runs_identical_stats(self):
         t = generate_trace("branchy", 4000, seed=77)
         cfg = ProcessorConfig(topology=Topology.RING)
-        a = Pipeline(cfg).run(t).as_dict()
-        b = Pipeline(cfg).run(t).as_dict()
+        a = Pipeline(cfg).run(t)
+        b = Pipeline(cfg).run(t)
         assert a == b
 
     def test_regenerated_trace_identical_stats(self):
@@ -187,7 +196,7 @@ class TestDeterminism:
         runs = []
         for _ in range(2):
             t = generate_trace("memory_bound", 4000, seed=13)
-            runs.append(Pipeline(cfg).run(t).as_dict())
+            runs.append(Pipeline(cfg).run(t))
         assert runs[0] == runs[1]
 
 
@@ -195,28 +204,23 @@ class TestStatsAccounting:
     def test_counters_consistent_with_trace(self):
         t = generate_trace("int_heavy", 3000, seed=3)
         cfg = ProcessorConfig()
-        stats = Pipeline(cfg).run(t)
-        assert int(stats.counter("instructions")) == len(t)
-        issued = sum(
-            int(stats.counter(f"issued.cluster{c}"))
-            for c in range(cfg.n_clusters)
-        )
+        result = Pipeline(cfg).run(t)
+        assert result.n_instructions == len(t)
+        assert len(result.issued_per_cluster) == cfg.n_clusters
+        issued = sum(result.issued_per_cluster)
         nops = t.class_counts()[InstrClass.NOP]
         assert issued == len(t) - nops
 
     def test_class_counters_match_trace(self):
         t = generate_trace("fp_heavy", 2000, seed=9)
-        stats = Pipeline(ProcessorConfig()).run(t)
-        counts = t.class_counts()
-        for k in InstrClass:
-            if counts[k]:
-                assert int(stats.counter(f"class.{k.name.lower()}")) == counts[k]
+        result = Pipeline(ProcessorConfig()).run(t)
+        assert result.class_counts == t.class_counts()
 
     def test_empty_trace(self):
         t = Trace("empty", [], [], [], [], [])
-        stats = Pipeline(ProcessorConfig()).run(t)
-        assert int(stats.counter("cycles")) == 0
-        assert stats.get_scalar("ipc") == 0.0
+        result = Pipeline(ProcessorConfig()).run(t)
+        assert result.cycles == 0
+        assert result.ipc == 0.0
 
 
 class TestNaiveReferenceAgreement:
@@ -316,6 +320,16 @@ class TestResultRecord:
         assert KernelResult.from_dict(data) == result
         assert KernelResult.from_dict(json.loads(json.dumps(data))) == result
 
+    @pytest.mark.parametrize("variant", KERNEL_VARIANTS)
+    def test_pipeline_run_returns_the_kernel_result(self, variant):
+        from repro.engine import KernelResult
+
+        cfg = ProcessorConfig(n_clusters=4, topology=Topology.RING)
+        t = generate_trace("branchy", 800, seed=6)
+        result = Pipeline(cfg, kernel_variant=variant).run(t)
+        assert isinstance(result, KernelResult)
+        assert result == simulate(t, cfg)
+
     def test_pipeline_run_record(self):
         from repro.engine import ENGINE_VERSION, Pipeline
 
@@ -325,7 +339,8 @@ class TestResultRecord:
         assert record["engine_version"] == ENGINE_VERSION
         assert record["config_digest"] == cfg.config_digest()
         assert record["trace"] == t.name
-        assert record["kernel_variant"] == Pipeline(cfg).kernel_variant
+        assert set(record) == {"engine_version", "config_digest", "trace",
+                               "result"}
         assert record["result"]["cycles"] == simulate(t, cfg).cycles
         import json
 

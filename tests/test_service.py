@@ -234,6 +234,24 @@ class TestValidation:
         assert err.value.code == "invalid_spec"
         assert "warp_drive" in str(err.value)
 
+    @pytest.mark.parametrize("patch, field", [
+        ([], "JSON object"),
+        ({"mixes": 5}, "SweepSpec.mixes"),
+        ({"seeds": 3}, "SweepSpec.seeds"),
+        ({"steerings": "dependence"}, "SweepSpec.steerings"),
+        ({"seeds": ["a"]}, "SweepSpec.seeds"),
+        ({"n_instructions": True}, "SweepSpec.n_instructions"),
+    ])
+    def test_malformed_spec_400(self, service, patch, field):
+        # Regression: these answered 500 internal, or 201 created and then
+        # failed every point.
+        _svc, client = service
+        bad = {**spec_dict(), **patch} if isinstance(patch, dict) else patch
+        with pytest.raises(ServiceError) as err:
+            client.submit(bad)
+        assert (err.value.status, err.value.code) == (400, "invalid_spec")
+        assert field in str(err.value)
+
     def test_report_format_validation(self, service):
         _svc, client = service
         response = client.submit(spec_dict(), workers=1)

@@ -80,6 +80,31 @@ class TestRun:
         assert "not valid JSON" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spec, field", [
+        ([], "JSON object"),
+        ({"mixes": 5}, "SweepSpec.mixes"),
+        ({"seeds": 3}, "SweepSpec.seeds"),
+        ({"steerings": "dependence"}, "SweepSpec.steerings"),
+        ({"seeds": ["a"]}, "SweepSpec.seeds"),
+        ({"cluster_counts": [True]}, "SweepSpec.cluster_counts"),
+        ({"n_instructions": "200"}, "SweepSpec.n_instructions"),
+    ])
+    def test_malformed_spec_fields_clean_error(self, tmp_path, capsys,
+                                               spec, field):
+        # Regression: these ran the default grid, crashed with a TypeError
+        # traceback, or failed every point at run time.
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        store = tmp_path / "s.jsonl"
+        assert main(["run", "--spec", bad, "--store", str(store),
+                     "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert field in err
+        assert "Traceback" not in err
+        assert not store.exists()
+
     def test_energy_flag_enables_model_on_every_point(self, tmp_path):
         spec = tiny_spec_file(tmp_path)
         store_path = str(tmp_path / "store.jsonl")

@@ -99,6 +99,24 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="must not be empty"):
             tiny_spec(seeds=())
 
+    @pytest.mark.parametrize("data, match", [
+        ([], "must be a JSON object"),
+        ("ring", "must be a JSON object"),
+        ({"topologies": "ring"}, r"SweepSpec\.topologies must be a list"),
+        ({"mixes": 5}, r"SweepSpec\.mixes must be a list"),
+        ({"steerings": [["dependence"]]}, r"SweepSpec\.steerings: .* str"),
+        ({"seeds": [1.0]}, r"SweepSpec\.seeds: 1\.0 is not of type int"),
+        ({"cluster_counts": [False]}, r"SweepSpec\.cluster_counts: False"),
+        ({"n_instructions": None}, r"SweepSpec\.n_instructions must be an int"),
+        ({"overrides": {"bus.hop_latency": 2}}, r"overrides\['bus\.hop_latency'\]"),
+        ({"overrides": 5}, r"SweepSpec\.overrides must map"),
+        ({"base": [1]}, r"SweepSpec\.base must map"),
+        ({"base": {1: 2}}, r"SweepSpec\.base must map"),
+    ])
+    def test_malformed_fields_rejected_at_load(self, data, match):
+        with pytest.raises(ConfigurationError, match=match):
+            SweepSpec.from_dict(data)
+
 
 class TestSpecSerialization:
     def test_round_trip(self):
