@@ -399,15 +399,14 @@ def _emit_dependence_fused(e: _Emitter, v: Dict[str, object], ind: int) -> None:
 
 
 def _emit_body(e: _Emitter, v: Dict[str, object], ind: int,
-               steady: bool, nop_free: bool) -> None:
+               nop_free: bool) -> None:
     """One full per-instruction loop body.
 
-    Emitted four times: {prologue, steady} x {has-NOPs, NOP-free}.  In the
-    *prologue* (the first ``window_size`` instructions) the reorder window
-    cannot be full, so the ROB check is provably dead; in the *steady
-    state* ``i >= window_size`` always holds, so the index guard is dead
-    instead.  ``nop_free`` bodies are selected at run time when the class
-    tally shows no NOPs, compiling the per-instruction NOP test out.
+    Emitted twice: has-NOPs and NOP-free.  ``nop_free`` bodies are
+    selected at run time when the class tally shows no NOPs, compiling the
+    per-instruction NOP test out.  The reorder-window check needs no index
+    guard: ``rob`` starts zeroed, so during the first ``window_size``
+    instructions its entries can never stall fetch.
     """
     nc: int = v["n_clusters"]  # type: ignore[assignment]
     is_ring = v["topology"] == Topology.RING.value
@@ -447,26 +446,23 @@ def _emit_body(e: _Emitter, v: Dict[str, object], ind: int,
     else:
         e.emit("if redirect > ftoken:", ind)
         e.emit("ftoken = redirect", ind + 1)
-    if steady:
-        # i >= window_size always holds here: the guard is folded away, and
-        # for power-of-two windows the ROB cursor is just the masked index.
-        if window == 1:
-            rob_slot = "0"
-        elif pow2_win:
-            e.emit(f"ri = i & {window - 1}", ind)
-            rob_slot = "ri"
-        else:
-            rob_slot = "rob_idx"
-        e.emit(f"slot_free = rob[{rob_slot}]", ind)
-        if not ftoken:
-            e.emit("if slot_free > fetch_cycle:", ind)
-            e.emit("fetch_cycle = slot_free", ind + 1)
-            e.emit("fetched_this_cycle = 0", ind + 1)
-        else:
-            # rob stores retire cycles pre-shifted by the token scale.
-            e.emit("if slot_free > ftoken:", ind)
-            e.emit("ftoken = slot_free", ind + 1)
-    # In the prologue i < window_size, so the ROB can never stall fetch.
+    # For power-of-two windows the ROB cursor is just the masked index.
+    if window == 1:
+        rob_slot = "0"
+    elif pow2_win:
+        e.emit(f"ri = i & {window - 1}", ind)
+        rob_slot = "ri"
+    else:
+        rob_slot = "rob_idx"
+    e.emit(f"slot_free = rob[{rob_slot}]", ind)
+    if not ftoken:
+        e.emit("if slot_free > fetch_cycle:", ind)
+        e.emit("fetch_cycle = slot_free", ind + 1)
+        e.emit("fetched_this_cycle = 0", ind + 1)
+    else:
+        # rob stores retire cycles pre-shifted by the token scale.
+        e.emit("if slot_free > ftoken:", ind)
+        e.emit("ftoken = slot_free", ind + 1)
     track_energy = "energy" in v
     if not ftoken:
         e.emit("fetched_this_cycle += 1", ind)
@@ -599,9 +595,6 @@ def _emit_body(e: _Emitter, v: Dict[str, object], ind: int,
     retire_val = f"last_retire << {shift}" if ftoken else "last_retire"
     if window == 1:
         e.emit(f"rob[0] = {retire_val}", ind)
-    elif not steady:
-        # Prologue: the cursor is the instruction index itself.
-        e.emit(f"rob[i] = {retire_val}", ind)
     elif pow2_win:
         e.emit(f"rob[ri] = {retire_val}", ind)
     else:
@@ -739,33 +732,24 @@ def emit_kernel_source(cfg: ProcessorConfig) -> str:
     pow2_win = window & (window - 1) == 0
     body_stages: List[Tuple[str, ...]] = []
 
-    def emit_loops(base: int, nop_free: bool) -> None:
-        """Prologue + steady-state loop pair at indent ``base``.
+    def emit_loop(base: int, nop_free: bool) -> None:
+        """The instruction loop at indent ``base``.
 
-        Prologue: the first window_size instructions cannot be stalled by
-        the reorder window, so their body omits the ROB check entirely;
-        the steady-state body omits the `i >= window_size` guard instead.
-        Steady state runs in PRUNE_INTERVAL-sized chunks: at each chunk
-        boundary the sliding scoreboards are rebased to fetch_cycle.
-        Every probe is at a cycle >= fetch_cycle and fetch_cycle never
-        decreases, so the rebased-away prefix is unreachable.
+        It runs in PRUNE_INTERVAL-sized chunks: at each chunk boundary the
+        sliding scoreboards are rebased to fetch_cycle.  Every probe is at
+        a cycle >= fetch_cycle and fetch_cycle never decreases, so the
+        rebased-away prefix is unreachable.
         """
         e.emit("it = zip(opclass, src1, src2, lat_col)", base)
-        e.emit(f"for k, s1, s2, lat in _islice(it, {window}):", base)
-        e.stages_emitted = []
-        _emit_body(e, v, base + 1, steady=False, nop_free=nop_free)
-        body_stages.append(tuple(e.stages_emitted))
-        e.stages_emitted = []
         if window > 1 and not pow2_win:
-            e.emit("rob_idx = 0  # == i mod window at steady-state entry",
-                   base)
+            e.emit("rob_idx = 0  # == i mod window", base)
         e.emit("while True:", base)
         e.emit(f"stop = i + {PRUNE_INTERVAL}", base + 1)
         e.emit(f"for k, s1, s2, lat in _islice(it, {PRUNE_INTERVAL}):",
                base + 1)
-        _emit_body(e, v, base + 2, steady=True, nop_free=nop_free)
-        body_stages.append(tuple(e.stages_emitted))
         e.stages_emitted = []
+        _emit_body(e, v, base + 2, nop_free=nop_free)
+        body_stages.append(tuple(e.stages_emitted))
         e.emit("if i != stop:", base + 1)
         e.emit("break  # trace exhausted mid-chunk", base + 2)
         if fw & (fw - 1) == 0:
@@ -783,12 +767,12 @@ def emit_kernel_source(cfg: ProcessorConfig) -> str:
             e.emit("bbase += cut", base + 2)
             e.emit("blen = len(bslots)", base + 2)
 
-    # NOP-freedom is a property of the trace, not the config, so both loop
-    # pairs are emitted and the cheap tally check picks one per run.
+    # NOP-freedom is a property of the trace, not the config, so both loops
+    # are emitted and the cheap tally check picks one per run.
     e.emit(f"if class_counts[{_NOP}]:", 1)
-    emit_loops(2, nop_free=False)
+    emit_loop(2, nop_free=False)
     e.emit("else:", 1)
-    emit_loops(2, nop_free=True)
+    emit_loop(2, nop_free=True)
     e.emit("issued_per_cluster = _np.bincount(", 2)
     e.emit(f"_np.array(cluster_col, dtype=_np.int64), minlength={nc}",
            3)

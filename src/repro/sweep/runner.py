@@ -3,14 +3,20 @@
 :func:`run_sweep` takes expanded :class:`~repro.sweep.grid.ExperimentPoint`
 lists, skips every point whose key is already in the
 :class:`~repro.sweep.store.ResultStore` (a *cache hit*), and dispatches the
-rest to ``multiprocessing`` workers point by point, at most one in flight
-per worker.  Dispatch is event-driven: each finished task's
-``apply_async`` callback wakes the orchestrator, which first refills the
-freed worker slots and only then hands the finished records on, so no
-worker idles while the orchestrator appends and fsyncs.  Completions
-arrive in whatever order the workers finish; an **expansion-order flush
-frontier** buffers out-of-order results and appends each record the
-moment every earlier point has been appended, so
+rest to ``multiprocessing`` workers in *chunks*: each pool task carries up
+to :data:`POINTS_PER_TASK` consecutive lowest-index points, run in order
+by :func:`execute_chunk`, and up to :data:`TASKS_PER_WORKER` tasks per
+worker stay in flight, so a worker that frees up takes its next chunk
+straight from the pool's pipe instead of waiting on an orchestrator round
+trip.  A chunk is never larger than the dispatchable points divided
+evenly over the workers, so small shards still reach every worker.
+Dispatch is event-driven: each finished task's ``apply_async`` callback
+wakes the orchestrator, which first refills the in-flight window and only
+then hands the finished records on, so no worker idles while the
+orchestrator appends and fsyncs.  Completions arrive in whatever order the
+workers finish; an **expansion-order flush frontier** buffers
+out-of-order results and appends each record the moment every earlier
+point has been appended, so
 
 * partial progress is durable within moments of being computed — a crash
   at point N of M keeps the N-1 finished prefix on disk, and
@@ -27,12 +33,22 @@ module carried its own private frontier implementation; anything that
 imported those internals should import :mod:`repro.exec` instead.)
 
 Failures are handled per point by a
-:class:`~repro.exec.attempts.RetryPolicy`: failed attempts
-retry with deterministic exponential backoff, a per-point timeout detects
-hung *and* hard-died workers (a task whose worker was killed never
-completes — the timeout is its obituary), a timed-out pool is replaced
-wholesale (the only safe recovery ``multiprocessing.Pool`` allows), and
-the final permitted attempt runs in-process as graceful degradation so a
+:class:`~repro.exec.attempts.RetryPolicy`, even inside a chunk: each
+point's exception is caught and charged to that point alone.  Failed
+attempts retry with deterministic exponential backoff.  A per-point
+timeout detects hung *and* hard-died workers (a task whose worker was
+killed never completes — the timeout is its obituary); it runs from the
+moment a worker *starts* the point, which the worker stamps into shared
+memory, so time spent queued behind other chunks never counts.  A pool
+with an overdue point is replaced wholesale (the only safe recovery
+``multiprocessing.Pool`` allows): the overdue point is charged, and
+everything else that was in flight — chunk-mates whose finished results
+died with the worker included — is re-dispatched uncharged.  A worker
+killed while idle or after its points finished leaves no running point to
+time out, and can wedge the pool's task queue; so when chunks are in
+flight but for the timeout no point has run and no result has arrived,
+the pool is replaced too, and nothing is charged.  The final
+permitted attempt runs in-process as graceful degradation so a
 pathological pool cannot starve a point.  A point that exhausts its
 attempts becomes a :class:`FailureRecord` in :class:`SweepSummary` —
 structured provenance (attempts, error class, elapsed) that never enters
@@ -73,13 +89,16 @@ unchanged.
 from __future__ import annotations
 
 import functools
+import heapq
 import multiprocessing
+import os
+import pickle
 import signal
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import ReproError, SimulationError
 from repro.engine.batch import simulate_batch
@@ -112,6 +131,18 @@ TRACE_CACHE_SIZE = 8
 #: attempt each) and the per-call memory footprint; throughput saturates
 #: well before this many lanes for sweep-sized traces.
 MAX_BATCH_LANES = 32
+
+#: Most points one pool task carries (see :func:`execute_chunk`).  Chunks
+#: amortise the orchestrator round trip over several points; at 2k
+#: instructions a point is a few milliseconds of kernel time, so one point
+#: per task left pool workers idle a third of the sweep.  Larger chunks
+#: delay the frontier (a chunk's records land together) and widen what a
+#: pool replacement re-dispatches.
+POINTS_PER_TASK = 4
+
+#: Pool tasks kept in flight per worker: one running, one queued in the
+#: pool's pipe for the moment the running one finishes.
+TASKS_PER_WORKER = 2
 
 #: Cap on the pool loop's wait for a completion.  Completions wake the
 #: loop at once, so this only bounds how often it checks ``should_stop``,
@@ -154,8 +185,14 @@ def clear_trace_cache() -> None:
 
 def default_workers() -> int:
     """Default worker-process count: at least two (so sharding is always
-    exercised), at most eight, scaled to the machine in between."""
-    return max(2, min(8, multiprocessing.cpu_count()))
+    exercised), at most eight, scaled in between to the CPUs this process
+    may run on — its affinity mask where the platform has one (as ``nproc``
+    reports), else every CPU in the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return max(2, min(8, usable))
 
 
 def _payload_for(point: ExperimentPoint) -> Dict[str, Any]:
@@ -198,6 +235,53 @@ def execute_point(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
     record["key"] = point.key()
     record["point"] = point.to_dict()
     return record, time.perf_counter() - t0
+
+
+#: In a pool worker, the shared array of point start stamps the pool was
+#: created with (see :func:`_worker_init`); ``None`` in any other process.
+_START_STAMPS: Optional[Any] = None
+
+#: One :func:`execute_chunk` outcome: ``(record, elapsed)`` or the
+#: exception the point raised.
+_Outcome = Union[Tuple[Dict[str, Any], float], BaseException]
+
+
+def _picklable(exc: BaseException) -> BaseException:
+    """``exc`` if it survives a pickle round trip, else a
+    :class:`RuntimeError` that keeps its type name and message: an
+    exception that cannot cross back to the orchestrator would otherwise
+    fail its whole chunk."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+def execute_chunk(
+    items: Sequence[Tuple[int, Dict[str, Any]]],
+) -> List[_Outcome]:
+    """Run ``(index, payload)`` points in order; one outcome per point.
+
+    The pool's unit of work.  Each point goes through the module-global
+    :func:`execute_point`, and its exception is caught and returned in its
+    place, so a failing point is charged alone and its chunk-mates still
+    complete.  In a pool worker, the moment each point starts is written
+    to slot ``index`` of the shared stamp array, and negated when the
+    point finishes; the orchestrator times a running point out from its
+    stamp, and never charges a finished one.
+    """
+    outcomes: List[_Outcome] = []
+    for index, payload in items:
+        if _START_STAMPS is not None:
+            _START_STAMPS[index] = time.monotonic()
+        try:
+            outcomes.append(execute_point(payload))
+        except Exception as exc:
+            outcomes.append(_picklable(exc))
+        if _START_STAMPS is not None:
+            _START_STAMPS[index] = -time.monotonic()
+    return outcomes
 
 
 def execute_batch(
@@ -354,9 +438,7 @@ class _PointTask:
     """Mutable per-point execution state inside one :func:`run_sweep`."""
 
     __slots__ = (
-        "index", "key", "point", "payload",
-        "attempts", "elapsed", "ready_at", "async_result", "deadline",
-        "settled",
+        "index", "key", "point", "payload", "attempts", "elapsed", "ready_at",
     )
 
     def __init__(self, index: int, key: str, point: ExperimentPoint,
@@ -368,13 +450,24 @@ class _PointTask:
         self.attempts = 0          # settled (finished or charged) attempts
         self.elapsed = 0.0         # cumulative wall-clock across attempts
         self.ready_at = 0.0        # monotonic time when dispatchable again
-        self.async_result = None   # in-flight multiprocessing AsyncResult
-        self.deadline = None       # monotonic timeout for the in-flight try
-        self.settled = False       # the in-flight try's callback has run
 
 
-def _worker_init() -> None:
-    """Pool workers ignore SIGINT: a terminal Ctrl-C reaches the whole
+class _Chunk:
+    """One in-flight pool task: consecutive points run by one worker."""
+
+    __slots__ = ("tasks", "async_result", "settled")
+
+    def __init__(self, tasks: List[_PointTask]) -> None:
+        self.tasks = tasks
+        self.async_result: Any = None  # multiprocessing AsyncResult
+        self.settled = False           # the task's callback has run
+
+
+def _worker_init(start_stamps: Any = None) -> None:
+    """Keep the shared start-stamp array for :func:`execute_chunk` (passed
+    through the initializer, so it reaches workers under fork and spawn).
+
+    Pool workers ignore SIGINT: a terminal Ctrl-C reaches the whole
     process group, but only the orchestrator may act on it — it then
     terminates the pool deterministically, so no workers are leaked and
     no worker dies mid-anything it shouldn't.  SIGTERM goes back to the
@@ -383,6 +476,8 @@ def _worker_init() -> None:
     pool's own ``terminate()`` into KeyboardInterrupt would die noisily
     — or, caught mid-``queue.get`` holding the queue lock, wedge the
     teardown."""
+    global _START_STAMPS
+    _START_STAMPS = start_stamps
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
@@ -433,6 +528,18 @@ class _FrontierExecutor:
         self.on_point_done = on_point_done
         self.should_stop = should_stop
         self.pool: Optional[multiprocessing.pool.Pool] = None
+        #: Per-point start stamps (``time.monotonic()`` while running,
+        #: negated once finished, 0.0 = not started), written by pool
+        #: workers; indexed like ``tasks``.
+        self._stamps: Any = None
+        #: Last time the pool showed life: spawned, took a chunk, ran a
+        #: point or returned a result (see :meth:`_run_pool`).
+        self._heard_at = 0.0
+        #: How long chunks may sit in flight with no sign of life before
+        #: the pool is presumed wedged; starts at the timeout and doubles
+        #: after each such replacement, so a pool that is merely slow to
+        #: start cannot be replaced forever.
+        self._quiet_s = policy.timeout_s
         self._wake = threading.Event()
         self._work: List[_PointTask] = list(tasks)
         self.frontier = FlushFrontier(len(tasks), emit=self._emit)
@@ -467,9 +574,13 @@ class _FrontierExecutor:
     def _spawn_pool(self) -> None:
         if self.pool is not None:  # carried over from the batch pre-phase
             return
+        if self._stamps is None:
+            self._stamps = multiprocessing.RawArray("d", len(self.tasks))
         self.pool = multiprocessing.Pool(
-            processes=self.n_workers, initializer=_worker_init
+            processes=self.n_workers, initializer=_worker_init,
+            initargs=(self._stamps,),
         )
+        self._heard_at = time.monotonic()
 
     def _shutdown_pool(self) -> None:
         if self.pool is not None:
@@ -704,35 +815,83 @@ class _FrontierExecutor:
                     break
 
     # -- pooled execution -------------------------------------------------
-    def _on_settled(self, task: _PointTask, _outcome: Any) -> None:
+    def _on_settled(self, chunk: _Chunk, _outcome: Any) -> None:
         """``apply_async`` callback for either outcome, run on the pool's
-        result-handler thread: flag ``task`` for collection and wake the
+        result-handler thread: flag ``chunk`` for collection and wake the
         orchestrator.  The pool runs this just *before* it marks the result
         ready, so collection keys off the flag rather than ``ready()`` (a
         wake-up that ran ahead of ``ready()`` would be lost for a whole
         wait cap), and its ``get()`` waits out the gap."""
-        task.settled = True
+        chunk.settled = True
         self._wake.set()
 
-    def _dispatch(self, task: _PointTask,
-                  in_flight: Dict[int, _PointTask]) -> None:
-        payload = dict(task.payload, _attempt=task.attempts + 1)
+    def _dispatch(self, tasks: List[_PointTask]) -> _Chunk:
         assert self.pool is not None
-        # Safe to reset: a replaced pool is joined, callbacks and all,
-        # before its tasks are re-dispatched, and a task is re-dispatched
-        # on the same pool only after its previous result was collected.
-        task.settled = False
-        on_settled = functools.partial(self._on_settled, task)
-        task.async_result = self.pool.apply_async(
-            execute_point, (payload,),
+        # Safe to zero: a task is re-dispatched only after its previous
+        # chunk was collected or its pool was replaced and joined, so no
+        # worker can still stamp these slots for an older attempt.
+        for task in tasks:
+            self._stamps[task.index] = 0.0
+        items = [
+            (task.index, dict(task.payload, _attempt=task.attempts + 1))
+            for task in tasks
+        ]
+        chunk = _Chunk(tasks)
+        on_settled = functools.partial(self._on_settled, chunk)
+        chunk.async_result = self.pool.apply_async(
+            execute_chunk, (items,),
             callback=on_settled, error_callback=on_settled,
         )
-        task.deadline = (
-            time.monotonic() + self.policy.timeout_s
-            if self.policy.timeout_s is not None
-            else None
-        )
-        in_flight[task.index] = task
+        self._heard_at = time.monotonic()
+        return chunk
+
+    def _collect(self, chunk: _Chunk,
+                 finished: List[Tuple[_PointTask, Dict[str, Any], float]],
+                 requeue: List[_PointTask],
+                 solo: List[_PointTask]) -> None:
+        """Charge each point of a settled chunk its attempt."""
+        try:
+            outcomes: List[_Outcome] = chunk.async_result.get()
+        except Exception as exc:
+            # execute_chunk settles every point itself, so an error of the
+            # task as a whole cannot be pinned on one point: each point
+            # reruns uncharged as a task of its own, where it can be.
+            if len(chunk.tasks) > 1:
+                solo.extend(chunk.tasks)
+                return
+            outcomes = [exc]
+        for task, outcome in zip(chunk.tasks, outcomes):
+            task.attempts += 1
+            if isinstance(outcome, BaseException):
+                self._on_error(task, outcome, requeue)
+            else:
+                record, elapsed = outcome
+                task.elapsed += elapsed
+                finished.append((task, record, elapsed))
+
+    def _last_stamp(self, chunk: _Chunk) -> Tuple[Optional[_PointTask], float]:
+        """An unsettled chunk's last-stamped point and its stamp, or
+        ``(None, 0.0)`` before the chunk starts.  A chunk runs its points
+        in order, so only that point can be running: it is while the stamp
+        is positive, and a negated stamp means it finished and the chunk
+        is between points or sending its results back."""
+        for task in reversed(chunk.tasks):
+            stamp = self._stamps[task.index]
+            if stamp:
+                return task, stamp
+        return None, 0.0
+
+    def _unwedge(self) -> None:
+        """Free the read lock of the pool's task queue.  An idle worker
+        holds it while it waits for a task; a worker killed there (an OOM
+        kill, say) leaves it taken, so no other worker can take a task and
+        ``Pool.terminate``, which takes the lock itself, blocks forever.
+        Only called for a stalled pool with chunks that never started: a
+        live worker holding the lock would have taken one of them."""
+        assert self.pool is not None
+        lock = self.pool._inqueue._rlock  # type: ignore[attr-defined]
+        lock.acquire(block=False)
+        lock.release()
 
     def _attempt_in_process(self, task: _PointTask) -> None:
         """Graceful degradation: the final permitted attempt runs in the
@@ -760,96 +919,126 @@ class _FrontierExecutor:
 
     def _run_pool(self) -> None:
         self._spawn_pool()
-        waiting = list(self._work)
-        in_flight: Dict[int, _PointTask] = {}
-        while waiting or in_flight:
+        # Dispatchable points, lowest expansion index first so the frontier
+        # advances soonest; retries wait in ``backoff`` until due.
+        ready = [(task.index, task) for task in self._work]
+        heapq.heapify(ready)
+        backoff: List[Tuple[float, int, _PointTask]] = []
+        in_flight: List[_Chunk] = []
+        max_in_flight = self.n_workers * TASKS_PER_WORKER
+        while ready or backoff or in_flight:
             self._check_stop()
-            # Cleared before collecting, so a task that settles from here
+            # Cleared before collecting, so a chunk that settles from here
             # on is either collected below or wakes the wait in step 5.
             self._wake.clear()
-            # 1. Collect completions and worker exceptions; note timeouts.
-            #    Finished records are held back until step 4.
+            # 1. Collect settled chunks, note overdue points and whether
+            #    the pool shows life.  Finished records are held back until
+            #    step 4.
             now = time.monotonic()
-            n_busy = len(in_flight)
+            timeout = self.policy.timeout_s
             finished: List[Tuple[_PointTask, Dict[str, Any], float]] = []
-            timed_out: List[_PointTask] = []
-            for index, task in list(in_flight.items()):
-                assert task.async_result is not None
-                if task.settled:
-                    del in_flight[index]
-                    task.attempts += 1
-                    try:
-                        record, elapsed = task.async_result.get()
-                    except Exception as exc:
-                        self._on_error(task, exc, waiting)
-                    else:
-                        task.elapsed += elapsed
-                        finished.append((task, record, elapsed))
-                elif task.deadline is not None and now >= task.deadline:
-                    timed_out.append(task)
-            # 2. Timeouts: the worker holding the task is hung or dead
-            #    (a killed worker's task never completes — this is how
-            #    hard death is detected).  multiprocessing.Pool cannot
-            #    reap one worker, so the pool is replaced wholesale and
-            #    innocent in-flight tasks are re-dispatched without being
+            requeue: List[_PointTask] = []
+            solo: List[_PointTask] = []
+            overdue: List[_PointTask] = []
+            pending: List[_Chunk] = []
+            unstarted = False
+            for chunk in in_flight:
+                if chunk.settled:
+                    self._collect(chunk, finished, requeue, solo)
+                    continue
+                pending.append(chunk)
+                task, stamp = self._last_stamp(chunk)
+                if stamp > 0:
+                    self._heard_at = now
+                    if timeout is not None and now >= stamp + timeout:
+                        overdue.append(task)
+                unstarted = unstarted or not stamp
+            progressed = len(pending) < len(in_flight)
+            in_flight = pending
+            if progressed:
+                self._heard_at = now
+            # 2. Timeouts: the worker running an overdue point is hung or
+            #    dead (a killed worker's task never completes — this is how
+            #    hard death is detected).  A pool whose chunks all sit
+            #    unstarted, or finished but undelivered, with no sign of
+            #    life for a while is wedged instead: a worker was killed
+            #    while idle, or after its points finished.
+            #    multiprocessing.Pool cannot reap one worker, so the pool
+            #    is replaced wholesale; the overdue points are charged, and
+            #    every other in-flight point is re-dispatched without being
             #    charged an attempt.
-            if timed_out:
-                assert self.policy.timeout_s is not None
-                for task in timed_out:
-                    del in_flight[task.index]
+            stalled = (
+                self._quiet_s is not None and bool(in_flight)
+                and now >= self._heard_at + self._quiet_s
+            )
+            if overdue or stalled:
+                assert timeout is not None and self._quiet_s is not None
+                for task in overdue:
                     task.attempts += 1
-                    task.elapsed += self.policy.timeout_s
+                    task.elapsed += timeout
                     exc = TimeoutError(
-                        f"no result within {self.policy.timeout_s:.1f}s "
+                        f"no result within {timeout:.1f}s "
                         "(worker hung or died)"
                     )
-                    self._on_error(task, exc, waiting)
-                collateral = sorted(in_flight.values(),
-                                    key=lambda t: t.index)
-                in_flight.clear()
+                    self._on_error(task, exc, requeue)
+                collateral = [
+                    task for chunk in in_flight for task in chunk.tasks
+                    if task not in overdue
+                ]
+                in_flight = []
+                progressed = True
+                if overdue:
+                    reason = "timeout"
+                else:
+                    reason = f"{self._quiet_s:.1f}s without progress"
+                    self._quiet_s *= 2
+                    if unstarted:
+                        self._unwedge()
                 self.say(
-                    "  pool replaced after timeout "
-                    f"({len(collateral)} in-flight task(s) re-dispatched)"
+                    f"  pool replaced after {reason} "
+                    f"({len(collateral)} in-flight point(s) re-dispatched)"
                 )
                 self._shutdown_pool()
                 self._spawn_pool()
                 for task in collateral:
-                    task.ready_at = 0.0
-                    waiting.append(task)
-            collected = len(in_flight) < n_busy
-            # 3. Refill free worker slots with tasks whose backoff has
-            #    elapsed, lowest expansion index first so the frontier
-            #    advances soonest, capped at one in-flight task per worker:
-            #    a dispatched task then starts on a free worker immediately,
-            #    which is what lets ``deadline`` measure actual execution
-            #    instead of queue time (dispatching the whole shard at once
-            #    would start every timeout clock up front and falsely expire
-            #    tasks still waiting in the pool's queue).  A task on its
-            #    final attempt runs in-process instead (see above).
+                    heapq.heappush(ready, (task.index, task))
+            for task in requeue:
+                heapq.heappush(backoff, (task.ready_at, task.index, task))
+            # 3. Refill the in-flight window.  Retries whose backoff has
+            #    elapsed rejoin the ready heap, except a point on its final
+            #    attempt, which runs in-process instead (see above) once
+            #    the workers are busy.
             now = time.monotonic()
-            waiting.sort(key=lambda t: t.index)
-            still_waiting: List[_PointTask] = []
-            for task in waiting:
-                if task.ready_at > now:
-                    still_waiting.append(task)
-                elif task.attempts > 0 and \
-                        task.attempts + 1 >= self.policy.max_attempts:
-                    self._attempt_in_process(task)
-                elif len(in_flight) < self.n_workers:
-                    self._dispatch(task, in_flight)
+            last_tries: List[_PointTask] = []
+            while backoff and backoff[0][0] <= now:
+                task = heapq.heappop(backoff)[2]
+                if task.attempts + 1 >= self.policy.max_attempts:
+                    last_tries.append(task)
                 else:
-                    still_waiting.append(task)
-            waiting = still_waiting
+                    heapq.heappush(ready, (task.index, task))
+            for task in solo:
+                in_flight.append(self._dispatch([task]))
+            size = min(POINTS_PER_TASK, -(-len(ready) // self.n_workers))
+            while ready and len(in_flight) < max_in_flight:
+                tasks = [heapq.heappop(ready)[1]
+                         for _ in range(min(size, len(ready)))]
+                in_flight.append(self._dispatch(tasks))
+            for task in last_tries:
+                self._attempt_in_process(task)
             # 4. Only now, with the workers busy again, hand the finished
             #    records to the frontier (store append + fsync, then
-            #    ``on_point_done``).
-            for task, record, elapsed in finished:
+            #    ``on_point_done``).  A chunk's records arrive together, so
+            #    ``should_stop`` is checked between them: a cancel lands
+            #    within one appended record.
+            for n, (task, record, elapsed) in enumerate(finished):
+                if n:
+                    self._check_stop()
                 self._complete(task, record, elapsed)
             # 5. Wait for a completion only if this pass collected nothing.
             #    The cap bounds how late ``should_stop``, deadlines and
             #    backoff are noticed; ``Event.wait`` stays interruptible by
             #    SIGINT/SIGTERM on the main thread.
-            if not collected and (waiting or in_flight):
+            if not progressed and (ready or backoff or in_flight):
                 self._wake.wait(_POLL_INTERVAL_S)
 
 
@@ -894,8 +1083,9 @@ def run_sweep(
     in the orchestrating thread and must be cheap; leaving it unset changes
     nothing — store bytes, summaries, and timings are identical.
 
-    ``should_stop``, when given, is polled between dispatch iterations;
-    returning ``True`` cancels the sweep through the interrupt path (pool
+    ``should_stop``, when given, is polled between dispatch iterations and
+    between the appends of records that arrive together; returning
+    ``True`` cancels the sweep through the interrupt path (pool
     torn down, frontier flushed, :class:`SweepInterrupted` raised with the
     partial summary) — the service's cancel button.
     """

@@ -18,7 +18,7 @@ about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -33,6 +33,23 @@ from repro.engine.trace import (
 )
 
 _N_CLASSES = len(InstrClass)
+
+#: Per-class lookup tables, indexed by opclass value.  Integer-pipeline
+#: consumers read INT producers, FP arithmetic reads FP producers, and FP
+#: stores read the FP value they write to memory; -1 marks no destination.
+_CLASSES = [InstrClass(k) for k in range(_N_CLASSES)]
+_SRC_REGCLASS = np.array([
+    int(RegClass.FP) if k.is_fp_compute or k is InstrClass.FP_STORE
+    else int(RegClass.INT)
+    for k in _CLASSES
+])
+_DST_REGCLASS = np.array([
+    -1 if DEST_REGCLASS_FOR_CLASS[k] is None
+    else int(DEST_REGCLASS_FOR_CLASS[k])
+    for k in _CLASSES
+])
+_IS_BRANCH = np.array([k.is_branch for k in _CLASSES])
+_IS_MEMORY = np.array([k.is_memory for k in _CLASSES])
 
 
 @dataclass(frozen=True)
@@ -208,61 +225,34 @@ def generate_trace(
     l2_draw = rng.random(n) < mix.l2_miss_rate
     dst_regs = rng.integers(0, mix.n_arch_regs, size=n)
 
-    # Per-regclass streams of producer indices (grown append-only).
-    producers: List[List[int]] = [[], []]  # RegClass.INT, RegClass.FP
-    src_class_for = [0] * _N_CLASSES
-    dst_class_for = [-1] * _N_CLASSES
-    for klass in InstrClass:
-        src_class_for[klass] = int(RegClass.FP) if klass.is_fp_compute else int(RegClass.INT)
-        dst = DEST_REGCLASS_FOR_CLASS[klass]
-        dst_class_for[klass] = int(dst) if dst is not None else -1
-    # FP stores read the FP value they write to memory.
-    src_class_for[InstrClass.FP_STORE] = int(RegClass.FP)
+    # Source operand j of instruction i reads the producer ``dist_j`` back
+    # in the stream of earlier producers of i's source register class,
+    # clamped to the oldest one: position ``max(before - dist_j, 0)`` of
+    # that stream, where ``before`` counts the class's producers ahead of i.
+    src_class = _SRC_REGCLASS[opclass]
+    dst_class = _DST_REGCLASS[opclass]
+    reads = opclass != int(InstrClass.NOP)
+    src1 = np.full(n, -1, dtype=np.int64)
+    src2 = np.full(n, -1, dtype=np.int64)
+    for regclass in RegClass:
+        produces = dst_class == int(regclass)
+        producers = np.flatnonzero(produces)
+        before = np.cumsum(produces) - produces
+        consumes = reads & (src_class == int(regclass)) & (before > 0)
+        for want, dist, src in ((want_src1, dist1, src1),
+                                (want_src2, dist2, src2)):
+            sel = consumes & want
+            src[sel] = producers[np.maximum(before[sel] - dist[sel], 0)]
 
-    src1: List[int] = [0] * n
-    src2: List[int] = [0] * n
-    dst: List[int] = [0] * n
-    flags: List[int] = [0] * n
+    # Branches are never memory ops, so the two flag families are disjoint.
+    mem_miss = _IS_MEMORY[opclass] & l1_draw
+    flags = ((_IS_BRANCH[opclass] & mispredict_draw) * FLAG_MISPREDICT
+             | mem_miss * FLAG_L1_MISS
+             | (mem_miss & l2_draw) * FLAG_L2_MISS)
+    dst = np.where(dst_class >= 0, dst_regs, -1)
 
-    opclass_l = opclass.tolist()
-    want_src1_l = want_src1.tolist()
-    want_src2_l = want_src2.tolist()
-    dist1_l = dist1.tolist()
-    dist2_l = dist2.tolist()
-    mis_l = mispredict_draw.tolist()
-    l1_l = l1_draw.tolist()
-    l2_l = l2_draw.tolist()
-    dst_regs_l = dst_regs.tolist()
-
-    for i in range(n):
-        k = opclass_l[i]
-        klass = InstrClass(k)
-        pool = producers[src_class_for[k]]
-        n_pool = len(pool)
-        is_nop = klass is InstrClass.NOP
-        if n_pool and want_src1_l[i] and not is_nop:
-            src1[i] = pool[-min(dist1_l[i], n_pool)]
-        else:
-            src1[i] = -1
-        if n_pool and want_src2_l[i] and not is_nop:
-            src2[i] = pool[-min(dist2_l[i], n_pool)]
-        else:
-            src2[i] = -1
-        f = 0
-        if klass.is_branch and mis_l[i]:
-            f = FLAG_MISPREDICT
-        elif klass.is_memory and l1_l[i]:
-            f = FLAG_L1_MISS
-            if l2_l[i]:
-                f |= FLAG_L2_MISS
-        flags[i] = f
-        if dst_class_for[k] >= 0:
-            producers[dst_class_for[k]].append(i)
-            dst[i] = dst_regs_l[i]
-        else:
-            dst[i] = -1
-
-    return Trace(f"{mix.name}-{n}", opclass_l, src1, src2, dst, flags,
+    return Trace(f"{mix.name}-{n}", opclass.tolist(), src1.tolist(),
+                 src2.tolist(), dst.tolist(), flags.tolist(),
                  validate=validate)
 
 

@@ -239,6 +239,164 @@ class TestRetryRecovery:
         assert not summary.failures
         assert store_bytes(path) == ref
 
+    def test_deadline_runs_from_point_start_not_dispatch(
+            self, tmp_path, monkeypatch):
+        # Every point sleeps 0.6 x the timeout.  A chunk of 4 points runs
+        # for 2.4 timeouts, and the chunks queued behind it wait longer
+        # still; only a clock started when each point starts sees no
+        # timeout.  24 points on 2 workers: three chunks per worker.
+        timeout = 0.5
+        points = small_spec(cluster_counts=(2, 3, 4, 8),
+                            seeds=(7, 8, 9)).expand()
+        assert len(points) == 24
+        ref = reference_bytes(points, tmp_path)
+        plan = FaultPlan(rates={FAULT_HANG: 1.0}, sleep_s=0.6 * timeout,
+                         max_faults=1)
+        monkeypatch.setenv(ENV_VAR, plan.to_env())
+        path = str(tmp_path / "store.jsonl")
+        messages = []
+        summary = run_sweep(
+            points, ResultStore(path), workers=2,
+            policy=RetryPolicy(max_attempts=3, backoff_s=0.01,
+                               timeout_s=timeout),
+            log=messages.append,
+        )
+        assert not summary.failures
+        assert not [m for m in messages
+                    if "retry" in m or "pool replaced" in m]
+        assert store_bytes(path) == ref
+
+    def test_hang_mid_chunk_charges_only_that_point(
+            self, tmp_path, monkeypatch):
+        # 12 points on 2 workers travel in chunks of 4; point 5 sits in the
+        # middle of the second chunk and hangs for 30 s on attempt 1.  With
+        # two attempts allowed, any point charged once runs its last attempt
+        # in-process, which the log names.
+        from repro.sweep.runner import POINTS_PER_TASK
+
+        assert POINTS_PER_TASK == 4
+        points = small_spec(cluster_counts=(2, 4, 8), seeds=(7, 8)).expand()
+        ref = reference_bytes(points, tmp_path)
+        hung = points[5]
+        plan = FaultPlan(sleep_s=30.0, scripted={hung.key(): [FAULT_HANG]})
+        monkeypatch.setenv(ENV_VAR, plan.to_env())
+        path = str(tmp_path / "store.jsonl")
+        messages = []
+        t0 = time.monotonic()
+        summary = run_sweep(
+            points, ResultStore(path), workers=2,
+            policy=RetryPolicy(max_attempts=2, backoff_s=0.01, timeout_s=1.0),
+            log=messages.append,
+        )
+        assert time.monotonic() - t0 < 15.0
+        assert not summary.failures
+        retried = [m for m in messages if "retry" in m]
+        assert len(retried) == 1 and hung.label() in retried[0]
+        assert "TimeoutError" in retried[0]
+        in_process = [m for m in messages if "in-process" in m]
+        assert len(in_process) == 1 and hung.label() in in_process[0]
+        assert sum("pool replaced" in m for m in messages) == 1
+        assert store_bytes(path) == ref
+
+    def test_idle_worker_killed_during_backoff_is_recovered(
+            self, tmp_path, monkeypatch):
+        # Point 0 raises on attempt 1.  While it backs off, both workers
+        # sit idle in the pool's task queue, and both are SIGKILLed; the
+        # one holding the queue's read lock dies with it, so the respawned
+        # workers can never take the retry.  No point ever starts, so only
+        # the no-progress watchdog can notice; the retry is not charged.
+        import multiprocessing
+        import threading
+
+        from repro.sweep import runner
+
+        points = small_spec().expand()
+        assert len(points) == 4
+        ref = reference_bytes(points, tmp_path)
+        plan = FaultPlan(scripted={points[0].key(): [FAULT_EXCEPTION]})
+        monkeypatch.setenv(ENV_VAR, plan.to_env())
+        finished = tmp_path / "finished"
+        real_execute = runner.execute_point
+
+        def recording(payload):
+            outcome = real_execute(payload)
+            with open(finished, "a") as fh:
+                fh.write("x")
+            return outcome
+
+        monkeypatch.setattr(runner, "execute_point", recording)
+        messages = []
+
+        def log(message):
+            messages.append(message)
+            if "retry" in message:
+                # Wait for points 1-3, then for their workers to go back
+                # to the task queue.
+                give_up = time.monotonic() + 10.0
+                while time.monotonic() < give_up and not (
+                        finished.exists() and len(finished.read_text()) >= 3):
+                    time.sleep(0.01)
+                time.sleep(0.3)
+                for worker in multiprocessing.active_children():
+                    os.kill(worker.pid, signal.SIGKILL)
+
+        path = str(tmp_path / "store.jsonl")
+        outcome = {}
+        sweep = threading.Thread(target=lambda: outcome.update(
+            summary=run_sweep(
+                points, ResultStore(path), workers=2, log=log,
+                policy=RetryPolicy(max_attempts=3, backoff_s=0.01,
+                                   timeout_s=1.0),
+            )), daemon=True)
+        sweep.start()
+        sweep.join(30.0)
+        assert not sweep.is_alive(), "sweep wedged behind a dead worker"
+        assert not outcome["summary"].failures
+        assert sum("retry" in m for m in messages) == 1
+        replaced = [m for m in messages if "pool replaced" in m]
+        assert len(replaced) == 1 and "without progress" in replaced[0]
+        assert not [m for m in messages if "in-process" in m]
+        assert store_bytes(path) == ref
+
+    def test_death_after_a_chunk_finished_is_not_charged(
+            self, tmp_path, monkeypatch):
+        # The worker that runs chunk [0, 1] dies once, as if killed, while
+        # pickling its results: both points finished, so neither is
+        # charged; the chunk is re-dispatched once the pool has shown no
+        # progress for the timeout.
+        from repro.sweep import runner
+
+        class DieWhenPickled:
+            def __reduce__(self):
+                os._exit(1)
+
+        points = small_spec().expand()
+        assert len(points) == 4
+        ref = reference_bytes(points, tmp_path)
+        real_execute = runner.execute_point
+        last = points[1].key()
+        died = tmp_path / "died"
+
+        def die_on_send(payload):
+            record, elapsed = real_execute(payload)
+            if record["key"] == last and not died.exists():
+                died.touch()
+                record = dict(record, poison=DieWhenPickled())
+            return record, elapsed
+
+        monkeypatch.setattr(runner, "execute_point", die_on_send)
+        path = str(tmp_path / "store.jsonl")
+        messages = []
+        summary = run_sweep(
+            points, ResultStore(path), workers=2, log=messages.append,
+            policy=RetryPolicy(max_attempts=2, backoff_s=0.01, timeout_s=1.0),
+        )
+        assert not summary.failures
+        assert not [m for m in messages if "retry" in m]
+        replaced = [m for m in messages if "pool replaced" in m]
+        assert len(replaced) == 1 and "without progress" in replaced[0]
+        assert store_bytes(path) == ref
+
     def test_final_attempt_runs_in_process(self, tmp_path, monkeypatch):
         # Both pool-dispatched attempts of one point die hard; the point
         # still completes because the last permitted attempt executes in

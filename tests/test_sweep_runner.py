@@ -1,5 +1,9 @@
 """Sweep runner: determinism, caching, sharding, correctness vs the engine."""
 
+import os
+
+import pytest
+
 from repro.engine import ENGINE_VERSION, Pipeline
 from repro.sweep.grid import SweepSpec
 from repro.sweep.runner import execute_point, run_sweep
@@ -439,27 +443,174 @@ class TestEventDrivenPool:
     def test_workers_refilled_before_the_append(self, tmp_path, monkeypatch):
         import multiprocessing.pool
 
-        dispatched = []
+        from repro.sweep import runner
+
+        dispatched = []  # points per pool task, in dispatch order
         real_apply_async = multiprocessing.pool.Pool.apply_async
 
-        def counting_apply_async(pool, func, *args, **kwargs):
-            dispatched.append(func)
-            return real_apply_async(pool, func, *args, **kwargs)
+        def counting_apply_async(pool, func, args=(), *rest, **kwargs):
+            assert func is runner.execute_chunk
+            dispatched.append(len(args[0]))
+            return real_apply_async(pool, func, args, *rest, **kwargs)
 
         monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async",
                             counting_apply_async)
         points = self._spec().expand()
         total, n_workers = len(points), 2
-        seen = []  # (dispatched so far, emitted so far) at each append
+        seen = []  # (points dispatched so far, emitted so far) at each append
         run_sweep(points, ResultStore(str(tmp_path / "store.jsonl")),
                   workers=n_workers,
                   on_point_done=lambda _k, _r, index:
-                  seen.append((len(dispatched), index + 1)))
+                  seen.append((sum(dispatched), index + 1)))
         assert len(seen) == total
         # on_point_done fires right after the append: by then every worker
         # freed by the appended points already has its next point.
         for n_dispatched, emitted in seen:
             assert n_dispatched >= min(total, emitted + n_workers)
+
+
+class TestChunkedDispatch:
+    """Pool tasks carry chunks of consecutive points; every point keeps its
+    own outcome, and small shards still spread over every worker."""
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_small_shard_reaches_every_worker(self, tmp_path, monkeypatch,
+                                              n_workers):
+        from repro.faults import ENV_VARS, FAULT_HANG, FaultPlan
+        from repro.sweep import runner
+
+        pids = tmp_path / "pids.txt"
+        real_execute = runner.execute_point
+
+        def recording(payload):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_execute(payload)
+
+        monkeypatch.setattr(runner, "execute_point", recording)
+        # Every point sleeps 0.2 s on its first attempt, so no one worker
+        # can drain the shard before the others start.
+        monkeypatch.setenv(ENV_VARS["point"], FaultPlan(
+            rates={FAULT_HANG: 1.0}, sleep_s=0.2, max_faults=1).to_env())
+        points = small_spec(cluster_counts=(2, 4, 8)).expand()[:2 * n_workers]
+        summary = run_sweep(points, ResultStore(str(tmp_path / "s.jsonl")),
+                            workers=n_workers)
+        assert summary.n_computed == 2 * n_workers
+        seen = pids.read_text().split()
+        assert len(seen) == 2 * n_workers
+        assert len(set(seen)) == n_workers
+        assert str(os.getpid()) not in seen
+
+    def test_should_stop_lands_within_one_record(self, tmp_path):
+        from repro.sweep.runner import POINTS_PER_TASK, SweepInterrupted
+
+        # 12 points on 2 workers: the first chunk is points 0-3, and its
+        # records reach the frontier together.
+        points = small_spec(cluster_counts=(2, 4, 8), seeds=(7, 8)).expand()
+        assert POINTS_PER_TASK >= 3
+        reference = str(tmp_path / "reference.jsonl")
+        run_sweep(points, ResultStore(reference), workers=1)
+        path = str(tmp_path / "store.jsonl")
+        done = []
+        with pytest.raises(SweepInterrupted) as err:
+            run_sweep(points, ResultStore(path), workers=2,
+                      on_point_done=lambda *args: done.append(args),
+                      should_stop=lambda: len(done) >= 2)
+        assert err.value.summary.n_computed == 2
+        with open(reference, "rb") as fh:
+            full = fh.read()
+        with open(path, "rb") as fh:
+            partial = fh.read()
+        assert partial.count(b"\n") == 2 and full.startswith(partial)
+
+    def test_chunk_whose_results_cannot_cross_reruns_point_by_point(
+            self, tmp_path, monkeypatch):
+        # Point 0's first attempt returns a record pickle rejects, so the
+        # whole chunk [0, 1] comes back as one error.  Its points rerun as
+        # tasks of their own, uncharged; only point 0 is then charged.
+        import threading
+
+        from repro.sweep import runner
+
+        points = small_spec().expand()
+        assert len(points) == 4
+        bad = points[0].key()
+        real_execute = runner.execute_point
+
+        def unpicklable_once(payload):
+            record, elapsed = real_execute(payload)
+            if record["key"] == bad and payload["_attempt"] == 1:
+                record = dict(record, lock=threading.Lock())
+            return record, elapsed
+
+        reference = str(tmp_path / "reference.jsonl")
+        run_sweep(points, ResultStore(reference), workers=1)
+        monkeypatch.setattr(runner, "execute_point", unpicklable_once)
+        path = str(tmp_path / "store.jsonl")
+        messages = []
+        summary = run_sweep(points, ResultStore(path), workers=2,
+                            log=messages.append)
+        assert not summary.failures
+        retried = [m for m in messages if "retry" in m]
+        assert len(retried) == 1 and points[0].label() in retried[0]
+        with open(reference, "rb") as fh, open(path, "rb") as gh:
+            assert fh.read() == gh.read()
+
+    def test_execute_chunk_settles_each_point_alone(self, monkeypatch):
+        import pickle
+
+        from repro.sweep import runner
+
+        class LocalError(Exception):
+            """Defined in a function, so pickle cannot find it by name."""
+
+        points = small_spec().expand()
+        payloads = [runner._payload_for(point) for point in points]
+        real_execute = runner.execute_point
+
+        def flaky(payload):
+            if payload is payloads[1]:
+                raise ValueError("bad point")
+            if payload is payloads[2]:
+                raise LocalError("cannot cross a process boundary")
+            return real_execute(payload)
+
+        monkeypatch.setattr(runner, "execute_point", flaky)
+        stamps = [0.0] * len(points)
+        monkeypatch.setattr(runner, "_START_STAMPS", stamps)
+        outcomes = runner.execute_chunk(list(enumerate(payloads)))
+        assert len(outcomes) == 4
+        assert outcomes[0][0] == real_execute(payloads[0])[0]
+        assert isinstance(outcomes[1], ValueError)
+        assert isinstance(outcomes[2], RuntimeError)
+        assert "LocalError: cannot cross" in str(outcomes[2])
+        assert outcomes[3][0]["key"] == points[3].key()
+        pickle.loads(pickle.dumps(outcomes))  # the whole chunk crosses back
+        # Each slot ends negated: the point finished, in order.
+        ends = [-stamp for stamp in stamps]
+        assert all(end > 0 for end in ends) and ends == sorted(ends)
+
+
+class TestDefaultWorkers:
+    def test_counts_the_affinity_mask(self, monkeypatch):
+        from repro.sweep import runner
+
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(runner.os, "sched_getaffinity",
+                            lambda _pid: {0, 1, 2}, raising=False)
+        assert runner.default_workers() == 3
+        monkeypatch.setattr(runner.os, "sched_getaffinity",
+                            lambda _pid: {5}, raising=False)
+        assert runner.default_workers() == 2
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        from repro.sweep import runner
+
+        monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 5)
+        assert runner.default_workers() == 5
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
+        assert runner.default_workers() == 2
 
 
 class TestBatchVariant:
