@@ -221,10 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "attempt runs in-process as graceful "
                             "degradation")
     run_p.add_argument("--timeout", type=float, default=None,
-                       help="per-point timeout in seconds for "
-                            "pool-dispatched attempts (default: none); a "
-                            "timed-out point is retried and its hung or "
-                            "dead worker pool is replaced")
+                       help="per-point timeout in seconds for attempts "
+                            "on worker processes, counted from when the "
+                            "worker starts the point (default: none); a "
+                            "timed-out point is retried and only its hung "
+                            "worker is replaced.  Worker deaths are "
+                            "detected without a timeout")
     run_p.add_argument("--backoff", type=float, default=0.1,
                        help="base backoff seconds before a retry, doubling "
                             "per further attempt (default 0.1; "

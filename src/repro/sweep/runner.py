@@ -2,21 +2,20 @@
 
 :func:`run_sweep` takes expanded :class:`~repro.sweep.grid.ExperimentPoint`
 lists, skips every point whose key is already in the
-:class:`~repro.sweep.store.ResultStore` (a *cache hit*), and dispatches the
-rest to ``multiprocessing`` workers in *chunks*: each pool task carries up
-to :data:`POINTS_PER_TASK` consecutive lowest-index points, run in order
-by :func:`execute_chunk`, and up to :data:`TASKS_PER_WORKER` tasks per
-worker stay in flight, so a worker that frees up takes its next chunk
-straight from the pool's pipe instead of waiting on an orchestrator round
-trip.  A chunk is never larger than the dispatchable points divided
-evenly over the workers, so small shards still reach every worker.
-Dispatch is event-driven: each finished task's ``apply_async`` callback
-wakes the orchestrator, which first refills the in-flight window and only
-then hands the finished records on, so no worker idles while the
-orchestrator appends and fsyncs.  Completions arrive in whatever order the
-workers finish; an **expansion-order flush frontier** buffers
-out-of-order results and appends each record the moment every earlier
-point has been appended, so
+:class:`~repro.sweep.store.ResultStore` (a *cache hit*), and runs the rest
+on worker processes the runner owns: each worker is one
+:class:`multiprocessing.Process` fed through its own duplex pipe, one point
+per message.  A worker holds at most two points, one running and one
+waiting in its pipe, so when it finishes a point it starts the next without
+a round trip to the orchestrator.  It reports when it starts a point and
+then the point's outcome, so the orchestrator always knows which point
+each worker is running.  One :func:`multiprocessing.connection.wait` call
+covers every pipe and every worker's exit sentinel; when a point finishes,
+the orchestrator first refills the freed worker and only then hands the
+record on, so no worker idles while the orchestrator appends and fsyncs.
+Completions arrive in whatever order the workers finish; an
+**expansion-order flush frontier** buffers out-of-order results and
+appends each record the moment every earlier point has been appended, so
 
 * partial progress is durable within moments of being computed — a crash
   at point N of M keeps the N-1 finished prefix on disk, and
@@ -28,37 +27,29 @@ point has been appended, so
 The frontier itself is :class:`repro.exec.frontier.FlushFrontier` — the
 shared execution-plane primitive the fabric coordinator's shard merge
 frontier is also built on — parameterized here with an emit hook that
-appends records to the store.  (Before :mod:`repro.exec` existed this
-module carried its own private frontier implementation; anything that
-imported those internals should import :mod:`repro.exec` instead.)
+appends records to the store.
 
 Failures are handled per point by a
-:class:`~repro.exec.attempts.RetryPolicy`, even inside a chunk: each
-point's exception is caught and charged to that point alone.  Failed
-attempts retry with deterministic exponential backoff.  A per-point
-timeout detects hung *and* hard-died workers (a task whose worker was
-killed never completes — the timeout is its obituary); it runs from the
-moment a worker *starts* the point, which the worker stamps into shared
-memory, so time spent queued behind other chunks never counts.  A pool
-with an overdue point is replaced wholesale (the only safe recovery
-``multiprocessing.Pool`` allows): the overdue point is charged, and
-everything else that was in flight — chunk-mates whose finished results
-died with the worker included — is re-dispatched uncharged.  A worker
-killed while idle or after its points finished leaves no running point to
-time out, and can wedge the pool's task queue; so when chunks are in
-flight but for the timeout no point has run and no result has arrived,
-the pool is replaced too, and nothing is charged.  The final
+:class:`~repro.exec.attempts.RetryPolicy`; failed attempts retry with
+deterministic exponential backoff.  A point is charged one attempt when it
+raises, when its worker exits while running it (:class:`WorkerDied`, seen
+at once through the worker's sentinel, so no timeout is needed), and, with
+a per-point timeout, when it is still running ``timeout_s`` after its
+worker started it (time spent waiting in the pipe never counts).  A dead
+or overdue worker alone is killed, joined and replaced; the point waiting
+in its pipe is sent again uncharged, and no other worker or point is
+touched.  A point that never started is never charged.  The final
 permitted attempt runs in-process as graceful degradation so a
-pathological pool cannot starve a point.  A point that exhausts its
+pathological worker cannot starve a point.  A point that exhausts its
 attempts becomes a :class:`FailureRecord` in :class:`SweepSummary` —
 structured provenance (attempts, error class, elapsed) that never enters
 the store — and blocks the frontier at its expansion index so the
 prefix-layout guarantee survives even permanent failures.
 
-SIGINT/SIGTERM tear the pool down (terminate + join — no leaked workers),
-leave the frontier's flushed prefix on disk, and surface as
-:class:`SweepInterrupted` carrying the partial summary; re-running the
-same sweep resumes from the stored prefix.
+SIGINT/SIGTERM stop and join every worker (no leaked processes), leave the
+frontier's flushed prefix on disk, and surface as :class:`SweepInterrupted`
+carrying the partial summary; re-running the same sweep resumes from the
+stored prefix.
 
 Determinism: a point's simulation depends only on ``(config, mix,
 n_instructions, seed)`` — trace generation derives its stream from the
@@ -75,30 +66,29 @@ points) and the per-config compiled-kernel registry in
 :mod:`repro.engine.codegen` (points sharing a structural specialization key
 share one compiled kernel).  Neither affects results — only wall-clock.
 
-Under ``kernel_variant="batch"`` the runner adds a scheduling pre-phase:
-pending points are grouped by structural specialization key and every
-multi-point group is executed through one
-:func:`repro.engine.batch.simulate_batch` call (:func:`execute_batch`),
-demuxed back into per-point records that feed the same flush frontier.
-Batching is pure scheduling: the store bytes are identical to any other
-variant's, and a failed batch charges each member one attempt and falls
-back to per-point execution, so the retry/timeout machinery above is
-unchanged.
+Under ``kernel_variant="batch"`` pending points are grouped by structural
+specialization key and every multi-point group is executed through one
+:func:`repro.engine.batch.simulate_batch` call (:func:`execute_batch`) —
+one message to a worker, or one call in-process — demuxed back into
+per-point records that feed the same flush frontier.  Batching is pure
+scheduling: the store bytes are identical to any other variant's.  A batch
+times out after ``timeout_s`` per lane, and a failed batch charges each
+member one attempt and falls back to per-point execution.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
+import math
 import multiprocessing
 import os
 import pickle
 import signal
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ReproError, SimulationError
 from repro.engine.batch import simulate_batch
@@ -132,21 +122,13 @@ TRACE_CACHE_SIZE = 8
 #: well before this many lanes for sweep-sized traces.
 MAX_BATCH_LANES = 32
 
-#: Most points one pool task carries (see :func:`execute_chunk`).  Chunks
-#: amortise the orchestrator round trip over several points; at 2k
-#: instructions a point is a few milliseconds of kernel time, so one point
-#: per task left pool workers idle a third of the sweep.  Larger chunks
-#: delay the frontier (a chunk's records land together) and widen what a
-#: pool replacement re-dispatches.
-POINTS_PER_TASK = 4
+#: Jobs outstanding per worker: one running and one waiting in its pipe
+#: for the moment the running one finishes.
+_DEPTH = 2
 
-#: Pool tasks kept in flight per worker: one running, one queued in the
-#: pool's pipe for the moment the running one finishes.
-TASKS_PER_WORKER = 2
-
-#: Cap on the pool loop's wait for a completion.  Completions wake the
-#: loop at once, so this only bounds how often it checks ``should_stop``,
-#: timeouts and retry backoff while nothing finishes.
+#: Cap on the worker loop's wait.  Messages, worker exits, deadlines and
+#: backoff wake the loop at once, so this only bounds how often it checks
+#: ``should_stop`` while nothing else happens.
 _POLL_INTERVAL_S = 0.01
 
 #: ``(mix_name, n_instructions, seed) -> (mix_definition, trace)``.
@@ -235,53 +217,6 @@ def execute_point(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
     record["key"] = point.key()
     record["point"] = point.to_dict()
     return record, time.perf_counter() - t0
-
-
-#: In a pool worker, the shared array of point start stamps the pool was
-#: created with (see :func:`_worker_init`); ``None`` in any other process.
-_START_STAMPS: Optional[Any] = None
-
-#: One :func:`execute_chunk` outcome: ``(record, elapsed)`` or the
-#: exception the point raised.
-_Outcome = Union[Tuple[Dict[str, Any], float], BaseException]
-
-
-def _picklable(exc: BaseException) -> BaseException:
-    """``exc`` if it survives a pickle round trip, else a
-    :class:`RuntimeError` that keeps its type name and message: an
-    exception that cannot cross back to the orchestrator would otherwise
-    fail its whole chunk."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc
-
-
-def execute_chunk(
-    items: Sequence[Tuple[int, Dict[str, Any]]],
-) -> List[_Outcome]:
-    """Run ``(index, payload)`` points in order; one outcome per point.
-
-    The pool's unit of work.  Each point goes through the module-global
-    :func:`execute_point`, and its exception is caught and returned in its
-    place, so a failing point is charged alone and its chunk-mates still
-    complete.  In a pool worker, the moment each point starts is written
-    to slot ``index`` of the shared stamp array, and negated when the
-    point finishes; the orchestrator times a running point out from its
-    stamp, and never charges a finished one.
-    """
-    outcomes: List[_Outcome] = []
-    for index, payload in items:
-        if _START_STAMPS is not None:
-            _START_STAMPS[index] = time.monotonic()
-        try:
-            outcomes.append(execute_point(payload))
-        except Exception as exc:
-            outcomes.append(_picklable(exc))
-        if _START_STAMPS is not None:
-            _START_STAMPS[index] = -time.monotonic()
-    return outcomes
 
 
 def execute_batch(
@@ -452,40 +387,75 @@ class _PointTask:
         self.ready_at = 0.0        # monotonic time when dispatchable again
 
 
-class _Chunk:
-    """One in-flight pool task: consecutive points run by one worker."""
-
-    __slots__ = ("tasks", "async_result", "settled")
-
-    def __init__(self, tasks: List[_PointTask]) -> None:
-        self.tasks = tasks
-        self.async_result: Any = None  # multiprocessing AsyncResult
-        self.settled = False           # the task's callback has run
+#: One unit sent to a worker: a single point, or the members of one batch
+#: (see :meth:`_FrontierExecutor._group_batches`).
+_Job = List[_PointTask]
 
 
-def _worker_init(start_stamps: Any = None) -> None:
-    """Keep the shared start-stamp array for :func:`execute_chunk` (passed
-    through the initializer, so it reaches workers under fork and spawn).
+class WorkerDied(ReproError):
+    """A worker process exited while it ran a point (killed, crashed, or
+    ``os._exit``); the point is charged one attempt."""
 
-    Pool workers ignore SIGINT: a terminal Ctrl-C reaches the whole
-    process group, but only the orchestrator may act on it — it then
-    terminates the pool deterministically, so no workers are leaked and
-    no worker dies mid-anything it shouldn't.  SIGTERM goes back to the
-    default action: forked workers inherit the parent's TERM->interrupt
-    handler (see :func:`_convert_sigterm`), and a worker that turned the
-    pool's own ``terminate()`` into KeyboardInterrupt would die noisily
-    — or, caught mid-``queue.get`` holding the queue lock, wedge the
-    teardown."""
-    global _START_STAMPS
-    _START_STAMPS = start_stamps
+
+def _worker_main(conn: Any) -> None:
+    """Body of one sweep worker: run each ``(index, payload)`` message
+    until ``None`` arrives, replying ``("started", index,
+    time.monotonic())`` and then ``("done", index, outcome)``.
+
+    A dict payload is one point, run through the module-global
+    :func:`execute_point` (so a wrapper installed on it runs here too); a
+    list is one batch for :func:`execute_batch`.  The outcome is what that
+    returned or the exception it raised.  An outcome that cannot cross back
+    to the orchestrator is sent as a :class:`RuntimeError` naming the
+    exception, or why the record would not pickle, so the point is charged
+    instead of lost.
+
+    Workers ignore SIGINT: a terminal Ctrl-C reaches the whole process
+    group, but only the orchestrator may act on it — it then stops every
+    worker itself.  SIGTERM goes back to the default action: a forked
+    worker inherits the orchestrator's TERM->interrupt handler (see
+    :func:`_convert_sigterm`), and must simply die when terminated."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    for index, payload in iter(conn.recv, None):
+        conn.send(("started", index, time.monotonic()))
+        run = execute_batch if isinstance(payload, list) else execute_point
+        try:
+            outcome: Any = run(payload)
+        except Exception as exc:
+            outcome = exc
+        try:
+            message = pickle.dumps(("done", index, outcome))
+            pickle.loads(message)
+        except Exception as exc:
+            culprit = outcome if isinstance(outcome, BaseException) else exc
+            message = pickle.dumps(("done", index, RuntimeError(
+                f"{type(culprit).__name__}: {culprit}")))
+        conn.send_bytes(message)
+
+
+class _Worker:
+    """One worker process, the duplex pipe it is fed through, and the jobs
+    sent to it, oldest (running, or next to run) first."""
+
+    __slots__ = ("process", "conn", "jobs", "started_at")
+
+    def __init__(self) -> None:
+        self.conn, theirs = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_worker_main, args=(theirs,), daemon=True,
+        )
+        self.process.start()
+        theirs.close()
+        self.jobs: Deque[_Job] = deque()
+        #: When the worker started ``jobs[0]``, by its clock; 0.0 until then.
+        self.started_at = 0.0
 
 
 def _convert_sigterm() -> Callable[[], None]:
     """Route SIGTERM through the KeyboardInterrupt path for the duration
-    of a sweep, so a service manager's TERM flushes the frontier and tears
-    the pool down exactly like Ctrl-C.  Returns a restore callable; no-op
+    of a sweep, so a service manager's TERM flushes the frontier and stops
+    the workers exactly like Ctrl-C.  Returns a restore callable; no-op
     when not on the main thread (signal API restriction)."""
     if threading.current_thread() is not threading.main_thread():
         return lambda: None
@@ -527,21 +497,7 @@ class _FrontierExecutor:
         self.say = say
         self.on_point_done = on_point_done
         self.should_stop = should_stop
-        self.pool: Optional[multiprocessing.pool.Pool] = None
-        #: Per-point start stamps (``time.monotonic()`` while running,
-        #: negated once finished, 0.0 = not started), written by pool
-        #: workers; indexed like ``tasks``.
-        self._stamps: Any = None
-        #: Last time the pool showed life: spawned, took a chunk, ran a
-        #: point or returned a result (see :meth:`_run_pool`).
-        self._heard_at = 0.0
-        #: How long chunks may sit in flight with no sign of life before
-        #: the pool is presumed wedged; starts at the timeout and doubles
-        #: after each such replacement, so a pool that is merely slow to
-        #: start cannot be replaced forever.
-        self._quiet_s = policy.timeout_s
-        self._wake = threading.Event()
-        self._work: List[_PointTask] = list(tasks)
+        self.workers: List[_Worker] = []
         self.frontier = FlushFrontier(len(tasks), emit=self._emit)
         self.timings: Dict[str, float] = {}
         self.failures: Dict[str, FailureRecord] = {}
@@ -553,16 +509,13 @@ class _FrontierExecutor:
 
     # -- lifecycle --------------------------------------------------------
     def run(self) -> None:
-        self._work = list(self.tasks)
         try:
-            if self.batch:
-                self._work = self._run_batches(self._work)
             if self.use_pool:
                 self._run_pool()
             else:
                 self._run_inline()
         finally:
-            self._shutdown_pool()
+            self._stop_workers()
             self.n_discarded = self.frontier.discard()
             if self.n_discarded:
                 self.say(
@@ -571,22 +524,21 @@ class _FrontierExecutor:
                     "recomputed on the next run"
                 )
 
-    def _spawn_pool(self) -> None:
-        if self.pool is not None:  # carried over from the batch pre-phase
-            return
-        if self._stamps is None:
-            self._stamps = multiprocessing.RawArray("d", len(self.tasks))
-        self.pool = multiprocessing.Pool(
-            processes=self.n_workers, initializer=_worker_init,
-            initargs=(self._stamps,),
-        )
-        self._heard_at = time.monotonic()
-
-    def _shutdown_pool(self) -> None:
-        if self.pool is not None:
-            self.pool.terminate()
-            self.pool.join()
-            self.pool = None
+    def _stop_workers(self) -> None:
+        """Stop and join every worker: an idle one is told to exit, a busy
+        one (the sweep was interrupted or failed) is killed."""
+        for worker in self.workers:
+            try:
+                if worker.jobs:
+                    worker.process.kill()
+                else:
+                    worker.conn.send(None)
+            except OSError:
+                pass  # already gone
+        for worker in self.workers:
+            worker.process.join()
+            worker.conn.close()
+        self.workers = []
 
     # -- frontier ---------------------------------------------------------
     def _emit(self, index: int, payload: Tuple[Dict[str, Any], float]) -> None:
@@ -594,7 +546,12 @@ class _FrontierExecutor:
         :class:`~repro.exec.frontier.FlushFrontier` emit hook: called
         exactly once per completed point, strictly in expansion order —
         a permanently-failed point blocks the frontier there, keeping the
-        store an expansion-order prefix of the fault-free sweep)."""
+        store an expansion-order prefix of the fault-free sweep).
+
+        ``should_stop`` is checked before each append, so a cancel lands
+        within one record even when one completion releases several
+        buffered ones; the frontier keeps the unappended ones buffered."""
+        self._check_stop()
         record, elapsed = payload
         self.store.append(record)
         task = self.tasks[index]
@@ -645,150 +602,81 @@ class _FrontierExecutor:
     def _check_stop(self) -> None:
         """Cooperative cancellation: embedders (the service job manager)
         pass ``should_stop``; when it fires the sweep takes the exact
-        SIGINT path — pool torn down, frontier flushed, partial summary
+        SIGINT path — workers stopped, frontier flushed, partial summary
         raised as :class:`SweepInterrupted` — so cancel inherits every
         durability guarantee of an interrupt."""
         if self.should_stop is not None and self.should_stop():
             raise KeyboardInterrupt()
 
     # -- batched execution (kernel_variant="batch") -----------------------
-    def _group_batches(
-        self, tasks: List["_PointTask"],
-    ) -> List[List["_PointTask"]]:
-        """Group tasks by structural specialization key, chunked to
-        :data:`MAX_BATCH_LANES`; singleton chunks are left to the per-point
-        path (which still runs the batch kernel, just with one lane)."""
+    def _group_batches(self) -> List[_Job]:
+        """Group the tasks by structural specialization key, chunked to
+        :data:`MAX_BATCH_LANES`, earliest expansion index first so the
+        flush frontier advances as soon as possible.  Singleton chunks are
+        left to the per-point path (which still runs the batch kernel, just
+        with one lane)."""
         groups: "OrderedDict[str, List[_PointTask]]" = OrderedDict()
-        for task in tasks:
+        for task in self.tasks:
             key = specialization_key(task.point.config)
             groups.setdefault(key, []).append(task)
-        batches: List[List[_PointTask]] = []
+        batches: List[_Job] = []
         for members in groups.values():
             for start in range(0, len(members), MAX_BATCH_LANES):
                 chunk = members[start:start + MAX_BATCH_LANES]
                 if len(chunk) >= 2:
                     batches.append(chunk)
-        # Earliest expansion index first, so the flush frontier advances
-        # as soon as possible.
         batches.sort(key=lambda chunk: chunk[0].index)
+        if batches:
+            self.say(
+                f"  batch variant: {sum(len(b) for b in batches)} of "
+                f"{len(self.tasks)} point(s) in {len(batches)} batched "
+                "kernel call(s), grouped by specialization key"
+            )
         return batches
 
-    def _run_batches(
-        self, tasks: List["_PointTask"],
-    ) -> List["_PointTask"]:
-        """Pre-phase for the batch variant: execute every multi-point
-        specialization-key group through one :func:`execute_batch` call
-        each, demuxing per-point records into the ordinary flush frontier.
+    def _run_batches(self) -> List[_PointTask]:
+        """Inline pre-phase for the batch variant: execute every
+        multi-point specialization-key group through one
+        :func:`execute_batch` call each, demuxing per-point records into
+        the ordinary flush frontier.
 
         Returns the tasks still owed to the per-point path: singletons the
         grouping left behind, plus every member of a failed batch — each
         charged one attempt, so a poisoned point converges on its own
         retry budget instead of wedging its batch-mates forever.
         """
-        batches = self._group_batches(tasks)
-        if not batches:
-            return tasks
-        self.say(
-            f"  batch variant: {sum(len(b) for b in batches)} of "
-            f"{len(tasks)} point(s) in {len(batches)} batched kernel "
-            "call(s), grouped by specialization key"
-        )
         settled: set = set()
         scrap: List[_PointTask] = []   # _on_error's requeue; unused here
-        if not self.use_pool:
-            for chunk in batches:
-                self._check_stop()
-                payloads = [
-                    dict(task.payload, _attempt=task.attempts + 1)
-                    for task in chunk
-                ]
-                t0 = time.perf_counter()
-                try:
-                    pairs = execute_batch(payloads)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    share = (time.perf_counter() - t0) / len(chunk)
-                    for task in chunk:
-                        task.attempts += 1
-                        task.elapsed += share
-                        self._on_error(task, exc, scrap)
-                else:
-                    for task, (record, elapsed) in zip(chunk, pairs):
-                        task.attempts += 1
-                        task.elapsed += elapsed
-                        self._complete(task, record, elapsed)
-                        settled.add(task.index)
-        else:
-            self._spawn_pool()
-            assert self.pool is not None
-            in_flight = [
-                (chunk, self.pool.apply_async(
-                    execute_batch,
-                    ([dict(task.payload, _attempt=task.attempts + 1)
-                      for task in chunk],),
-                ))
-                for chunk in batches
+        for chunk in self._group_batches():
+            self._check_stop()
+            payloads = [
+                dict(task.payload, _attempt=task.attempts + 1)
+                for task in chunk
             ]
-            pool_lost = False
-            for chunk, async_result in in_flight:
-                if pool_lost:
-                    # The pool died with this batch's attempt in flight;
-                    # nobody is charged — the per-point path recomputes.
-                    continue
-                deadline = (
-                    time.monotonic() + self.policy.timeout_s * len(chunk)
-                    if self.policy.timeout_s is not None else None
-                )
-                while True:
-                    self._check_stop()
-                    try:
-                        pairs = async_result.get(timeout=_POLL_INTERVAL_S)
-                    except multiprocessing.TimeoutError:
-                        if deadline is not None and \
-                                time.monotonic() >= deadline:
-                            exc = TimeoutError(
-                                f"batch of {len(chunk)} point(s): no "
-                                f"result within "
-                                f"{self.policy.timeout_s * len(chunk):.1f}s "
-                                "(worker hung or died)"
-                            )
-                            for task in chunk:
-                                task.attempts += 1
-                                task.elapsed += self.policy.timeout_s
-                                self._on_error(task, exc, scrap)
-                            self.say(
-                                "  pool replaced after batch timeout; "
-                                "remaining batches fall back to "
-                                "per-point execution"
-                            )
-                            self._shutdown_pool()
-                            pool_lost = True
-                            break
-                        continue
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as exc:
-                        for task in chunk:
-                            task.attempts += 1
-                            self._on_error(task, exc, scrap)
-                        break
-                    else:
-                        for task, (record, elapsed) in zip(chunk, pairs):
-                            task.attempts += 1
-                            task.elapsed += elapsed
-                            self._complete(task, record, elapsed)
-                            settled.add(task.index)
-                        break
+            t0 = time.perf_counter()
+            try:
+                pairs = execute_batch(payloads)
+            except Exception as exc:
+                share = (time.perf_counter() - t0) / len(chunk)
+                for task in chunk:
+                    task.attempts += 1
+                    task.elapsed += share
+                    self._on_error(task, exc, scrap)
+            else:
+                for task, (record, elapsed) in zip(chunk, pairs):
+                    task.attempts += 1
+                    task.elapsed += elapsed
+                    self._complete(task, record, elapsed)
+                    settled.add(task.index)
         return [
-            task for task in tasks
+            task for task in self.tasks
             if task.index not in settled
             and not self.frontier.is_blocked(task.index)
         ]
 
     # -- inline execution (no pool) ---------------------------------------
     def _run_inline(self) -> None:
-        for task in self._work:
+        for task in self._run_batches() if self.batch else self.tasks:
             while True:
                 self._check_stop()
                 if task.ready_at:
@@ -799,8 +687,6 @@ class _FrontierExecutor:
                     record, elapsed = execute_point(
                         dict(task.payload, _attempt=attempt)
                     )
-                except KeyboardInterrupt:
-                    raise
                 except Exception as exc:
                     task.attempts = attempt
                     task.elapsed += time.perf_counter() - t0
@@ -814,88 +700,9 @@ class _FrontierExecutor:
                     self._complete(task, record, elapsed)
                     break
 
-    # -- pooled execution -------------------------------------------------
-    def _on_settled(self, chunk: _Chunk, _outcome: Any) -> None:
-        """``apply_async`` callback for either outcome, run on the pool's
-        result-handler thread: flag ``chunk`` for collection and wake the
-        orchestrator.  The pool runs this just *before* it marks the result
-        ready, so collection keys off the flag rather than ``ready()`` (a
-        wake-up that ran ahead of ``ready()`` would be lost for a whole
-        wait cap), and its ``get()`` waits out the gap."""
-        chunk.settled = True
-        self._wake.set()
-
-    def _dispatch(self, tasks: List[_PointTask]) -> _Chunk:
-        assert self.pool is not None
-        # Safe to zero: a task is re-dispatched only after its previous
-        # chunk was collected or its pool was replaced and joined, so no
-        # worker can still stamp these slots for an older attempt.
-        for task in tasks:
-            self._stamps[task.index] = 0.0
-        items = [
-            (task.index, dict(task.payload, _attempt=task.attempts + 1))
-            for task in tasks
-        ]
-        chunk = _Chunk(tasks)
-        on_settled = functools.partial(self._on_settled, chunk)
-        chunk.async_result = self.pool.apply_async(
-            execute_chunk, (items,),
-            callback=on_settled, error_callback=on_settled,
-        )
-        self._heard_at = time.monotonic()
-        return chunk
-
-    def _collect(self, chunk: _Chunk,
-                 finished: List[Tuple[_PointTask, Dict[str, Any], float]],
-                 requeue: List[_PointTask],
-                 solo: List[_PointTask]) -> None:
-        """Charge each point of a settled chunk its attempt."""
-        try:
-            outcomes: List[_Outcome] = chunk.async_result.get()
-        except Exception as exc:
-            # execute_chunk settles every point itself, so an error of the
-            # task as a whole cannot be pinned on one point: each point
-            # reruns uncharged as a task of its own, where it can be.
-            if len(chunk.tasks) > 1:
-                solo.extend(chunk.tasks)
-                return
-            outcomes = [exc]
-        for task, outcome in zip(chunk.tasks, outcomes):
-            task.attempts += 1
-            if isinstance(outcome, BaseException):
-                self._on_error(task, outcome, requeue)
-            else:
-                record, elapsed = outcome
-                task.elapsed += elapsed
-                finished.append((task, record, elapsed))
-
-    def _last_stamp(self, chunk: _Chunk) -> Tuple[Optional[_PointTask], float]:
-        """An unsettled chunk's last-stamped point and its stamp, or
-        ``(None, 0.0)`` before the chunk starts.  A chunk runs its points
-        in order, so only that point can be running: it is while the stamp
-        is positive, and a negated stamp means it finished and the chunk
-        is between points or sending its results back."""
-        for task in reversed(chunk.tasks):
-            stamp = self._stamps[task.index]
-            if stamp:
-                return task, stamp
-        return None, 0.0
-
-    def _unwedge(self) -> None:
-        """Free the read lock of the pool's task queue.  An idle worker
-        holds it while it waits for a task; a worker killed there (an OOM
-        kill, say) leaves it taken, so no other worker can take a task and
-        ``Pool.terminate``, which takes the lock itself, blocks forever.
-        Only called for a stalled pool with chunks that never started: a
-        live worker holding the lock would have taken one of them."""
-        assert self.pool is not None
-        lock = self.pool._inqueue._rlock  # type: ignore[attr-defined]
-        lock.acquire(block=False)
-        lock.release()
-
     def _attempt_in_process(self, task: _PointTask) -> None:
         """Graceful degradation: the final permitted attempt runs in the
-        orchestrating process, immune to worker death and pool state."""
+        orchestrating process, immune to worker death and hangs."""
         attempt = task.attempts + 1
         self.say(
             f"  last attempt for {task.point.label()} runs in-process "
@@ -906,8 +713,6 @@ class _FrontierExecutor:
             record, elapsed = execute_point(
                 dict(task.payload, _attempt=attempt)
             )
-        except KeyboardInterrupt:
-            raise
         except Exception as exc:
             task.attempts = attempt
             task.elapsed += time.perf_counter() - t0
@@ -917,129 +722,156 @@ class _FrontierExecutor:
             task.elapsed += elapsed
             self._complete(task, record, elapsed)
 
+    # -- pooled execution -------------------------------------------------
+    def _send(self, worker: _Worker, job: _Job) -> None:
+        """Send ``job`` (a point, or a batch as one message) to ``worker``."""
+        payloads = [
+            dict(task.payload, _attempt=task.attempts + 1) for task in job
+        ]
+        try:
+            worker.conn.send(
+                (job[0].index, payloads if len(job) > 1 else payloads[0])
+            )
+        except OSError:
+            pass  # the worker is dead: the loop sees its exit and resends
+        worker.jobs.append(job)
+
+    def _settle(self, job: _Job, outcome: Any,
+                finished: Deque[Tuple[_PointTask, Dict[str, Any], float]],
+                requeue: List[_PointTask], spent: float = 0.0) -> None:
+        """Charge each point of ``job`` its attempt: ``outcome`` is the
+        job's ``(record, elapsed)`` pair (a list of them for a batch), or
+        the exception that failed the whole job after ``spent`` seconds."""
+        if isinstance(outcome, BaseException):
+            for task in job:
+                task.attempts += 1
+                task.elapsed += spent / len(job)
+                self._on_error(task, outcome, requeue)
+            return
+        for task, (record, elapsed) in zip(
+                job, outcome if len(job) > 1 else [outcome]):
+            task.attempts += 1
+            task.elapsed += elapsed
+            finished.append((task, record, elapsed))
+
+    def _drain(self, worker: _Worker,
+               finished: Deque[Tuple[_PointTask, Dict[str, Any], float]],
+               requeue: List[_PointTask]) -> None:
+        """Act on every message ``worker`` has sent so far."""
+        try:
+            while worker.conn.poll():
+                kind, _index, value = worker.conn.recv()
+                if kind == "started":
+                    worker.started_at = value
+                else:
+                    worker.started_at = 0.0
+                    self._settle(worker.jobs.popleft(), value,
+                                 finished, requeue)
+        except (EOFError, OSError):
+            pass  # the worker died; the loop sees its exit
+
+    def _deadline(self, worker: _Worker) -> float:
+        """When ``worker``'s running job times out: ``timeout_s`` per
+        point from the moment the worker started it."""
+        if not worker.started_at or self.policy.timeout_s is None:
+            return math.inf
+        return worker.started_at + self.policy.timeout_s * len(worker.jobs[0])
+
+    def _replace(self, n: int, exc: BaseException,
+                 finished: Deque[Tuple[_PointTask, Dict[str, Any], float]],
+                 requeue: List[_PointTask],
+                 ready: List[Tuple[int, _Job]]) -> None:
+        """Kill and join worker ``n`` (dead or overdue), charge ``exc`` to
+        the job it was running, if any, re-queue its unstarted job
+        uncharged, and start a fresh worker in its place."""
+        worker = self.workers[n]
+        worker.process.kill()
+        worker.process.join()
+        worker.conn.close()
+        if worker.started_at:
+            self._settle(worker.jobs.popleft(), exc, finished, requeue,
+                         time.monotonic() - worker.started_at)
+        for job in worker.jobs:
+            heapq.heappush(ready, (job[0].index, job))
+        self.say(f"  worker replaced ({type(exc).__name__}: {exc})")
+        self.workers[n] = _Worker()
+
     def _run_pool(self) -> None:
-        self._spawn_pool()
-        # Dispatchable points, lowest expansion index first so the frontier
+        # Imported here: it costs every inline sweep ~6 ms of start-up.
+        from multiprocessing.connection import wait
+
+        # Dispatchable jobs, lowest expansion index first so the frontier
         # advances soonest; retries wait in ``backoff`` until due.
-        ready = [(task.index, task) for task in self._work]
+        jobs = self._group_batches() if self.batch else []
+        batched = {task.index for job in jobs for task in job}
+        jobs += [[task] for task in self.tasks if task.index not in batched]
+        ready = [(job[0].index, job) for job in jobs]
         heapq.heapify(ready)
         backoff: List[Tuple[float, int, _PointTask]] = []
-        in_flight: List[_Chunk] = []
-        max_in_flight = self.n_workers * TASKS_PER_WORKER
-        while ready or backoff or in_flight:
+        finished: Deque[Tuple[_PointTask, Dict[str, Any], float]] = deque()
+        for _ in range(self.n_workers):
+            self.workers.append(_Worker())
+        while True:
             self._check_stop()
-            # Cleared before collecting, so a chunk that settles from here
-            # on is either collected below or wakes the wait in step 5.
-            self._wake.clear()
-            # 1. Collect settled chunks, note overdue points and whether
-            #    the pool shows life.  Finished records are held back until
-            #    step 4.
-            now = time.monotonic()
-            timeout = self.policy.timeout_s
-            finished: List[Tuple[_PointTask, Dict[str, Any], float]] = []
             requeue: List[_PointTask] = []
-            solo: List[_PointTask] = []
-            overdue: List[_PointTask] = []
-            pending: List[_Chunk] = []
-            unstarted = False
-            for chunk in in_flight:
-                if chunk.settled:
-                    self._collect(chunk, finished, requeue, solo)
-                    continue
-                pending.append(chunk)
-                task, stamp = self._last_stamp(chunk)
-                if stamp > 0:
-                    self._heard_at = now
-                    if timeout is not None and now >= stamp + timeout:
-                        overdue.append(task)
-                unstarted = unstarted or not stamp
-            progressed = len(pending) < len(in_flight)
-            in_flight = pending
-            if progressed:
-                self._heard_at = now
-            # 2. Timeouts: the worker running an overdue point is hung or
-            #    dead (a killed worker's task never completes — this is how
-            #    hard death is detected).  A pool whose chunks all sit
-            #    unstarted, or finished but undelivered, with no sign of
-            #    life for a while is wedged instead: a worker was killed
-            #    while idle, or after its points finished.
-            #    multiprocessing.Pool cannot reap one worker, so the pool
-            #    is replaced wholesale; the overdue points are charged, and
-            #    every other in-flight point is re-dispatched without being
-            #    charged an attempt.
-            stalled = (
-                self._quiet_s is not None and bool(in_flight)
-                and now >= self._heard_at + self._quiet_s
-            )
-            if overdue or stalled:
-                assert timeout is not None and self._quiet_s is not None
-                for task in overdue:
-                    task.attempts += 1
-                    task.elapsed += timeout
+            # 1. Act on every message that has arrived.  Finished records
+            #    wait for step 4.
+            for worker in self.workers:
+                self._drain(worker, finished, requeue)
+            # 2. Replace each worker that died (reading what it sent before
+            #    it did) or overran its running job.
+            for n, worker in enumerate(self.workers):
+                code = worker.process.exitcode
+                if code is not None:
+                    self._drain(worker, finished, requeue)
+                    exc: BaseException = WorkerDied(
+                        f"worker exited with code {code}")
+                elif time.monotonic() >= self._deadline(worker):
+                    limit = self._deadline(worker) - worker.started_at
                     exc = TimeoutError(
-                        f"no result within {timeout:.1f}s "
-                        "(worker hung or died)"
-                    )
-                    self._on_error(task, exc, requeue)
-                collateral = [
-                    task for chunk in in_flight for task in chunk.tasks
-                    if task not in overdue
-                ]
-                in_flight = []
-                progressed = True
-                if overdue:
-                    reason = "timeout"
+                        f"no result within {limit:.1f}s of its start "
+                        "(worker hung)")
                 else:
-                    reason = f"{self._quiet_s:.1f}s without progress"
-                    self._quiet_s *= 2
-                    if unstarted:
-                        self._unwedge()
-                self.say(
-                    f"  pool replaced after {reason} "
-                    f"({len(collateral)} in-flight point(s) re-dispatched)"
-                )
-                self._shutdown_pool()
-                self._spawn_pool()
-                for task in collateral:
-                    heapq.heappush(ready, (task.index, task))
+                    continue
+                self._replace(n, exc, finished, requeue, ready)
+            # 3. Refill every worker to _DEPTH jobs, idle workers first.
+            #    Retries whose backoff has elapsed rejoin the ready heap,
+            #    except a point on its final attempt, which runs in-process
+            #    instead (see above) once the workers are busy.
             for task in requeue:
                 heapq.heappush(backoff, (task.ready_at, task.index, task))
-            # 3. Refill the in-flight window.  Retries whose backoff has
-            #    elapsed rejoin the ready heap, except a point on its final
-            #    attempt, which runs in-process instead (see above) once
-            #    the workers are busy.
-            now = time.monotonic()
             last_tries: List[_PointTask] = []
-            while backoff and backoff[0][0] <= now:
+            while backoff and backoff[0][0] <= time.monotonic():
                 task = heapq.heappop(backoff)[2]
                 if task.attempts + 1 >= self.policy.max_attempts:
                     last_tries.append(task)
                 else:
-                    heapq.heappush(ready, (task.index, task))
-            for task in solo:
-                in_flight.append(self._dispatch([task]))
-            size = min(POINTS_PER_TASK, -(-len(ready) // self.n_workers))
-            while ready and len(in_flight) < max_in_flight:
-                tasks = [heapq.heappop(ready)[1]
-                         for _ in range(min(size, len(ready)))]
-                in_flight.append(self._dispatch(tasks))
+                    heapq.heappush(ready, (task.index, [task]))
+            for depth in range(1, _DEPTH + 1):
+                for worker in self.workers:
+                    if ready and len(worker.jobs) < depth:
+                        self._send(worker, heapq.heappop(ready)[1])
             for task in last_tries:
                 self._attempt_in_process(task)
-            # 4. Only now, with the workers busy again, hand the finished
-            #    records to the frontier (store append + fsync, then
-            #    ``on_point_done``).  A chunk's records arrive together, so
-            #    ``should_stop`` is checked between them: a cancel lands
-            #    within one appended record.
-            for n, (task, record, elapsed) in enumerate(finished):
-                if n:
-                    self._check_stop()
-                self._complete(task, record, elapsed)
-            # 5. Wait for a completion only if this pass collected nothing.
-            #    The cap bounds how late ``should_stop``, deadlines and
-            #    backoff are noticed; ``Event.wait`` stays interruptible by
-            #    SIGINT/SIGTERM on the main thread.
-            if not progressed and (ready or backoff or in_flight):
-                self._wake.wait(_POLL_INTERVAL_S)
+            # 4. Only now, with the workers busy again, hand the oldest
+            #    finished record to the frontier (store append + fsync,
+            #    then ``on_point_done``).  The rest wait for the next pass,
+            #    so workers are refilled between appends instead of idling
+            #    behind a run of fsyncs.
+            if finished:
+                self._complete(*finished.popleft())
+                continue
+            if not (ready or backoff or any(w.jobs for w in self.workers)):
+                return
+            # 5. Sleep until a worker sends or exits, or the next deadline
+            #    or backoff falls due.
+            due = min([self._deadline(w) for w in self.workers]
+                      + [backoff[0][0] if backoff else math.inf])
+            wait(
+                [w.conn for w in self.workers]
+                + [w.process.sentinel for w in self.workers],
+                max(0.0, min(_POLL_INTERVAL_S, due - time.monotonic())),
+            )
 
 
 def run_sweep(
@@ -1072,7 +904,7 @@ def run_sweep(
     Completed records are appended incrementally in expansion order (the
     flush frontier), so partial progress survives crashes and interrupts;
     SIGINT/SIGTERM raise :class:`SweepInterrupted` carrying the partial
-    summary after the pool is torn down.  Points that exhaust their retry
+    summary after the workers are stopped.  Points that exhaust their retry
     budget are reported in :attr:`SweepSummary.failures` and block the
     frontier at their expansion index.
 
@@ -1085,8 +917,8 @@ def run_sweep(
 
     ``should_stop``, when given, is polled between dispatch iterations and
     between the appends of records that arrive together; returning
-    ``True`` cancels the sweep through the interrupt path (pool
-    torn down, frontier flushed, :class:`SweepInterrupted` raised with the
+    ``True`` cancels the sweep through the interrupt path (workers
+    stopped, frontier flushed, :class:`SweepInterrupted` raised with the
     partial summary) — the service's cancel button.
     """
     t0 = time.perf_counter()
@@ -1135,7 +967,7 @@ def run_sweep(
             executor.run()
         except KeyboardInterrupt:
             interrupted = True
-            say("  interrupted: frontier flushed, worker pool torn down")
+            say("  interrupted: frontier flushed, workers stopped")
         finally:
             restore_sigterm()
         timings = executor.timings
@@ -1167,6 +999,7 @@ __all__ = [
     "FailureRecord",
     "SweepInterrupted",
     "SweepSummary",
+    "WorkerDied",
     "clear_trace_cache",
     "default_workers",
     "execute_batch",

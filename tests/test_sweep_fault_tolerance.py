@@ -119,8 +119,8 @@ class TestFlushFrontierDurability:
         assert summary.n_computed == 3
 
     def test_worker_death_mid_sweep_keeps_prior_points(self, tmp_path, monkeypatch):
-        # Hard os._exit death of the worker holding point #2, no retries:
-        # the runner detects it via the per-point timeout, fails the point,
+        # Hard os._exit death of the worker holding point #2, no retries
+        # and no timeout: the runner sees the worker exit, fails the point,
         # and the already-flushed prefix (points 0 and 1) stays durable.
         points = small_spec().expand()
         assert len(points) == 4
@@ -129,11 +129,10 @@ class TestFlushFrontierDurability:
         monkeypatch.setenv(ENV_VAR, plan.to_env())
         store = ResultStore(str(tmp_path / "store.jsonl"))
         summary = run_sweep(
-            points, store, workers=2,
-            policy=RetryPolicy(max_attempts=1, timeout_s=1.0),
+            points, store, workers=2, policy=RetryPolicy(max_attempts=1),
         )
         assert set(summary.failures) == {doomed}
-        assert summary.failures[doomed].error == "TimeoutError"
+        assert summary.failures[doomed].error == "WorkerDied"
         reloaded = ResultStore(store.path)
         assert points[0].key() in reloaded
         assert points[1].key() in reloaded
@@ -218,7 +217,37 @@ class TestRetryRecovery:
         )
         assert not summary.failures
         assert store_bytes(path) == ref
-        assert any("pool replaced" in m for m in messages)
+        # The death is seen as a death, not waited out as a timeout.
+        retried = [m for m in messages if "retry" in m]
+        assert len(retried) == 1 and "WorkerDied" in retried[0]
+        assert sum("worker replaced" in m for m in messages) == 1
+
+    def test_worker_death_without_timeout_is_recovered(
+            self, tmp_path, monkeypatch):
+        # Regression: with no timeout (the default), a worker that died
+        # while running a point used to stall the sweep forever.
+        import threading
+
+        points = small_spec().expand()
+        assert len(points) == 4
+        ref = reference_bytes(points, tmp_path)
+        plan = FaultPlan(scripted={points[1].key(): [FAULT_DEATH]})
+        monkeypatch.setenv(ENV_VAR, plan.to_env())
+        path = str(tmp_path / "store.jsonl")
+        messages = []
+        outcome = {}
+        sweep = threading.Thread(target=lambda: outcome.update(
+            summary=run_sweep(points, ResultStore(path), workers=2,
+                              policy=RetryPolicy(), log=messages.append),
+        ), daemon=True)
+        sweep.start()
+        sweep.join(30.0)
+        assert not sweep.is_alive(), "sweep stalled behind a dead worker"
+        assert not outcome["summary"].failures
+        assert store_bytes(path) == ref
+        retried = [m for m in messages if "retry" in m]
+        assert len(retried) == 1 and points[1].label() in retried[0]
+        assert "WorkerDied" in retried[0]
 
     def test_hung_worker_recovered_via_timeout(self, tmp_path, monkeypatch):
         points = small_spec().expand()
@@ -241,10 +270,11 @@ class TestRetryRecovery:
 
     def test_deadline_runs_from_point_start_not_dispatch(
             self, tmp_path, monkeypatch):
-        # Every point sleeps 0.6 x the timeout.  A chunk of 4 points runs
-        # for 2.4 timeouts, and the chunks queued behind it wait longer
-        # still; only a clock started when each point starts sees no
-        # timeout.  24 points on 2 workers: three chunks per worker.
+        # Every point sleeps 0.6 x the timeout.  Each worker holds a
+        # second point in its pipe while it runs one, so a point waits
+        # 0.6 timeouts before it starts and finishes 1.2 timeouts after it
+        # was sent; only a clock started when each point starts sees no
+        # timeout.  24 points on 2 workers.
         timeout = 0.5
         points = small_spec(cluster_counts=(2, 3, 4, 8),
                             seeds=(7, 8, 9)).expand()
@@ -263,23 +293,39 @@ class TestRetryRecovery:
         )
         assert not summary.failures
         assert not [m for m in messages
-                    if "retry" in m or "pool replaced" in m]
+                    if "retry" in m or "worker replaced" in m]
         assert store_bytes(path) == ref
 
-    def test_hang_mid_chunk_charges_only_that_point(
-            self, tmp_path, monkeypatch):
-        # 12 points on 2 workers travel in chunks of 4; point 5 sits in the
-        # middle of the second chunk and hangs for 30 s on attempt 1.  With
-        # two attempts allowed, any point charged once runs its last attempt
-        # in-process, which the log names.
-        from repro.sweep.runner import POINTS_PER_TASK
+    def test_hang_replaces_only_its_worker(self, tmp_path, monkeypatch):
+        # 12 points on 2 workers; point 5 hangs for 30 s on attempt 1.
+        # With two attempts allowed, any point charged once runs its last
+        # attempt in-process, which the log names.  Only the hung worker
+        # is replaced: exactly one new worker pid appears after the hang.
+        # Each pool point takes 0.25 s, so the other worker is still busy
+        # when the replacement starts, and the replacement gets work.
+        import multiprocessing
 
-        assert POINTS_PER_TASK == 4
+        from repro.sweep import runner
+        from repro.sweep.grid import ExperimentPoint
+
         points = small_spec(cluster_counts=(2, 4, 8), seeds=(7, 8)).expand()
         ref = reference_bytes(points, tmp_path)
         hung = points[5]
         plan = FaultPlan(sleep_s=30.0, scripted={hung.key(): [FAULT_HANG]})
         monkeypatch.setenv(ENV_VAR, plan.to_env())
+        starts = tmp_path / "starts"
+        real_execute = runner.execute_point
+
+        def recording(payload):
+            point = ExperimentPoint.from_dict(
+                {k: v for k, v in payload.items() if not k.startswith("_")})
+            with open(starts, "a") as fh:
+                fh.write(f"{os.getpid()} {point.key()}\n")
+            if multiprocessing.parent_process() is not None:
+                time.sleep(0.25)
+            return real_execute(payload)
+
+        monkeypatch.setattr(runner, "execute_point", recording)
         path = str(tmp_path / "store.jsonl")
         messages = []
         t0 = time.monotonic()
@@ -295,16 +341,21 @@ class TestRetryRecovery:
         assert "TimeoutError" in retried[0]
         in_process = [m for m in messages if "in-process" in m]
         assert len(in_process) == 1 and hung.label() in in_process[0]
-        assert sum("pool replaced" in m for m in messages) == 1
+        assert sum("worker replaced" in m for m in messages) == 1
         assert store_bytes(path) == ref
+        started = [line.split() for line in starts.read_text().splitlines()]
+        pids = [int(pid) for pid, _key in started]
+        hang_at = [key for _pid, key in started].index(hung.key())
+        before = set(pids[:hang_at + 1])
+        after = set(pids[hang_at + 1:]) - {os.getpid()}
+        assert len(before) == 2 and len(after - before) == 1
 
     def test_idle_worker_killed_during_backoff_is_recovered(
             self, tmp_path, monkeypatch):
         # Point 0 raises on attempt 1.  While it backs off, both workers
-        # sit idle in the pool's task queue, and both are SIGKILLed; the
-        # one holding the queue's read lock dies with it, so the respawned
-        # workers can never take the retry.  No point ever starts, so only
-        # the no-progress watchdog can notice; the retry is not charged.
+        # sit idle and both are SIGKILLed.  Neither was running a point,
+        # so each is replaced and nothing is charged; the retry then runs
+        # on a replacement.
         import multiprocessing
         import threading
 
@@ -353,17 +404,16 @@ class TestRetryRecovery:
         assert not sweep.is_alive(), "sweep wedged behind a dead worker"
         assert not outcome["summary"].failures
         assert sum("retry" in m for m in messages) == 1
-        replaced = [m for m in messages if "pool replaced" in m]
-        assert len(replaced) == 1 and "without progress" in replaced[0]
+        assert sum("worker replaced" in m for m in messages) == 2
         assert not [m for m in messages if "in-process" in m]
         assert store_bytes(path) == ref
 
-    def test_death_after_a_chunk_finished_is_not_charged(
-            self, tmp_path, monkeypatch):
-        # The worker that runs chunk [0, 1] dies once, as if killed, while
-        # pickling its results: both points finished, so neither is
-        # charged; the chunk is re-dispatched once the pool has shown no
-        # progress for the timeout.
+    def test_death_while_sending_is_charged(self, tmp_path, monkeypatch):
+        # Every pool attempt of point 1 dies, as if killed, while pickling
+        # its finished record.  Each death is charged, so the point reaches
+        # its final attempt, which runs in-process and completes.
+        import multiprocessing
+
         from repro.sweep import runner
 
         class DieWhenPickled:
@@ -374,13 +424,12 @@ class TestRetryRecovery:
         assert len(points) == 4
         ref = reference_bytes(points, tmp_path)
         real_execute = runner.execute_point
-        last = points[1].key()
-        died = tmp_path / "died"
+        doomed = points[1]
 
         def die_on_send(payload):
             record, elapsed = real_execute(payload)
-            if record["key"] == last and not died.exists():
-                died.touch()
+            if record["key"] == doomed.key() and \
+                    multiprocessing.parent_process() is not None:
                 record = dict(record, poison=DieWhenPickled())
             return record, elapsed
 
@@ -389,12 +438,16 @@ class TestRetryRecovery:
         messages = []
         summary = run_sweep(
             points, ResultStore(path), workers=2, log=messages.append,
-            policy=RetryPolicy(max_attempts=2, backoff_s=0.01, timeout_s=1.0),
+            policy=RetryPolicy(max_attempts=3, backoff_s=0.01),
         )
         assert not summary.failures
-        assert not [m for m in messages if "retry" in m]
-        replaced = [m for m in messages if "pool replaced" in m]
-        assert len(replaced) == 1 and "without progress" in replaced[0]
+        retried = [m for m in messages if "retry" in m]
+        assert len(retried) == 2
+        assert all(doomed.label() in m and "WorkerDied" in m
+                   for m in retried)
+        in_process = [m for m in messages if "in-process" in m]
+        assert len(in_process) == 1 and doomed.label() in in_process[0]
+        assert sum("worker replaced" in m for m in messages) == 2
         assert store_bytes(path) == ref
 
     def test_final_attempt_runs_in_process(self, tmp_path, monkeypatch):

@@ -364,29 +364,6 @@ class TestEventDrivenPool:
         # A loop that slept one cap per iteration would take >= 12 caps.
         assert time.perf_counter() - t0 < self.CAP_S
 
-    def test_wake_ahead_of_readiness_is_not_lost(self, tmp_path,
-                                                 monkeypatch):
-        import time
-
-        from repro.sweep import runner
-
-        # The pool runs a task's callback just before it marks the result
-        # ready; widen that gap so the loop always sees the wake first.
-        real_on_settled = runner._FrontierExecutor._on_settled
-
-        def late_ready(executor, task, outcome):
-            real_on_settled(executor, task, outcome)
-            time.sleep(0.02)
-
-        monkeypatch.setattr(runner._FrontierExecutor, "_on_settled",
-                            late_ready)
-        monkeypatch.setattr(runner, "_POLL_INTERVAL_S", self.CAP_S)
-        store = ResultStore(str(tmp_path / "store.jsonl"))
-        t0 = time.perf_counter()
-        summary = run_sweep(self._spec().expand(), store, workers=2)
-        assert summary.n_computed == 12
-        assert time.perf_counter() - t0 < self.CAP_S
-
     def test_stress_more_workers_than_cores(self, tmp_path, monkeypatch):
         import sys
         import time
@@ -441,20 +418,16 @@ class TestEventDrivenPool:
         assert full.startswith(partial) and len(partial) < len(full)
 
     def test_workers_refilled_before_the_append(self, tmp_path, monkeypatch):
-        import multiprocessing.pool
-
         from repro.sweep import runner
 
-        dispatched = []  # points per pool task, in dispatch order
-        real_apply_async = multiprocessing.pool.Pool.apply_async
+        dispatched = []  # points per message sent to a worker, in order
+        real_send = runner._FrontierExecutor._send
 
-        def counting_apply_async(pool, func, args=(), *rest, **kwargs):
-            assert func is runner.execute_chunk
-            dispatched.append(len(args[0]))
-            return real_apply_async(pool, func, args, *rest, **kwargs)
+        def counting_send(executor, worker, job):
+            dispatched.append(len(job))
+            real_send(executor, worker, job)
 
-        monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async",
-                            counting_apply_async)
+        monkeypatch.setattr(runner._FrontierExecutor, "_send", counting_send)
         points = self._spec().expand()
         total, n_workers = len(points), 2
         seen = []  # (points dispatched so far, emitted so far) at each append
@@ -468,10 +441,44 @@ class TestEventDrivenPool:
         for n_dispatched, emitted in seen:
             assert n_dispatched >= min(total, emitted + n_workers)
 
+    def test_no_worker_outlives_its_sweep(self, tmp_path, monkeypatch):
+        # A plain pooled sweep, one whose hung worker is replaced after a
+        # timeout, and one cancelled by should_stop all join every worker
+        # they started, the replaced one included.
+        import multiprocessing
+
+        from repro.exec import RetryPolicy
+        from repro.faults import ENV_VARS, FAULT_HANG, FaultPlan
+        from repro.sweep import runner
+
+        points = self._spec().expand()
+        run_sweep(points, ResultStore(str(tmp_path / "plain.jsonl")),
+                  workers=2)
+        assert multiprocessing.active_children() == []
+
+        messages = []
+        monkeypatch.setenv(ENV_VARS["point"], FaultPlan(
+            sleep_s=30.0, scripted={points[3].key(): [FAULT_HANG]}).to_env())
+        summary = run_sweep(
+            points, ResultStore(str(tmp_path / "hang.jsonl")), workers=2,
+            policy=RetryPolicy(backoff_s=0.01, timeout_s=0.5),
+            log=messages.append)
+        assert not summary.failures
+        assert sum("worker replaced" in m for m in messages) == 1
+        assert multiprocessing.active_children() == []
+
+        monkeypatch.delenv(ENV_VARS["point"])
+        done = []
+        with pytest.raises(runner.SweepInterrupted):
+            run_sweep(points, ResultStore(str(tmp_path / "stop.jsonl")),
+                      workers=2, on_point_done=lambda *args: done.append(args),
+                      should_stop=lambda: len(done) >= 3)
+        assert multiprocessing.active_children() == []
+
 
 class TestChunkedDispatch:
-    """Pool tasks carry chunks of consecutive points; every point keeps its
-    own outcome, and small shards still spread over every worker."""
+    """Workers take one point per message; every point keeps its own
+    outcome, and small shards still spread over every worker."""
 
     @pytest.mark.parametrize("n_workers", [2, 3])
     def test_small_shard_reaches_every_worker(self, tmp_path, monkeypatch,
@@ -502,12 +509,11 @@ class TestChunkedDispatch:
         assert str(os.getpid()) not in seen
 
     def test_should_stop_lands_within_one_record(self, tmp_path):
-        from repro.sweep.runner import POINTS_PER_TASK, SweepInterrupted
+        from repro.sweep.runner import SweepInterrupted
 
-        # 12 points on 2 workers: the first chunk is points 0-3, and its
-        # records reach the frontier together.
+        # 12 points on 2 workers: records that arrive together reach the
+        # frontier in one pass, and the cancel must land between them.
         points = small_spec(cluster_counts=(2, 4, 8), seeds=(7, 8)).expand()
-        assert POINTS_PER_TASK >= 3
         reference = str(tmp_path / "reference.jsonl")
         run_sweep(points, ResultStore(reference), workers=1)
         path = str(tmp_path / "store.jsonl")
@@ -523,11 +529,38 @@ class TestChunkedDispatch:
             partial = fh.read()
         assert partial.count(b"\n") == 2 and full.startswith(partial)
 
+    def test_should_stop_lands_between_records_released_together(
+            self, tmp_path, monkeypatch):
+        # Point 0 sleeps 0.5 s, so the other worker finishes point 1 (and
+        # every point not queued behind 0) first, and they wait in the
+        # frontier.  Point 0's completion then releases points 0 and 1 at
+        # once; a cancel after the first record must land before the second.
+        from repro.faults import ENV_VARS, FAULT_HANG, FaultPlan
+        from repro.sweep.runner import SweepInterrupted
+
+        points = small_spec(cluster_counts=(2, 4, 8), seeds=(7, 8)).expand()
+        reference = str(tmp_path / "reference.jsonl")
+        run_sweep(points, ResultStore(reference), workers=1)
+        monkeypatch.setenv(ENV_VARS["point"], FaultPlan(
+            sleep_s=0.5, scripted={points[0].key(): [FAULT_HANG]}).to_env())
+        path = str(tmp_path / "store.jsonl")
+        done = []
+        with pytest.raises(SweepInterrupted) as err:
+            run_sweep(points, ResultStore(path), workers=2,
+                      on_point_done=lambda *args: done.append(args),
+                      should_stop=lambda: len(done) >= 1)
+        assert err.value.summary.n_computed == 1
+        with open(reference, "rb") as fh:
+            full = fh.read()
+        with open(path, "rb") as fh:
+            partial = fh.read()
+        assert partial.count(b"\n") == 1 and full.startswith(partial)
+
     def test_chunk_whose_results_cannot_cross_reruns_point_by_point(
             self, tmp_path, monkeypatch):
-        # Point 0's first attempt returns a record pickle rejects, so the
-        # whole chunk [0, 1] comes back as one error.  Its points rerun as
-        # tasks of their own, uncharged; only point 0 is then charged.
+        # Point 0's first attempt returns a record pickle rejects, so its
+        # worker sends a RuntimeError in its place: point 0 alone is
+        # charged, and its retry completes.
         import threading
 
         from repro.sweep import runner
@@ -553,42 +586,48 @@ class TestChunkedDispatch:
         assert not summary.failures
         retried = [m for m in messages if "retry" in m]
         assert len(retried) == 1 and points[0].label() in retried[0]
+        assert "RuntimeError" in retried[0]
         with open(reference, "rb") as fh, open(path, "rb") as gh:
             assert fh.read() == gh.read()
 
-    def test_execute_chunk_settles_each_point_alone(self, monkeypatch):
-        import pickle
-
+    def test_unpicklable_exception_is_charged_alone(self, tmp_path,
+                                                     monkeypatch):
+        # On attempt 1, point 1 raises a ValueError and point 2 an exception
+        # pickle cannot carry back; the latter is charged as a RuntimeError
+        # naming it, and the points around them complete.
         from repro.sweep import runner
 
         class LocalError(Exception):
             """Defined in a function, so pickle cannot find it by name."""
 
         points = small_spec().expand()
-        payloads = [runner._payload_for(point) for point in points]
+        labels = [point.label() for point in points]
         real_execute = runner.execute_point
 
         def flaky(payload):
-            if payload is payloads[1]:
+            record, elapsed = real_execute(payload)
+            if payload["_attempt"] == 1 and record["key"] == points[1].key():
                 raise ValueError("bad point")
-            if payload is payloads[2]:
+            if payload["_attempt"] == 1 and record["key"] == points[2].key():
                 raise LocalError("cannot cross a process boundary")
-            return real_execute(payload)
+            return record, elapsed
 
+        reference = str(tmp_path / "reference.jsonl")
+        run_sweep(points, ResultStore(reference), workers=1)
         monkeypatch.setattr(runner, "execute_point", flaky)
-        stamps = [0.0] * len(points)
-        monkeypatch.setattr(runner, "_START_STAMPS", stamps)
-        outcomes = runner.execute_chunk(list(enumerate(payloads)))
-        assert len(outcomes) == 4
-        assert outcomes[0][0] == real_execute(payloads[0])[0]
-        assert isinstance(outcomes[1], ValueError)
-        assert isinstance(outcomes[2], RuntimeError)
-        assert "LocalError: cannot cross" in str(outcomes[2])
-        assert outcomes[3][0]["key"] == points[3].key()
-        pickle.loads(pickle.dumps(outcomes))  # the whole chunk crosses back
-        # Each slot ends negated: the point finished, in order.
-        ends = [-stamp for stamp in stamps]
-        assert all(end > 0 for end in ends) and ends == sorted(ends)
+        path = str(tmp_path / "store.jsonl")
+        messages = []
+        summary = run_sweep(points, ResultStore(path), workers=2,
+                            log=messages.append)
+        assert not summary.failures and summary.n_computed == 4
+        retried = {label: m for m in messages if "retry" in m
+                   for label in labels if label in m}
+        assert sorted(retried) == sorted(labels[1:3])
+        assert "ValueError: bad point" in retried[labels[1]]
+        assert ("RuntimeError: LocalError: cannot cross"
+                in retried[labels[2]])
+        with open(reference, "rb") as fh, open(path, "rb") as gh:
+            assert fh.read() == gh.read()
 
 
 class TestDefaultWorkers:
@@ -693,6 +732,36 @@ class TestBatchVariant:
             reference, _ = execute_point(dict(payload))
             assert record == reference
             assert elapsed >= 0
+
+    def test_batch_whose_worker_dies_demotes_to_per_point(self, tmp_path,
+                                                           monkeypatch):
+        # One lane of a 3-lane batch kills its worker on attempt 1: each
+        # member of that batch is charged one WorkerDied attempt and
+        # recomputed point by point, and no other batch is touched.
+        from repro.exec import RetryPolicy
+        from repro.faults import ENV_VARS, FAULT_DEATH, FaultPlan
+
+        spec = small_spec(seeds=(1, 2, 3))  # 4 batches of 3 lanes
+        points = spec.expand()
+        reference = str(tmp_path / "generic.jsonl")
+        run_sweep(points, ResultStore(reference), workers=1,
+                  kernel_variant="generic")
+        monkeypatch.setenv(ENV_VARS["point"], FaultPlan(
+            scripted={points[4].key(): [FAULT_DEATH]}).to_env())
+        batch = str(tmp_path / "batch.jsonl")
+        messages = []
+        summary = run_sweep(
+            points, ResultStore(batch), workers=2, kernel_variant="batch",
+            log=messages.append,
+            policy=RetryPolicy(max_attempts=3, backoff_s=0.0),
+        )
+        assert summary.n_computed == 12 and not summary.failures
+        retried = [m for m in messages if "retry" in m]
+        assert len(retried) == 3
+        assert all("WorkerDied" in m for m in retried)
+        assert points[4].label() in "\n".join(retried)
+        assert sum("worker replaced" in m for m in messages) == 1
+        assert self._bytes(batch) == self._bytes(reference)
 
     def test_failed_batch_demotes_to_per_point(self, tmp_path, monkeypatch):
         # Every point's first attempt raises an injected fault, so every
