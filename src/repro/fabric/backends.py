@@ -13,15 +13,15 @@ Two implementations:
   trace in the real store.
 * :class:`PeerBackend` — federates over the PR 7 job protocol: submit the
   spec plus a shard range, follow the SSE stream (every event doubles as a
-  liveness heartbeat), then fetch each record's canonical bytes through
-  ``GET /results/<key>``.
+  liveness heartbeat), then fetch the shard's canonical store lines in one
+  ``GET /jobs/<id>/results`` request.
 
 Everything a peer returns is **validated before it is trusted**:
 :func:`validate_record_bytes` checks framing, UTF-8, canonical-JSON
 byte-round-trip, the claimed key, and — decisively — that the embedded
 point re-hashes to the key it was fetched under.  A truncated, corrupted,
-or dishonest response fails validation and is refetched/recomputed; it can
-never reach the store.
+or dishonest response fails validation and the whole shard body is
+refetched (or the shard recomputed); it can never reach the store.
 
 Backend failures raise :class:`ShardExecutionError` (or its subclass
 :class:`ShardValidationError`), which the coordinator treats as
@@ -58,8 +58,8 @@ class ShardValidationError(ShardExecutionError):
     """A shard's result bytes failed integrity validation.
 
     Raised for torn (truncated), corrupted, non-canonical, or mislabeled
-    records.  The offending bytes are discarded and the shard (or the
-    single record, on refetch) is recomputed — never merged.
+    records.  The offending bytes are discarded and the shard's records
+    refetched (or the shard recomputed) — never merged.
     """
 
 
@@ -140,6 +140,26 @@ def validate_record_bytes(raw: bytes, expected_key: str) -> Dict[str, Any]:
             "relabeled or tampered record"
         )
     return record
+
+
+def _split_shard_records(raw: bytes, shard: Shard) -> List[Dict[str, Any]]:
+    """Split a shard's fetched body into validated records, in shard order.
+
+    The body must be exactly one newline-terminated line per shard key;
+    each line then passes :func:`validate_record_bytes` against its key.
+    Raises :class:`ShardValidationError` on the first failure.
+    """
+    lines = raw.split(b"\n")
+    # A well-framed body ends in a newline, leaving one empty tail.
+    tail = lines.pop()
+    if tail or len(lines) != len(shard.keys):
+        raise ShardValidationError(
+            f"framing: expected {len(shard.keys)} newline-terminated "
+            f"line(s), got {len(lines)} and {len(tail)} unterminated "
+            f"byte(s) ({len(raw)} byte(s) received)"
+        )
+    return [validate_record_bytes(line + b"\n", key)
+            for line, key in zip(lines, shard.keys)]
 
 
 class RunnerBackend:
@@ -244,10 +264,12 @@ class PeerBackend(RunnerBackend):
 
     The peer expands the same spec (expansion is deterministic, so both
     sides agree on every index), runs only its ``[start, stop)`` slice
-    against its own store, and serves the records back as canonical store
-    bytes.  Every fetched record passes :func:`validate_record_bytes`;
-    a record that keeps failing validation after ``fetch_retries``
-    refetches fails the shard, which the coordinator then recomputes
+    against its own store, and serves the shard's records back in one
+    response of canonical store lines.  The body must split into exactly
+    one line per shard key, and every line must pass
+    :func:`validate_record_bytes`; any failure refetches the whole body.
+    ``fetch_retries`` counts those whole-shard refetches: a shard whose
+    body still fails after them fails, and the coordinator recomputes it
     elsewhere.
     """
 
@@ -314,19 +336,16 @@ class PeerBackend(RunnerBackend):
                 f"{status['state']!r}: {status.get('error') or 'no detail'}"
             )
         heartbeat()
-        records = []
-        for key in shard.keys:
-            records.append(self._fetch_record(key, shard, heartbeat))
-        return records
+        return self._fetch_shard(job_id, shard, heartbeat)
 
-    def _fetch_record(self, key: str, shard: Shard,
-                      heartbeat: Heartbeat) -> Dict[str, Any]:
+    def _fetch_shard(self, job_id: str, shard: Shard,
+                     heartbeat: Heartbeat) -> List[Dict[str, Any]]:
         last: Optional[ShardValidationError] = None
         for attempt in range(1, self.fetch_retries + 2):
-            raw = self.client.result(key, attempt=attempt)
+            raw = self.client.job_results(job_id, attempt=attempt)
             heartbeat()
             try:
-                return validate_record_bytes(raw, key)
+                return _split_shard_records(raw, shard)
             except ShardValidationError as exc:
                 # Bad bytes in transit (or a lying peer): refetch with an
                 # advanced attempt number so a seeded fault plan moves on.

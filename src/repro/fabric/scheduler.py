@@ -24,7 +24,9 @@ once; the default of 1 preserves the original one-shard-per-backend
 behaviour.  Whenever a backend has spare lease capacity it *steals* the
 oldest unleased shard (lowest shard ordinal first — the shard the merge
 frontier is waiting on), idle-most backends first, so a fast peer
-pipelines several shards while a slow one grinds on its first.  The
+pipelines several shards while a slow one grinds on its first.  A
+backend that delivers a shard is handed its next one *before* that shard
+is merged, so it never idles through the merge's fsyncs.  The
 backend's progress callbacks renew the shard's lease; a lease that misses
 heartbeats for ``lease_timeout_s`` is declared expired — the backend is
 charged a failure, and the shard is requeued for a surviving backend.
@@ -305,8 +307,8 @@ class FabricCoordinator:
 
 class _Run:
     """One :meth:`FabricCoordinator.run`'s state, one method per transition:
-    dispatch, arrival, failure, lease expiry, requeue-or-give-up, and
-    snapshot.  The checkpoint payload is built (:meth:`snapshot`) and
+    dispatch, release, arrival, failure, lease expiry, requeue-or-give-up,
+    and snapshot.  The checkpoint payload is built (:meth:`snapshot`) and
     parsed (:meth:`_resume_plan`, :meth:`_rehydrate`) side by side here."""
 
     def __init__(self, coordinator: FabricCoordinator, spec: SweepSpec,
@@ -347,8 +349,19 @@ class _Run:
         self.snapshot(force=True)
         while not self.frontier.done:
             self._dispatch_idle()
-            for ticket, records, exc in self._drain():
-                self._arrive(ticket, records, exc)
+            arrivals = self._drain()
+            # Free every backend that delivered and hand it its next shard
+            # BEFORE merging: a merge fsyncs per record, and a backend
+            # waiting on it is idle time (the pool's refill-before-append).
+            for ticket, records, exc in arrivals:
+                if exc is None and records is not None:
+                    self._release(ticket)
+            self._dispatch_idle()
+            for ticket, records, exc in arrivals:
+                if exc is None and records is not None:
+                    self._arrive(ticket, records)
+                else:
+                    self._fail(ticket, exc)
             for lease in self.leases.expire_stale():
                 self._expire(lease)
             self.snapshot()
@@ -420,38 +433,43 @@ class _Run:
             except queue.Empty:
                 return arrivals
 
-    def _arrive(self, ticket: int,
-                records: Optional[List[Dict[str, Any]]],
-                exc: Optional[BaseException]) -> None:
+    def _release(self, ticket: int) -> None:
+        """Settle a successful arrival's lease so its backend can take the
+        next shard; the records are folded in later by :meth:`_arrive`.
+
+        A late result from an expired lease is still a success — accepted
+        iff the shard is still open (at-least-once; the merge dedups the
+        rest), so its shard leaves ``pending`` either way.  Health is only
+        updated for live leases: the expiry already charged this backend
+        a failure, and a late success must not resurrect a DEAD peer
+        straight to ALIVE, bypassing the probation trial health.py
+        documents.
+        """
         lease = self.leases.lookup(ticket)
         if not lease.expired:
             self.leases.release(ticket)
-        if exc is not None or records is None:
-            self._fail(lease, exc)
-            return
-        shard, holder = lease.item, lease.holder
-        # A late result from an expired lease is still a success —
-        # accepted iff the shard is still open (at-least-once; the merge
-        # dedups the rest).  Health is only updated for live leases: the
-        # expiry already charged this backend a failure, and a late success
-        # must not resurrect a DEAD peer straight to ALIVE, bypassing the
-        # probation trial health.py documents.
-        if not lease.expired:
-            self.c.health[holder].record_success()
+            self.c.health[lease.holder].record_success()
+        index = lease.item.index
+        self.pending = [s for s in self.pending if s.index != index]
+
+    def _arrive(self, ticket: int, records: List[Dict[str, Any]]) -> None:
+        lease = self.leases.lookup(ticket)
+        shard = lease.item
         if self.frontier.is_complete(shard.index):
             return
-        self.c._completed_by[holder] += 1
-        self.pending = [s for s in self.pending if s.index != shard.index]
+        self.c._completed_by[lease.holder] += 1
         self.dirty = True
         if self.frontier.complete(shard.index, records):
             # The merge frontier advanced: snapshot now — this is the
             # state a handoff must not lose.
             self.snapshot(force=True)
 
-    def _fail(self, lease: Lease, exc: Optional[BaseException]) -> None:
+    def _fail(self, ticket: int, exc: Optional[BaseException]) -> None:
+        lease = self.leases.lookup(ticket)
         self.c._say(f"fabric: {lease.item.label()} failed on "
                     f"{lease.holder}: {exc}")
         if not lease.expired:
+            self.leases.release(ticket)
             self.c.health[lease.holder].record_failure()
             self._requeue(lease.item, f"{type(exc).__name__}: {exc}",
                           type(exc).__name__)

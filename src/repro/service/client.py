@@ -196,6 +196,20 @@ class ServiceClient:
                                raw.decode("utf-8", "replace"))
         return raw
 
+    def job_results(self, job_id: str, attempt: int = 1) -> bytes:
+        """A done job's records as store lines, in job (shard) order.
+
+        The body is exactly ``b"".join(self.result(k) for k in keys)``
+        over the job's point keys.  ``attempt`` is the caller's own
+        1-based fetch attempt, as in :meth:`result`.
+        """
+        status, raw = self._request("GET", f"/jobs/{job_id}/results",
+                                    attempt_offset=attempt - 1)
+        if status != 200:
+            raise ServiceError(status, "job_results_error",
+                               raw.decode("utf-8", "replace"))
+        return raw
+
     def report(self, job_id: str, fmt: str = "md",
                table: Optional[str] = None) -> str:
         path = f"/jobs/{job_id}/report?format={fmt}"

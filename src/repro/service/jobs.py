@@ -31,7 +31,8 @@ Two extensions serve the distributed fabric:
   unit a :class:`~repro.fabric.scheduler.FabricCoordinator` dispatches to
   a peer.  The shard participates in the job digest, so two shards of one
   spec are distinct jobs and never dedupe against each other or against a
-  whole-spec run.
+  whole-spec run.  The manager keeps the deduped expansion of the last
+  spec it ran, so a row of shard jobs over one spec expands it once.
 * **Restart recovery**: every job's identity (spec, options, shard,
   state) is persisted as one small JSON file next to the store.  On boot
   the manager re-reads them; a job that was queued or running when the
@@ -54,7 +55,12 @@ from repro.common.jsonutil import canonical_json
 from repro.exec.attempts import RetryPolicy
 from repro.service.events import EventBroadcaster
 from repro.service.schemas import SchemaError
-from repro.sweep.grid import SweepSpec, dedup_points, spec_digest
+from repro.sweep.grid import (
+    ExperimentPoint,
+    SweepSpec,
+    dedup_points,
+    spec_digest,
+)
 from repro.sweep.report import relative_ipc_table, rows_from_records
 from repro.sweep.runner import (
     SweepInterrupted,
@@ -211,6 +217,10 @@ class JobManager:
         self._loop: Optional[Any] = None
         self._thread: Optional[threading.Thread] = None
         self._draining = False
+        #: ``(spec digest, deduped expansion)`` of the last spec run — one
+        #: entry, read and written only by the job-runner thread.
+        self._expansion: Optional[
+            Tuple[str, Dict[str, ExperimentPoint]]] = None
         if persist_jobs:
             self._recover_jobs()
 
@@ -511,15 +521,26 @@ class JobManager:
                 out.append(record)
         return out
 
+    def _expand(self, spec: SweepSpec) -> Dict[str, ExperimentPoint]:
+        """Unique points of ``spec`` by key, in expansion order — the same
+        dedup run_sweep does, so progress counts line up with its summary.
+
+        Cached for the last spec: a coordinator sends a spec's shards one
+        after another, and each would otherwise re-expand the whole grid.
+        An expansion that raises is not cached.
+        """
+        digest = spec_digest(spec)
+        if self._expansion is None or self._expansion[0] != digest:
+            self._expansion = (digest, dedup_points(spec.expand()))
+        return self._expansion[1]
+
     def _execute(self, job: Job) -> None:
         try:
-            points = job.spec.expand()
+            keyed = self._expand(job.spec)
         except ReproError as exc:
             self._settle(job, "failed", error=str(exc))
             return
-        # Unique keys in expansion order — the same dedup run_sweep does,
-        # so progress counts line up with its summary.
-        keyed = dedup_points(points)
+        items = list(keyed.items())
         if job.shard is not None:
             # A shard indexes the deduped expansion-order list — the exact
             # list a coordinator computed from the same spec (expansion is
@@ -532,11 +553,10 @@ class JobManager:
                     "point(s)"
                 ))
                 return
-            ordered = list(keyed.items())[start:stop]
-            keyed = dict(ordered)
-            points = [point for _key, point in ordered]
-        job.point_keys = list(keyed)
-        job.n_points = len(keyed)
+            items = items[start:stop]
+        points = [point for _key, point in items]
+        job.point_keys = [key for key, _point in items]
+        job.n_points = len(items)
         job.n_cached_start = sum(
             1 for key in job.point_keys if key in self.store
         )

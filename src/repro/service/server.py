@@ -17,6 +17,7 @@ Endpoints::
     POST /jobs/<id>/cancel      cancel a queued/running job
     GET  /jobs/<id>/events      SSE: queued/running/point/table/terminal
     GET  /jobs/<id>/report      incremental tables (?format=md|csv&table=)
+    GET  /jobs/<id>/results     a done job's store lines, in job order
     GET  /results/<key>         one store record, canonical JSON bytes
     GET  /registry/steering     the steering-policy plugin registry
     GET  /registry/mixes        the workload-mix registry
@@ -148,6 +149,8 @@ class SweepService:
              self._r_events),
             ("GET", re.compile(r"^/jobs/(?P<job_id>[0-9a-f]+)/report$"),
              self._r_report),
+            ("GET", re.compile(r"^/jobs/(?P<job_id>[0-9a-f]+)/results$"),
+             self._r_job_results),
             ("GET", re.compile(r"^/results/(?P<key>[0-9a-f]+)$"),
              self._r_result),
             ("GET", re.compile(r"^/registry/steering$"), self._r_steering),
@@ -377,6 +380,8 @@ class SweepService:
                                          "stream",
                 "GET /jobs/<id>/report": "incremental report "
                                          "(?format=md|csv&table=<slug>)",
+                "GET /jobs/<id>/results": "a done job's records as "
+                                          "store lines, in job order",
                 "GET /results/<key>": "one result record, canonical JSON",
                 "GET /registry/steering": "registered steering policies",
                 "GET /registry/mixes": "registered workload mixes",
@@ -481,6 +486,26 @@ class SweepService:
         })
         await self._send(writer, 200, markdown.encode("utf-8"),
                          "text/markdown; charset=utf-8")
+
+    async def _r_job_results(self, request: Request,
+                             writer: asyncio.StreamWriter,
+                             job_id: str) -> None:
+        job = self.manager.get(job_id)
+        if job.state != "done":
+            raise HttpError(409, "job_not_done",
+                            f"job {job_id} is {job.state!r}, not 'done'")
+        lines = []
+        for key in job.point_keys:
+            record = self.manager.store.read_record(key)
+            if record is None:
+                raise HttpError(409, "missing_result",
+                                f"job {job_id} has no record for {key!r}")
+            lines.append(canonical_json(record) + "\n")
+        # Exactly the concatenated GET /results/<key> bodies: one fetch
+        # carries a whole shard, and the client splits and validates it
+        # line by line.
+        await self._send(writer, 200, "".join(lines).encode("utf-8"),
+                         "application/x-ndjson")
 
     async def _r_result(self, request: Request,
                         writer: asyncio.StreamWriter, key: str) -> None:

@@ -696,6 +696,47 @@ class TestFabricCoordinator:
         ) == 12
         assert open(ref.path, "rb").read() == open(store.path, "rb").read()
 
+    def test_freed_backend_is_redispatched_before_the_merge(self, tmp_path):
+        # The store's first merge blocks until the backend that just
+        # delivered shard 0 receives its next shard; the other backend
+        # holds shard 1 until then.  Merging before re-dispatching would
+        # leave both waiting on each other until the merge gives up.
+        spec = tiny_spec(seeds=(1, 2, 3))  # 6 points, 3 shards
+        ref = reference_store(spec, tmp_path / "ref.jsonl")
+        records = {key: ref.get(key) for key in ref.keys()}
+        redispatched = threading.Event()
+
+        class _Serving(_InstantBackend):
+            def __init__(self, name, hold=False):
+                super().__init__(records, name)
+                self.hold = hold
+                self.calls = 0
+
+            def run_shard(self, spec, shard, heartbeat):
+                self.calls += 1
+                if self.calls == 2:
+                    redispatched.set()
+                if self.hold:
+                    assert redispatched.wait(timeout=10.0)
+                return super().run_shard(spec, shard, heartbeat)
+
+        class _GatedMergeStore(ResultStore):
+            def merge(self, records):
+                if not redispatched.wait(timeout=10.0):
+                    raise AssertionError(
+                        "merged before the freed backend got a shard")
+                return super().merge(records)
+
+        fast, held = _Serving("fast"), _Serving("held", hold=True)
+        store = _GatedMergeStore(str(tmp_path / "fab.jsonl"))
+        summary = FabricCoordinator(
+            [fast, held], shard_size=2, poll_s=0.01,
+        ).run(spec, store)
+        assert fast.calls == 2 and held.calls == 1
+        assert summary.n_computed == 6
+        assert (tmp_path / "fab.jsonl").read_bytes() == \
+            (tmp_path / "ref.jsonl").read_bytes()
+
     def test_no_leaked_threads_or_processes(self, tmp_path):
         import multiprocessing
         spec = tiny_spec(seeds=(1, 2, 3))

@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.service import MAX_BODY_BYTES, ServiceClient, ServiceError, ServiceThread
 from repro.service.jobs import ServiceUnavailable, effective_spec, job_id_for
 from repro.steering import list_policies
@@ -304,6 +305,65 @@ class TestDedupAndResubmission:
         body = {"spec": spec_dict(), "energy": True}
         assert energy["job_id"] == job_id_for(effective_spec(body))
         client.wait(plain["job_id"])
+
+
+class TestExpansionCache:
+    """The job runner expands a spec once for a row of its shard jobs."""
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        """Count ``SweepSpec.expand`` calls by spec name; a spec named
+        ``boom`` fails to expand."""
+        counts = {}
+        real_expand = SweepSpec.expand
+
+        def expand(spec):
+            counts[spec.name] = counts.get(spec.name, 0) + 1
+            if spec.name == "boom":
+                raise ConfigurationError("boom: cannot expand")
+            return real_expand(spec)
+
+        monkeypatch.setattr(SweepSpec, "expand", expand)
+        return counts
+
+    def _run(self, client, spec, **options):
+        sub = client.submit(spec, workers=1, **options)
+        return client.wait(sub["job_id"])
+
+    def test_shards_of_one_spec_expand_once(self, service, expansions):
+        _svc, client = service
+        spec = spec_dict(name="rowed", seeds=(1, 2, 3))
+        for start, stop in ((0, 2), (2, 4), (4, 6)):
+            done = self._run(client, spec,
+                             shard={"start": start, "stop": stop})
+            assert done["state"] == "done"
+            assert done["summary"]["n_computed"] == 2
+        assert expansions == {"rowed": 1}
+
+    def test_other_spec_or_energy_fold_expands_again(self, service,
+                                                     expansions):
+        _svc, client = service
+        first = spec_dict(name="first")
+        shard = {"start": 0, "stop": 2}
+        assert self._run(client, first, shard=shard)["state"] == "done"
+        assert self._run(client, spec_dict(name="second"),
+                         shard=shard)["state"] == "done"
+        assert self._run(client, first, shard=shard,
+                         energy=True)["state"] == "done"
+        assert self._run(client, first, energy=True)["state"] == "done"
+        assert expansions == {"first": 2, "second": 1}
+
+    def test_failed_expansion_is_not_cached(self, service, expansions):
+        _svc, client = service
+        for _run in range(2):
+            failed = self._run(client, spec_dict(name="boom"),
+                               shard={"start": 0, "stop": 2})
+            assert failed["state"] == "failed"
+            assert failed["error"] == "boom: cannot expand"
+        assert expansions == {"boom": 2}
+        done = self._run(client, spec_dict(name="after"))
+        assert done["state"] == "done"
+        assert done["summary"]["n_computed"] == 4
 
 
 class TestDeterminism:

@@ -11,6 +11,13 @@ import threading
 
 import pytest
 
+from repro.fabric import (
+    FabricCoordinator,
+    LocalBackend,
+    PeerBackend,
+    Shard,
+    ShardValidationError,
+)
 from repro.faults import (
     FAULT_OK as NET_OK,
     NET,
@@ -24,7 +31,8 @@ from repro.faults import (
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import JobManager, job_id_for
 from repro.service.server import ServiceThread
-from repro.sweep.grid import SweepSpec
+from repro.sweep.grid import SweepSpec, dedup_points
+from repro.sweep.runner import run_sweep
 from repro.sweep.store import ResultStore
 
 
@@ -87,7 +95,6 @@ class TestShardJobs:
     def test_two_shards_cover_the_spec_like_one_run(self, tmp_path):
         spec = spec_dict(seeds=(1, 2, 3))  # 6 points
         ref_store = ResultStore(str(tmp_path / "ref.jsonl"))
-        from repro.sweep.runner import run_sweep
         run_sweep(SweepSpec.from_dict(spec).expand(), ref_store, workers=1)
 
         svc = ServiceThread(str(tmp_path / "peer.jsonl")).start()
@@ -317,3 +324,144 @@ class TestClientRetry:
         with pytest.raises(ServiceError) as excinfo:
             list(client.stream("feedfacedeadbeef"))
         assert excinfo.value.status == 404
+
+
+def shard_of(spec, start, stop):
+    """Shard 0 over ``[start, stop)`` of ``spec``'s deduped expansion."""
+    items = list(dedup_points(spec.expand()).items())[start:stop]
+    return Shard(index=0, start=start, stop=stop,
+                 points=tuple(point for _key, point in items),
+                 keys=tuple(key for key, _point in items))
+
+
+def counting_job_results(client):
+    """Wrap ``client.job_results``; returns the list of attempts it saw."""
+    attempts = []
+    real = client.job_results
+
+    def job_results(job_id, attempt=1):
+        attempts.append(attempt)
+        return real(job_id, attempt=attempt)
+
+    client.job_results = job_results
+    return attempts
+
+
+class TestJobResults:
+    def test_body_is_the_concatenated_result_bytes(self, service):
+        _svc, client = service
+        spec = spec_dict(seeds=(1, 2, 3))
+        shard = {"start": 1, "stop": 5}
+        sub = client.submit(spec, workers=1, shard=shard)
+        done = client.wait(sub["job_id"])
+        assert done["state"] == "done"
+        keys = shard_of(SweepSpec.from_dict(spec), 1, 5).keys
+        body = client.job_results(sub["job_id"])
+        assert body == b"".join(client.result(key) for key in keys)
+        assert body.count(b"\n") == 4
+
+    def test_not_done_is_409_and_unknown_is_404(self, service,
+                                                monkeypatch):
+        _svc, client = service
+        import repro.service.jobs as jobs_module
+        entered, release = threading.Event(), threading.Event()
+
+        def held_run_sweep(*args, **kwargs):
+            entered.set()
+            assert release.wait(timeout=30.0)
+            return run_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(jobs_module, "run_sweep", held_run_sweep)
+        running = client.submit(spec_dict(name="held"), workers=1)
+        queued = client.submit(spec_dict(name="behind"), workers=1)
+        try:
+            assert entered.wait(timeout=30.0)
+            assert client.job(running["job_id"])["state"] == "running"
+            assert client.job(queued["job_id"])["state"] == "queued"
+            for sub in (running, queued):
+                with pytest.raises(ServiceError) as excinfo:
+                    client.job_results(sub["job_id"])
+                assert excinfo.value.status == 409
+        finally:
+            release.set()
+        for sub in (running, queued):
+            assert client.wait(sub["job_id"])["state"] == "done"
+            assert client.job_results(sub["job_id"]).count(b"\n") == 4
+        with pytest.raises(ServiceError) as excinfo:
+            client.job_results("feedfacedeadbeef")
+        assert excinfo.value.status == 404
+
+
+class TestPeerShardFetch:
+    def _peer(self, svc, **kwargs):
+        return PeerBackend(svc.host, svc.port, retries=0, backoff_s=0.01,
+                           workers=1, name="pA", **kwargs)
+
+    def test_corrupt_body_is_refetched_once(self, service, tmp_path):
+        svc, _client = service
+        spec = SweepSpec.from_dict(spec_dict(seeds=(1, 2, 3)))
+        shard = shard_of(spec, 2, 6)
+        job_id = job_id_for(spec, {"start": 2, "stop": 6})
+        backend = self._peer(svc)
+        fetches = counting_job_results(backend.client)
+        install_plan(FaultPlan(domain=NET, scripted={
+            f"pA GET /jobs/{job_id}/results": (NET_CORRUPT, NET_OK),
+        }))
+        records = backend.run_shard(spec, shard, lambda: None)
+        assert fetches == [1, 2]
+        ref = ResultStore(str(tmp_path / "ref.jsonl"))
+        run_sweep(list(shard.points), ref, workers=1)
+        assert records == [ref.get(key) for key in shard.keys]
+
+    def test_every_fetch_corrupt_raises_after_the_budget(self, service):
+        svc, _client = service
+        spec = SweepSpec.from_dict(spec_dict())
+        shard = shard_of(spec, 0, 3)
+        job_id = job_id_for(spec, {"start": 0, "stop": 3})
+        backend = self._peer(svc, fetch_retries=2)
+        fetches = counting_job_results(backend.client)
+        install_plan(FaultPlan(domain=NET, scripted={
+            f"pA GET /jobs/{job_id}/results": (NET_CORRUPT,) * 3,
+        }))
+        with pytest.raises(ShardValidationError) as excinfo:
+            backend.run_shard(spec, shard, lambda: None)
+        assert fetches == [1, 2, 3]
+        assert shard.label() in str(excinfo.value)
+        assert "after 3 fetch attempt(s)" in str(excinfo.value)
+
+    def test_fault_free_run_fetches_once_per_peer_shard(
+            self, tmp_path, monkeypatch):
+        calls = {"result": 0, "job_results": 0}
+        real_result = ServiceClient.result
+        real_job_results = ServiceClient.job_results
+
+        def result(self, *args, **kwargs):
+            calls["result"] += 1
+            return real_result(self, *args, **kwargs)
+
+        def job_results(self, *args, **kwargs):
+            calls["job_results"] += 1
+            return real_job_results(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServiceClient, "result", result)
+        monkeypatch.setattr(ServiceClient, "job_results", job_results)
+        spec = SweepSpec.from_dict(spec_dict(seeds=(1, 2, 3)))
+        ref = ResultStore(str(tmp_path / "ref.jsonl"))
+        run_sweep(spec.expand(), ref, workers=1)
+        svc = ServiceThread(str(tmp_path / "peer.jsonl"),
+                            sweep_workers=1).start()
+        try:
+            peer = self._peer(svc)
+            store = ResultStore(str(tmp_path / "fab.jsonl"))
+            summary = FabricCoordinator(
+                [LocalBackend(str(tmp_path / "scratch"), workers=1), peer],
+                shard_size=1, poll_s=0.01,
+            ).run(spec, store)
+        finally:
+            svc.stop()
+        peer_shards = summary.backends[peer.name]["shards_completed"]
+        assert peer_shards >= 1
+        assert calls == {"result": 0, "job_results": peer_shards}
+        assert summary.n_requeues == 0
+        assert (tmp_path / "fab.jsonl").read_bytes() == \
+            (tmp_path / "ref.jsonl").read_bytes()
