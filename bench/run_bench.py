@@ -202,7 +202,6 @@ def bench_matrix(trace, args, store_path: str):
             f"-> {speedup:.2f}x  epi={specialized_epi:.2f}"
         )
     sweep_meta = {
-        "store": store_path,
         "n_points": summary.n_points,
         "cache_hits": summary.n_cached,
         "computed": summary.n_computed,
@@ -405,6 +404,8 @@ def main(argv=None) -> int:
     store_path = os.path.join(repo_root, ".benchmarks", "bench_sweep_store.jsonl")
     print(f"kernel throughput via sweep runner (median of {args.repeats}):")
     matrix, sweep_meta, worst_spec = bench_matrix(trace, args, store_path)
+    # Relative to the repo root, so the committed report names no host path.
+    sweep_meta["store"] = os.path.relpath(store_path, repo_root)
     print(f"  sweep store: {sweep_meta['cache_hits']}/{sweep_meta['n_points']} "
           f"cache hits ({store_path})")
     print("batched sweep race (best-of interleaved rounds):")

@@ -11,26 +11,36 @@ branch has been resolved at codegen time and every config scalar is folded in
 as a literal, ``exec``'s it once, and caches the compiled function in a
 process-wide registry.
 
-What specialization buys, per dynamic instruction:
+The baseline of every emitted kernel: exactly one steering/topology path (no
+``is_ring`` / ``steer_dep`` tests), every width, latency and penalty as an
+integer literal, and the per-class occupancy/FU/dest tables bound as
+constant tuples in default arguments.
 
-* exactly one steering/topology path is emitted (no ``is_ring`` /
-  ``steer_dep`` tests, no power-of-two conditional expressions — the ring
-  modulo is emitted directly as ``& mask`` or ``% n``);
-* ``fetch_width``, ``window_size``, ``frontend_depth``, ``issue_width``,
-  ``hop_latency``, ``bus.bandwidth``, ``writeback_latency`` and all
-  penalties appear as integer literals;
+What specialization buys beyond that.  Each fast path below stays because
+removing it measured slower: kernel time without the path ÷ with it, summed
+over the paper-grid keys it changes (one process, both kernels interleaved,
+min of 5 runs per point at 10k instructions and of 3-5 at 100k, identical
+:class:`KernelResult` on every point; 2-vCPU x86-64 host, CPython 3.11):
+
+* the fused dependence emitter (:func:`_emit_dependence_fused`) computes
+  the critical source's availability while steering: 1.05 at 10k and
+  1.03-1.05 at 100k on the dependence-steered keys;
 * for single-unit clusters (the paper's machine) the functional-unit
-  scoreboard collapses from a list-of-lists plus an inner min-scan to a flat
-  list of ints indexed ``cluster * n_fu + fu``;
-* the per-class latency/occupancy/FU/dest tables are bound as constant
-  tuples in default arguments instead of heap lists;
-* the issue-slot dict (and, under ``RING``, the bus-slot dict) is pruned of
-  dead cycles every :data:`PRUNE_INTERVAL` instructions, which keeps the hash
-  tables cache-resident on long traces.  Pruning is exact: both dicts are
-  only ever probed at cycles ``>= fetch_cycle`` and ``fetch_cycle`` is
-  monotonically non-decreasing, so entries below it can never be read or
-  written again.  (Under ``CONV`` the bus dict is *not* pruned: lazy grants
-  may probe at a long-retired producer's completion cycle.)
+  scoreboard is a flat list of ints indexed ``cluster * n_fu + fu``
+  instead of a list-of-lists plus an inner min-scan: 1.14 at 10k and 1.12
+  at 100k;
+* the issue-slot scoreboard (and, under ``RING``, the bus scoreboard) is a
+  sliding list rebased to ``fetch_cycle`` every :data:`PRUNE_INTERVAL`
+  instructions instead of a dict: 1.01 at 10k and 1.11 at 100k.  Rebasing
+  is exact: both scoreboards are only ever probed at cycles
+  ``>= fetch_cycle``, which never decreases.  (The ``CONV`` bus scoreboard
+  stays a dict: lazy grants may probe at a long-retired producer's
+  completion cycle.);
+* power-of-two cluster counts take ``& (n - 1)`` instead of ``% n`` for the
+  ring and distance modulo: 1.01 at 10k and 1.01-1.02 at 100k.
+
+Shortcuts that measured neutral or slower were deleted; the general form
+runs for every machine shape.
 
 "Branch-free" means free of *config-invariant* branches; data-dependent
 control flow (operand presence, cache-miss flags, structural-hazard retry
@@ -54,6 +64,7 @@ template folds in.
 
 from __future__ import annotations
 
+import linecache
 from itertools import islice
 from typing import Callable, Dict, List, Tuple
 
@@ -142,19 +153,6 @@ def _spec_values(cfg: ProcessorConfig) -> Dict[str, object]:
     return values
 
 
-def _fetch_cycle_local(v: Dict[str, object]) -> str:
-    """Name of the unshifted fetch-cycle local in the emitted loop body.
-
-    Power-of-two fetch widths fold the fetch state into one pre-shifted
-    token (see ``_emit_body``); the body then captures the plain cycle as
-    ``fc`` for the consumers that need it (the energy block and
-    occupancy-aware steering policies).  Every emitter that references the
-    fetch cycle must use this name.
-    """
-    fw: int = v["fetch_width"]  # type: ignore[assignment]
-    return "fc" if fw & (fw - 1) == 0 else "fetch_cycle"
-
-
 def specialization_key(cfg: ProcessorConfig) -> str:
     """Structural cache key: digest of exactly the folded-in values.
 
@@ -240,18 +238,12 @@ def _emit_conv_grant(e: _Emitter, v: Dict[str, object], src: str, ind: int) -> N
     else:
         e.emit(f"g = complete_col[{src}]", ind + 1)
     e.emit(f"key = g * {nc} + pc", ind + 1)
-    if bw == 1:
-        e.emit("while key in bus_slots:", ind + 1)
-        e.emit("g += 1", ind + 2)
-        e.emit(f"key += {nc}", ind + 2)
-        e.emit("bus_slots[key] = 1", ind + 1)
-    else:
-        e.emit("c = bslots_get(key, 0)", ind + 1)
-        e.emit(f"while c >= {bw}:", ind + 1)
-        e.emit("g += 1", ind + 2)
-        e.emit(f"key += {nc}", ind + 2)
-        e.emit("c = bslots_get(key, 0)", ind + 2)
-        e.emit("bus_slots[key] = c + 1", ind + 1)
+    e.emit("c = bslots_get(key, 0)", ind + 1)
+    e.emit(f"while c >= {bw}:", ind + 1)
+    e.emit("g += 1", ind + 2)
+    e.emit(f"key += {nc}", ind + 2)
+    e.emit("c = bslots_get(key, 0)", ind + 2)
+    e.emit("bus_slots[key] = c + 1", ind + 1)
     if wb:
         e.emit(f"g += {wb}", ind + 1)
     e.emit(f"grant_col[{src}] = g", ind + 1)
@@ -259,37 +251,38 @@ def _emit_conv_grant(e: _Emitter, v: Dict[str, object], src: str, ind: int) -> N
 
 
 def _emit_operand(e: _Emitter, v: Dict[str, object], src: str, ind: int,
-                  accum: str = "ready") -> None:
-    """Availability of one source operand (``src`` is ``s1`` or ``s2``).
+                  target: str = "avail", accum: str = "ready",
+                  guarded: bool = True) -> None:
+    """Availability of source ``src`` (``s1`` or ``s2``) into ``target``.
 
-    The computed availability is max-folded into ``accum``.
+    The computed availability is max-folded into ``accum``.  ``guarded``
+    wraps the block in the ``src >= 0`` presence test; the fused dependence
+    emitter has already made that test for its non-critical source.
     """
     nc = v["n_clusters"]
     pow2 = nc & (nc - 1) == 0
     hl = v["hop_latency"]
-    e.emit(f"if {src} >= 0:", ind)
+    if guarded:
+        e.emit(f"if {src} >= 0:", ind)
+        ind += 1
     if v["topology"] == Topology.RING.value:
-        e.emit(f"hops = {_ring_hops(f'cluster_col[{src}]', nc, pow2)}", ind + 1)
-        e.emit("hop_counts[hops] += 1", ind + 1)
+        e.emit(f"hops = {_ring_hops(f'cluster_col[{src}]', nc, pow2)}", ind)
+        e.emit("hop_counts[hops] += 1", ind)
         term = "hops" if hl == 1 else f"hops * {hl}"
-        e.emit(f"avail = grant_col[{src}] + {term}", ind + 1)
+        e.emit(f"{target} = grant_col[{src}] + {term}", ind)
     else:
-        e.emit(f"pc = cluster_col[{src}]", ind + 1)
-        e.emit("if cluster == pc:", ind + 1)
-        e.emit(f"avail = complete_col[{src}]  # intra-cluster bypass", ind + 2)
-        e.emit("else:", ind + 1)
-        _emit_conv_grant(e, v, src, ind + 2)
-        if nc == 2:
-            # Two clusters: every remote producer is exactly one hop away.
-            e.emit("hop_counts[1] += 1", ind + 2)
-            e.emit(f"avail = g + {hl}", ind + 2)
-        else:
-            e.emit(f"d = _DN[{_conv_delta(nc)}]", ind + 2)
-            e.emit("hop_counts[d] += 1", ind + 2)
-            term = "d" if hl == 1 else f"d * {hl}"
-            e.emit(f"avail = g + {term}", ind + 2)
-    e.emit(f"if avail > {accum}:", ind + 1)
-    e.emit(f"{accum} = avail", ind + 2)
+        e.emit(f"pc = cluster_col[{src}]", ind)
+        e.emit("if cluster == pc:", ind)
+        e.emit(f"{target} = complete_col[{src}]  # intra-cluster bypass",
+               ind + 1)
+        e.emit("else:", ind)
+        _emit_conv_grant(e, v, src, ind + 1)
+        e.emit(f"d = _DN[{_conv_delta(nc)}]", ind + 1)
+        e.emit("hop_counts[d] += 1", ind + 1)
+        term = "d" if hl == 1 else f"d * {hl}"
+        e.emit(f"{target} = g + {term}", ind + 1)
+    e.emit(f"if {target} > {accum}:", ind)
+    e.emit(f"{accum} = {target}", ind + 1)
 
 
 def _emit_ring_critical(e: _Emitter, v: Dict[str, object], src: str,
@@ -321,41 +314,6 @@ def _emit_conv_critical(e: _Emitter, v: Dict[str, object], src: str,
     e.emit(f"avail = complete_col[{src}]  # intra-cluster bypass", ind)
 
 
-def _emit_other_operand(e: _Emitter, v: Dict[str, object], src: str,
-                        ind: int) -> None:
-    """Availability of the non-critical source, max-folded into ``avail``.
-
-    At most one source per instruction takes this path, so under CONV at
-    most one lazy bus grant happens here and the generic loop's
-    s1-before-s2 injection order is trivially preserved.
-    """
-    nc = v["n_clusters"]
-    pow2 = nc & (nc - 1) == 0
-    hl = v["hop_latency"]
-    if v["topology"] == Topology.RING.value:
-        e.emit(f"hops = {_ring_hops(f'cluster_col[{src}]', nc, pow2)}", ind)
-        e.emit("hop_counts[hops] += 1", ind)
-        term = "hops" if hl == 1 else f"hops * {hl}"
-        e.emit(f"a = grant_col[{src}] + {term}", ind)
-    else:
-        e.emit(f"pc = cluster_col[{src}]", ind)
-        e.emit("if cluster == pc:", ind)
-        e.emit(f"a = complete_col[{src}]  # intra-cluster bypass", ind + 1)
-        e.emit("else:", ind)
-        _emit_conv_grant(e, v, src, ind + 1)
-        if nc == 2:
-            # Two clusters: every remote producer is exactly one hop away.
-            e.emit("hop_counts[1] += 1", ind + 1)
-            e.emit(f"a = g + {hl}", ind + 1)
-        else:
-            e.emit(f"d = _DN[{_conv_delta(nc)}]", ind + 1)
-            e.emit("hop_counts[d] += 1", ind + 1)
-            term = "d" if hl == 1 else f"d * {hl}"
-            e.emit(f"a = g + {term}", ind + 1)
-    e.emit("if a > avail:", ind)
-    e.emit("avail = a", ind + 1)
-
-
 def _emit_dependence_fused(e: _Emitter, v: Dict[str, object], ind: int) -> None:
     """Fused steering + operand availability for dependence steering.
 
@@ -376,11 +334,10 @@ def _emit_dependence_fused(e: _Emitter, v: Dict[str, object], ind: int) -> None:
     e.emit("if s1 >= 0:", ind)
     e.emit("if s2 >= 0 and complete_col[s2] > complete_col[s1]:", ind + 1)
     critical(e, v, "s2", ind + 2)
-    _emit_other_operand(e, v, "s1", ind + 2)
+    _emit_operand(e, v, "s1", ind + 2, "a", "avail", guarded=False)
     e.emit("else:", ind + 1)
     critical(e, v, "s1", ind + 2)
-    e.emit("if s2 >= 0:", ind + 2)
-    _emit_other_operand(e, v, "s2", ind + 3)
+    _emit_operand(e, v, "s2", ind + 2, "a", "avail")
     e.emit("if avail > ready:", ind + 1)
     e.emit("ready = avail", ind + 2)
     e.stage("operands", ind)
@@ -398,15 +355,12 @@ def _emit_dependence_fused(e: _Emitter, v: Dict[str, object], ind: int) -> None:
     e.emit("cluster_col[i] = cluster", ind)
 
 
-def _emit_body(e: _Emitter, v: Dict[str, object], ind: int,
-               nop_free: bool) -> None:
+def _emit_body(e: _Emitter, v: Dict[str, object], ind: int) -> None:
     """One full per-instruction loop body.
 
-    Emitted twice: has-NOPs and NOP-free.  ``nop_free`` bodies are
-    selected at run time when the class tally shows no NOPs, compiling the
-    per-instruction NOP test out.  The reorder-window check needs no index
-    guard: ``rob`` starts zeroed, so during the first ``window_size``
-    instructions its entries can never stall fetch.
+    The reorder-window check needs no index guard: ``rob`` starts zeroed,
+    so during the first ``window_size`` instructions its entries can never
+    stall fetch.
     """
     nc: int = v["n_clusters"]  # type: ignore[assignment]
     is_ring = v["topology"] == Topology.RING.value
@@ -416,70 +370,27 @@ def _emit_body(e: _Emitter, v: Dict[str, object], ind: int,
     window: int = v["window_size"]  # type: ignore[assignment]
     wb: int = v["writeback_latency"]  # type: ignore[assignment]
     bw: int = v["bandwidth"]  # type: ignore[assignment]
+    fw: int = v["fetch_width"]  # type: ignore[assignment]
+    depth: int = v["frontend_depth"]  # type: ignore[assignment]
 
     policy = get_policy(v["steering"])  # type: ignore[arg-type]
     e.emit("i += 1", ind)
-    pow2_win = window & (window - 1) == 0
-    fw: int = v["fetch_width"]  # type: ignore[assignment]
-    # Power-of-two fetch widths fold (fetch_cycle, fetched_this_cycle) into
-    # ONE token = fetch_cycle * fetch_width + slot: the fetch-group wrap is
-    # implicit in the increment, and the stall comparisons become single
-    # integer compares against pre-shifted values.  Equivalence: with
-    # slot in [0, FW-1], `stall_cycle > fetch_cycle` holds iff
-    # `stall_cycle * FW > token`, and a stall resets the pair to
-    # (stall_cycle, 0) == stall_cycle * FW; redirect and the rob entries
-    # are therefore kept pre-multiplied by FW (shifted) at their rare
-    # update sites.
-    ftoken = fw & (fw - 1) == 0
-    shift = fw.bit_length() - 1
-    depth: int = v["frontend_depth"]  # type: ignore[assignment]
 
     # ---- fetch ----------------------------------------------------------
     e.stage("fetch", ind)
-    if not ftoken:
-        e.emit(f"if fetched_this_cycle >= {fw}:", ind)
-        e.emit("fetch_cycle += 1", ind + 1)
-        e.emit("fetched_this_cycle = 0", ind + 1)
-        e.emit("if redirect > fetch_cycle:", ind)
-        e.emit("fetch_cycle = redirect", ind + 1)
-        e.emit("fetched_this_cycle = 0", ind + 1)
-    else:
-        e.emit("if redirect > ftoken:", ind)
-        e.emit("ftoken = redirect", ind + 1)
-    # For power-of-two windows the ROB cursor is just the masked index.
-    if window == 1:
-        rob_slot = "0"
-    elif pow2_win:
-        e.emit(f"ri = i & {window - 1}", ind)
-        rob_slot = "ri"
-    else:
-        rob_slot = "rob_idx"
-    e.emit(f"slot_free = rob[{rob_slot}]", ind)
-    if not ftoken:
-        e.emit("if slot_free > fetch_cycle:", ind)
-        e.emit("fetch_cycle = slot_free", ind + 1)
-        e.emit("fetched_this_cycle = 0", ind + 1)
-    else:
-        # rob stores retire cycles pre-shifted by the token scale.
-        e.emit("if slot_free > ftoken:", ind)
-        e.emit("ftoken = slot_free", ind + 1)
-    track_energy = "energy" in v
-    if not ftoken:
-        e.emit("fetched_this_cycle += 1", ind)
-        e.emit(f"ready = fetch_cycle + {depth}"
-               if depth else "ready = fetch_cycle", ind)
-    elif track_energy or policy.needs_retire:
-        # The energy block at the end of the body (and any occupancy-aware
-        # steering policy) needs the *unshifted* fetch cycle; ``ready`` is
-        # clobbered by the operand stage and the token has already advanced
-        # by then, so capture it here.
-        e.emit(f"fc = ftoken >> {shift}", ind)
-        e.emit(f"ready = fc + {depth}" if depth else "ready = fc", ind)
-        e.emit("ftoken += 1", ind)
-    else:
-        e.emit(f"ready = (ftoken >> {shift}) + {depth}"
-               if depth else f"ready = ftoken >> {shift}", ind)
-        e.emit("ftoken += 1", ind)
+    e.emit(f"if fetched_this_cycle >= {fw}:", ind)
+    e.emit("fetch_cycle += 1", ind + 1)
+    e.emit("fetched_this_cycle = 0", ind + 1)
+    e.emit("if redirect > fetch_cycle:", ind)
+    e.emit("fetch_cycle = redirect", ind + 1)
+    e.emit("fetched_this_cycle = 0", ind + 1)
+    e.emit("slot_free = rob[rob_idx]", ind)
+    e.emit("if slot_free > fetch_cycle:", ind)
+    e.emit("fetch_cycle = slot_free", ind + 1)
+    e.emit("fetched_this_cycle = 0", ind + 1)
+    e.emit("fetched_this_cycle += 1", ind)
+    e.emit(f"ready = fetch_cycle + {depth}" if depth else "ready = fetch_cycle",
+           ind)
 
     # ---- steering + operand availability --------------------------------
     # Emitted by the registered policy object: built-ins delegate to the
@@ -493,11 +404,8 @@ def _emit_body(e: _Emitter, v: Dict[str, object], ind: int,
     # boundaries, keeping the list small, cache-resident and
     # hash-free.  ``ibase``/``ilen`` are the current base key and length.
     e.stage("issue", ind)
-    if not nop_free:
-        e.emit(f"if k != {_NOP}:", ind)
-        body = ind + 1
-    else:
-        body = ind
+    e.emit(f"if k != {_NOP}:", ind)
+    body = ind + 1
     if single_fu:
         e.emit(f"fi = cluster * {_N_FU} + _FU[k]", body)
         e.emit("uf = fu_free[fi]", body)
@@ -528,13 +436,9 @@ def _emit_body(e: _Emitter, v: Dict[str, object], ind: int,
         e.emit("fu_free[fi] = issue + _OCC[k]", body)
     else:
         e.emit("units[unit_idx] = issue + _OCC[k]", body)
-    if not nop_free:
-        # With NOPs around, the per-cluster issue tally must be kept
-        # inline; NOP-free bodies recover it from cluster_col afterwards
-        # with one vectorized bincount (every instruction issues).
-        e.emit("issued_per_cluster[cluster] += 1", body)
-        e.emit("else:", ind)
-        e.emit("issue = ready", ind + 1)
+    e.emit("issued_per_cluster[cluster] += 1", body)
+    e.emit("else:", ind)
+    e.emit("issue = ready", ind + 1)
 
     # ---- execute --------------------------------------------------------
     # Effective latencies (base + cache-miss penalties) and the
@@ -577,13 +481,7 @@ def _emit_body(e: _Emitter, v: Dict[str, object], ind: int,
         # CONV grants lazily on first remote consume (operands stage);
         # branches never produce a register value, so _DST is dead here.
         e.emit(f"if k == {_BRANCH} and flags[i] & {_FLAG_MISPREDICT}:", ind)
-    if ftoken:
-        # ``redirect`` is kept pre-shifted to the token scale so the fetch
-        # stage compares it against ftoken directly.
-        e.emit(f"r = (complete + {v['mispredict_penalty']}) << {shift}",
-               ind + 1)
-    else:
-        e.emit(f"r = complete + {v['mispredict_penalty']}", ind + 1)
+    e.emit(f"r = complete + {v['mispredict_penalty']}", ind + 1)
     e.emit("if r > redirect:", ind + 1)
     e.emit("redirect = r", ind + 2)
 
@@ -591,28 +489,20 @@ def _emit_body(e: _Emitter, v: Dict[str, object], ind: int,
     e.stage("retire", ind)
     e.emit("if complete > last_retire:", ind)
     e.emit("last_retire = complete", ind + 1)
-    # Under the fetch token, rob entries are pre-shifted to the token scale.
-    retire_val = f"last_retire << {shift}" if ftoken else "last_retire"
-    if window == 1:
-        e.emit(f"rob[0] = {retire_val}", ind)
-    elif pow2_win:
-        e.emit(f"rob[ri] = {retire_val}", ind)
-    else:
-        e.emit(f"rob[rob_idx] = {retire_val}", ind)
-        e.emit("rob_idx += 1", ind)
-        e.emit(f"if rob_idx == {window}:", ind)
-        e.emit("rob_idx = 0", ind + 1)
+    e.emit("rob[rob_idx] = last_retire", ind)
+    e.emit("rob_idx += 1", ind)
+    e.emit(f"if rob_idx == {window}:", ind)
+    e.emit("rob_idx = 0", ind + 1)
     policy.emit_retire(e, v, ind)
 
-    if track_energy:
+    if "energy" in v:
         # Per-event energy state the aggregate counters cannot reconstruct:
         # reorder-window occupancy at this instruction's fetch cycle (see
         # repro.energy).  retire_col is a running max, so the pointer only
-        # ever moves forward; `fc` is the unshifted fetch cycle captured in
-        # the fetch stage.  All other components fold over loop-maintained
-        # counters in the epilogue, with the costs as literals.
-        fc_name = _fetch_cycle_local(v)
-        e.emit(f"while rp < i and retire_col[rp] <= {fc_name}:", ind)
+        # ever moves forward.  All other components fold over
+        # loop-maintained counters in the epilogue, with the costs as
+        # literals.
+        e.emit("while rp < i and retire_col[rp] <= fetch_cycle:", ind)
         e.emit("rp += 1", ind + 1)
         e.emit("wakeup_units += i - rp + 1", ind)
         e.emit("retire_col[i] = last_retire", ind)
@@ -630,10 +520,7 @@ def emit_kernel_source(cfg: ProcessorConfig) -> str:
     nc: int = v["n_clusters"]  # type: ignore[assignment]
     fu_counts: List[int] = v["fu_counts"]  # type: ignore[assignment]
     single_fu = all(c <= 1 for c in fu_counts)
-    iw: int = v["issue_width"]  # type: ignore[assignment]
     window: int = v["window_size"]  # type: ignore[assignment]
-    bw: int = v["bandwidth"]  # type: ignore[assignment]
-    lat_t = tuple(v["latency"])  # type: ignore[arg-type]
     occ_t = tuple(v["occupancy"])  # type: ignore[arg-type]
     fu_t = tuple(v["fu_for"])  # type: ignore[arg-type]
     dst_t = tuple(v["has_dst"])  # type: ignore[arg-type]
@@ -699,8 +586,7 @@ def emit_kernel_source(cfg: ProcessorConfig) -> str:
         e.emit("blen = 0", 1)
     else:
         e.emit("bus_slots = {}  # lazy CONV grants probe old cycles: dict", 1)
-        if bw > 1:
-            e.emit("bslots_get = bus_slots.get", 1)
+        e.emit("bslots_get = bus_slots.get", 1)
     en = v.get("energy")
     if en:
         # Energy model: the present-source-operand count is exact from the
@@ -716,12 +602,8 @@ def emit_kernel_source(cfg: ProcessorConfig) -> str:
     e.emit(f"rob = [0] * {window}", 1)
     e.emit(f"issued_per_cluster = [0] * {nc}", 1)
     e.emit(f"hop_counts = [0] * {nc + 1}", 1)
-    fw: int = v["fetch_width"]  # type: ignore[assignment]
-    if fw & (fw - 1) == 0:
-        e.emit("ftoken = 0  # fetch_cycle * fetch_width + slot-in-group", 1)
-    else:
-        e.emit("fetch_cycle = 0", 1)
-        e.emit("fetched_this_cycle = 0", 1)
+    e.emit("fetch_cycle = 0", 1)
+    e.emit("fetched_this_cycle = 0", 1)
     e.emit("redirect = 0", 1)
     e.emit("last_retire = 0", 1)
     e.emit("rr_counter = 0", 1)
@@ -729,54 +611,30 @@ def emit_kernel_source(cfg: ProcessorConfig) -> str:
     policy.emit_setup(e, v)
     e.emit("communications = 0", 1)
     e.emit("i = -1", 1)
-    pow2_win = window & (window - 1) == 0
-    body_stages: List[Tuple[str, ...]] = []
 
-    def emit_loop(base: int, nop_free: bool) -> None:
-        """The instruction loop at indent ``base``.
-
-        It runs in PRUNE_INTERVAL-sized chunks: at each chunk boundary the
-        sliding scoreboards are rebased to fetch_cycle.  Every probe is at
-        a cycle >= fetch_cycle and fetch_cycle never decreases, so the
-        rebased-away prefix is unreachable.
-        """
-        e.emit("it = zip(opclass, src1, src2, lat_col)", base)
-        if window > 1 and not pow2_win:
-            e.emit("rob_idx = 0  # == i mod window", base)
-        e.emit("while True:", base)
-        e.emit(f"stop = i + {PRUNE_INTERVAL}", base + 1)
-        e.emit(f"for k, s1, s2, lat in _islice(it, {PRUNE_INTERVAL}):",
-               base + 1)
-        e.stages_emitted = []
-        _emit_body(e, v, base + 2, nop_free=nop_free)
-        body_stages.append(tuple(e.stages_emitted))
-        e.emit("if i != stop:", base + 1)
-        e.emit("break  # trace exhausted mid-chunk", base + 2)
-        if fw & (fw - 1) == 0:
-            shift = fw.bit_length() - 1
-            e.emit(f"fetch_cycle = ftoken >> {shift}", base + 1)
-        e.emit(f"cut = fetch_cycle * {nc} - ibase", base + 1)
-        e.emit("if cut > 0:", base + 1)
-        e.emit("del islots[:cut]  # slice clamps when cut > ilen", base + 2)
-        e.emit("ibase += cut", base + 2)
-        e.emit("ilen = len(islots)", base + 2)
-        if v["topology"] == Topology.RING.value:
-            e.emit(f"cut = fetch_cycle * {nc} - bbase", base + 1)
-            e.emit("if cut > 0:", base + 1)
-            e.emit("del bslots[:cut]", base + 2)
-            e.emit("bbase += cut", base + 2)
-            e.emit("blen = len(bslots)", base + 2)
-
-    # NOP-freedom is a property of the trace, not the config, so both loops
-    # are emitted and the cheap tally check picks one per run.
-    e.emit(f"if class_counts[{_NOP}]:", 1)
-    emit_loop(2, nop_free=False)
-    e.emit("else:", 1)
-    emit_loop(2, nop_free=True)
-    e.emit("issued_per_cluster = _np.bincount(", 2)
-    e.emit(f"_np.array(cluster_col, dtype=_np.int64), minlength={nc}",
-           3)
-    e.emit(").tolist()", 2)
+    # The instruction loop runs in PRUNE_INTERVAL-sized chunks: at each
+    # chunk boundary the sliding scoreboards are rebased to fetch_cycle.
+    # Every probe is at a cycle >= fetch_cycle and fetch_cycle never
+    # decreases, so the rebased-away prefix is unreachable.
+    e.emit("it = zip(opclass, src1, src2, lat_col)", 1)
+    e.emit("rob_idx = 0  # == i mod window", 1)
+    e.emit("while True:", 1)
+    e.emit(f"stop = i + {PRUNE_INTERVAL}", 2)
+    e.emit(f"for k, s1, s2, lat in _islice(it, {PRUNE_INTERVAL}):", 2)
+    _emit_body(e, v, 3)
+    e.emit("if i != stop:", 2)
+    e.emit("break  # trace exhausted mid-chunk", 3)
+    e.emit(f"cut = fetch_cycle * {nc} - ibase", 2)
+    e.emit("if cut > 0:", 2)
+    e.emit("del islots[:cut]  # slice clamps when cut > ilen", 3)
+    e.emit("ibase += cut", 3)
+    e.emit("ilen = len(islots)", 3)
+    if v["topology"] == Topology.RING.value:
+        e.emit(f"cut = fetch_cycle * {nc} - bbase", 2)
+        e.emit("if cut > 0:", 2)
+        e.emit("del bslots[:cut]", 3)
+        e.emit("bbase += cut", 3)
+        e.emit("blen = len(bslots)", 3)
 
     # Epilogue.
     policy.emit_epilogue(e, v)
@@ -832,11 +690,10 @@ def emit_kernel_source(cfg: ProcessorConfig) -> str:
         e.emit("energy=energy,", 2)
     e.emit(")", 1)
 
-    for emitted in body_stages:
-        assert emitted == STAGES, (
-            f"codegen stage structure drifted from kernel.STAGES: "
-            f"{list(emitted)} != {list(STAGES)}"
-        )
+    assert tuple(e.stages_emitted) == STAGES, (
+        f"codegen stage structure drifted from kernel.STAGES: "
+        f"{e.stages_emitted} != {list(STAGES)}"
+    )
     return e.source()
 
 
@@ -862,8 +719,13 @@ def compile_kernel(cfg: ProcessorConfig) -> Callable[[Trace], KernelResult]:
         "_np": np,
         "_LAT_NP": np.asarray(latency, dtype=np.int64),
     }
-    code = compile(source, f"<repro.engine.codegen {key}>", "exec")
-    exec(code, namespace)
+    filename = f"<repro.engine.codegen {key}>"
+    # Registered with linecache so tracebacks through a kernel show its
+    # source lines (mtime None: never invalidated by checkcache).
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(True), filename
+    )
+    exec(compile(source, filename, "exec"), namespace)
     fn = namespace["specialized_kernel"]
     fn.__source__ = source  # type: ignore[attr-defined]
     fn.__specialization_key__ = key  # type: ignore[attr-defined]

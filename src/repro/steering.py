@@ -405,10 +405,7 @@ def _emit_occupancy_state(e, v) -> None:
 
 def _emit_occupancy_advance(e, v, ind) -> None:
     """Retire the program-order prefix whose window entries have freed."""
-    from repro.engine.codegen import _fetch_cycle_local
-
-    fc = _fetch_cycle_local(v)
-    e.emit(f"while sp < i and retire_col[sp] <= {fc}:", ind)
+    e.emit("while sp < i and retire_col[sp] <= fetch_cycle:", ind)
     e.emit("cluster_load[cluster_col[sp]] -= 1", ind + 1)
     e.emit("sp += 1", ind + 1)
 

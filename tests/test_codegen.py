@@ -7,6 +7,8 @@ specialization key, and the emitted source is genuinely branch-free with
 respect to config-invariant conditions.
 """
 
+import traceback
+
 import pytest
 
 from repro.common.config import (
@@ -31,6 +33,7 @@ from repro.engine import (
     specialization_key,
 )
 from repro.engine.kernel import STAGES
+from repro.sweep import paper_spec
 from repro.workloads import generate_trace
 
 
@@ -142,6 +145,17 @@ class TestEmittedSource:
             cursor = idx
         assert positions == sorted(positions)
 
+    @pytest.mark.parametrize("energy", [False, True])
+    def test_one_instruction_loop_per_key(self, energy):
+        spec = paper_spec(1000)
+        if energy:
+            spec = spec.with_energy()
+        configs = {specialization_key(p.config): p.config
+                   for p in spec.expand()}
+        for cfg in configs.values():
+            src = emit_kernel_source(cfg)
+            assert src.count("for k, s1, s2, lat in") == 1, cfg.describe()
+
     def test_multi_unit_clusters_emit_the_scan_loop(self):
         cfg = ProcessorConfig(
             cluster=ClusterConfig(issue_width=4, fu_counts=(2, 1, 1, 2))
@@ -171,20 +185,29 @@ class TestAgreementWithGeneric:
             assert simulate_specialized(t, cfg) == simulate(t, cfg)
 
     def test_unusual_machine_shapes_agree(self):
-        t = generate_trace("memory_bound", 2500, seed=13)
+        # branchy contains NOPs, int_heavy contains none.
+        traces = [generate_trace(mix, 2500, seed=13)
+                  for mix in ("memory_bound", "branchy", "int_heavy")]
         for cfg in (
             ProcessorConfig(window_size=1, fetch_width=1),
             ProcessorConfig(fetch_width=3, window_size=96),
+            ProcessorConfig(fetch_width=8, window_size=128),
+            ProcessorConfig(fetch_width=4, window_size=100),
             ProcessorConfig(frontend_depth=0),
             ProcessorConfig(bus=BusConfig(hop_latency=3, bandwidth=2,
                                           writeback_latency=0)),
+            ProcessorConfig(n_clusters=2, topology=Topology.CONV,
+                            bus=BusConfig(bandwidth=1)),
+            ProcessorConfig(n_clusters=2, topology=Topology.CONV,
+                            bus=BusConfig(bandwidth=2)),
             ProcessorConfig(cluster=ClusterConfig(issue_width=1)),
             ProcessorConfig(cluster=ClusterConfig(issue_width=4,
                                                   fu_counts=(2, 1, 1, 2))),
         ):
-            assert simulate_specialized(t, cfg) == simulate(t, cfg), (
-                cfg.describe()
-            )
+            for t in traces:
+                assert simulate_specialized(t, cfg) == simulate(t, cfg), (
+                    cfg.describe(), t.name
+                )
 
     def test_long_trace_exercises_scoreboard_rebase(self):
         """PRUNE_INTERVAL boundaries (sliding-scoreboard rebase) must be
@@ -245,6 +268,13 @@ class TestPipelineVariantSelector:
         rec_s = Pipeline(cfg, kernel_variant="specialized").run_record(t)
         assert rec_g == rec_s
         assert rec_s["engine_version"] == ENGINE_VERSION == "1"
+
+    def test_kernel_traceback_shows_source_line(self):
+        with pytest.raises(AttributeError) as info:
+            get_kernel(ProcessorConfig())(None)
+        last = traceback.extract_tb(info.value.__traceback__)[-1]
+        assert last.filename.startswith("<repro.engine.codegen ")
+        assert last.line and last.line.startswith("opclass = trace.opclass")
 
     def test_compile_kernel_uncached(self):
         cfg = ProcessorConfig()
