@@ -6,7 +6,9 @@ table-driven issue/execute/writeback kernel (:mod:`repro.engine.kernel`)
 covering both the paper's ring topology and the conventional clustered
 baseline, the per-configuration specializing compiler
 (:mod:`repro.engine.codegen`), the lane-vectorized numpy batch kernel
-(:mod:`repro.engine.batch`), and the public
+(:mod:`repro.engine.batch`), the same loop compiled from C
+(:mod:`repro.engine.native`, the default variant when a C compiler is on
+``PATH``), and the public
 :class:`~repro.engine.pipeline.Pipeline` facade with its ``kernel_variant``
 selector.
 """
@@ -28,6 +30,7 @@ from repro.engine.kernel import (
     build_tables,
     simulate,
 )
+from repro.engine.native import simulate_native
 from repro.engine.pipeline import (
     DEFAULT_KERNEL_VARIANT,
     KERNEL_VARIANTS,
@@ -65,6 +68,7 @@ __all__ = [
     "resolve_kernel_variant",
     "simulate",
     "simulate_batch",
+    "simulate_native",
     "simulate_specialized",
     "specialization_key",
 ]

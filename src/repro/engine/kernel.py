@@ -58,12 +58,14 @@ from repro.engine.window import SoAWindow
 #: (and mirror the change in ``bench/naive_ref.py``) — stale cached results
 #: then miss instead of being silently reused.
 #:
-#: The timing model is implemented twice on purpose: the generic loop below
-#: and the per-config specialized variants emitted by
-#: :mod:`repro.engine.codegen`.  A codegen change that alters simulated
-#: cycles is a timing-model change like any other and must bump this version
-#: (and the generic loop and ``bench/naive_ref.py`` must be updated to
-#: match); codegen changes that keep every :class:`KernelResult` field
+#: The timing model is implemented more than once on purpose: the generic
+#: loop below, the per-config specialized variants emitted by
+#: :mod:`repro.engine.codegen`, the same loop in C (``native.c``, run by
+#: :mod:`repro.engine.native`) and the lane-vectorized
+#: :mod:`repro.engine.batch`.  A change to any of them that alters simulated
+#: cycles is a timing-model change like any other and must bump this
+#: version (and every implementation and ``bench/naive_ref.py`` must be
+#: updated to match); changes that keep every :class:`KernelResult` field
 #: identical — the normal case, enforced by the differential fuzz tests and
 #: the bench agreement gate — must NOT bump it, so cached sweep stores stay
 #: valid.

@@ -5,7 +5,10 @@ validates the variant once, runs the selected kernel, checks the result for
 forward progress, and returns the kernel's :class:`KernelResult` totals
 (``ipc``, ``cycles``, ``communications``, ``hop_histogram``,
 ``issued_per_cluster`` and friends).  :meth:`Pipeline.run_record` wraps the
-same totals in the JSON record that :mod:`repro.sweep` stores.
+same totals in the JSON record that :mod:`repro.sweep` stores.  The default
+kernel is ``native``, the generic loop compiled from C, when a C compiler is
+on ``PATH``, and the ``specialized`` Python kernel otherwise
+(:data:`DEFAULT_KERNEL_VARIANT`).
 """
 
 from __future__ import annotations
@@ -18,22 +21,26 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.engine.batch import simulate_batch
 from repro.engine.codegen import simulate_specialized
 from repro.engine.kernel import ENGINE_VERSION, KernelResult, simulate
+from repro.engine.native import find_compiler, simulate_native
 from repro.engine.trace import Trace
 
-#: Valid values for ``Pipeline(kernel_variant=...)``.  ``batch`` runs the
-#: lane-vectorized numpy kernel (:mod:`repro.engine.batch`) with a single
-#: lane; its real payoff is the sweep runner batching many points that
-#: share a specialization key through one call.
-KERNEL_VARIANTS = ("generic", "specialized", "batch")
+#: Valid values for ``Pipeline(kernel_variant=...)``.  ``native`` runs the
+#: generic model compiled from C (:mod:`repro.engine.native`).  ``batch``
+#: runs the lane-vectorized numpy kernel (:mod:`repro.engine.batch`) with a
+#: single lane; its real payoff is the sweep runner batching many points
+#: that share a specialization key through one call.
+KERNEL_VARIANTS = ("generic", "specialized", "batch", "native")
 
-#: Default kernel variant; ``specialized`` compiles a branch-free kernel per
-#: machine configuration (see :mod:`repro.engine.codegen`).  Both variants
-#: produce identical :class:`KernelResult` totals by contract.
-DEFAULT_KERNEL_VARIANT = "specialized"
+#: Default kernel variant: ``native`` when a C compiler is on ``PATH`` at
+#: import (the library itself is built on first use, not here), otherwise
+#: ``specialized``, which compiles a branch-free Python kernel per machine
+#: configuration (see :mod:`repro.engine.codegen`).  Every variant produces
+#: identical :class:`KernelResult` totals by contract.
+DEFAULT_KERNEL_VARIANT = "native" if find_compiler() else "specialized"
 
 #: Environment override for the default variant — set
 #: ``REPRO_KERNEL_VARIANT=generic`` to force the readable interpreted loop
-#: (e.g. when debugging a suspected codegen issue) without touching code.
+#: (e.g. when debugging a suspected kernel issue) without touching code.
 KERNEL_VARIANT_ENV = "REPRO_KERNEL_VARIANT"
 
 
@@ -52,14 +59,16 @@ def resolve_kernel_variant(kernel_variant: Optional[str]) -> str:
 class Pipeline:
     """A configured ring- or conventionally-clustered processor model.
 
-    ``kernel_variant`` selects the simulation kernel: ``"specialized"``
-    (default) runs the per-config compiled kernel from
-    :mod:`repro.engine.codegen`; ``"generic"`` runs the readable
-    table-driven loop in :mod:`repro.engine.kernel`; ``"batch"`` runs the
-    lane-vectorized kernel from :mod:`repro.engine.batch` with one lane.
-    All variants are required to produce identical :class:`KernelResult`
-    totals — ``generic`` exists as the oracle and debugging surface, not as
-    a different model.
+    ``kernel_variant`` selects the simulation kernel (default
+    :data:`DEFAULT_KERNEL_VARIANT`): ``"native"`` runs the generic loop
+    compiled from C (:mod:`repro.engine.native`); ``"specialized"`` runs
+    the per-config compiled Python kernel from :mod:`repro.engine.codegen`;
+    ``"generic"`` runs the readable table-driven loop in
+    :mod:`repro.engine.kernel`; ``"batch"`` runs the lane-vectorized kernel
+    from :mod:`repro.engine.batch` with one lane.  All variants are
+    required to produce identical :class:`KernelResult` totals —
+    ``generic`` exists as the oracle and debugging surface, not as a
+    different model.
     """
 
     def __init__(
@@ -72,7 +81,9 @@ class Pipeline:
 
     def run(self, trace: Trace) -> KernelResult:
         """Simulate ``trace`` and return its :class:`KernelResult` totals."""
-        if self.kernel_variant == "specialized":
+        if self.kernel_variant == "native":
+            result = simulate_native(trace, self.config)
+        elif self.kernel_variant == "specialized":
             result = simulate_specialized(trace, self.config)
         elif self.kernel_variant == "batch":
             result = simulate_batch([trace], self.config)[0]

@@ -22,6 +22,7 @@ import sys
 from typing import List, Optional
 
 from repro.common.errors import ReproError
+from repro.engine.pipeline import KERNEL_VARIANTS
 from repro.service.client import ServiceClient
 from repro.service.server import SweepService
 from repro.sweep.cli import (
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--workers", type=int, default=None,
                          help="default sweep worker processes per job")
     serve_p.add_argument("--kernel-variant", default=None,
-                         choices=("generic", "specialized"),
+                         choices=KERNEL_VARIANTS,
                          help="default simulation kernel for jobs")
     serve_p.set_defaults(func=_cmd_serve)
 

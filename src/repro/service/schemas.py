@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping
 
 from repro.common.errors import ReproError
+from repro.engine.pipeline import KERNEL_VARIANTS
 
 #: JSON-name -> python type(s) for the ``type`` keyword.  ``bool`` is an
 #: ``int`` subclass in python, so integer/number checks must exclude it
@@ -116,10 +117,7 @@ SUBMIT_SCHEMA: Dict[str, Any] = {
     "properties": {
         "spec": {},
         "workers": {"type": "integer", "minimum": 1, "maximum": 64},
-        "kernel_variant": {
-            "type": "string",
-            "enum": ["generic", "specialized"],
-        },
+        "kernel_variant": {"type": "string", "enum": list(KERNEL_VARIANTS)},
         "energy": {"type": "boolean"},
         "retries": {"type": "integer", "minimum": 0, "maximum": 16},
         "timeout_s": {"type": "number", "minimum": 0.001},

@@ -65,6 +65,9 @@ that varies only machine config reuses one generated trace for all its
 points) and the per-config compiled-kernel registry in
 :mod:`repro.engine.codegen` (points sharing a structural specialization key
 share one compiled kernel).  Neither affects results — only wall-clock.
+Under the ``native`` variant the orchestrator builds the C kernel
+(:func:`repro.engine.native.load`) before it starts any worker, so a sweep
+compiles it once and forked workers inherit it.
 
 Under ``kernel_variant="batch"`` pending points are grouped by structural
 specialization key and every multi-point group is executed through one
@@ -91,6 +94,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ReproError, SimulationError
+from repro.engine import native
 from repro.engine.batch import simulate_batch
 from repro.engine.codegen import specialization_key
 from repro.engine.kernel import ENGINE_VERSION
@@ -957,6 +961,10 @@ def run_sweep(
             n_workers > 1
             and len(pending) >= n_workers * MIN_POINTS_PER_WORKER
         )
+        if resolved_variant == "native":
+            # Build before the first worker starts: forked workers inherit
+            # the loaded library instead of each compiling its own.
+            native.load()
         executor = _FrontierExecutor(
             tasks, store, retry_policy, n_workers, use_pool, say,
             on_point_done=on_point_done, should_stop=should_stop,

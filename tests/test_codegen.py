@@ -27,6 +27,7 @@ from repro.engine import (
     compile_kernel,
     emit_kernel_source,
     get_kernel,
+    native,
     registry_size,
     simulate,
     simulate_specialized,
@@ -232,9 +233,12 @@ class TestAgreementWithGeneric:
 
 
 class TestPipelineVariantSelector:
-    def test_default_is_specialized(self):
+    @pytest.mark.skipif(native.find_compiler() is None,
+                        reason="no C compiler on PATH")
+    def test_default_is_native_with_a_compiler(self):
+        # The no-compiler default is covered by tests/test_native.py.
         assert Pipeline().kernel_variant == DEFAULT_KERNEL_VARIANT == (
-            "specialized"
+            "native"
         )
 
     def test_explicit_generic(self):

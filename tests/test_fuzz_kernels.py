@@ -1,4 +1,4 @@
-"""Differential fuzzing across all four kernel implementations.
+"""Differential fuzzing across all five kernel implementations.
 
 ~75 randomized ``(config, mix, seed)`` points, deliberately biased toward
 the corners the specializer folds differently — non-power-of-two cluster
@@ -7,6 +7,8 @@ zero-FP mixes on FP-less clusters — asserting that the naive
 object-per-instruction oracle, the generic table-driven loop, the
 per-config compiled specialized kernel, and the lane-vectorized batch
 kernel agree on **every** :class:`KernelResult` field, not just cycles.
+The C ``native`` kernel is held to the generic loop on the same points,
+with the energy model as drawn and flipped.
 The batch kernel is additionally fuzzed at real batch sizes: ragged lane
 groups (mixed lengths, so batches span finished and still-running lanes,
 single-instruction and B=1 degenerate shapes included) where every lane
@@ -40,8 +42,10 @@ from repro.common.types import Topology
 from repro.energy import ENERGY_COMPONENTS, EnergyConfig, FuEnergy
 from repro.engine import (
     KernelResult,
+    native,
     simulate,
     simulate_batch,
+    simulate_native,
     simulate_specialized,
 )
 from repro.steering import list_policies
@@ -59,6 +63,10 @@ FIELDS = tuple(f.name for f in dataclasses.fields(KernelResult))
 #: ``int_heavy`` has no FP classes at all, so it must also run on clusters
 #: with zero FP units; the remaining mixes keep the default cluster.
 ZERO_FP_CLUSTER = ClusterConfig(fu_counts=(1, 1, 0, 0))
+
+#: Policies the native kernel implements in C.
+NATIVE_POLICIES = ("dependence", "modulo", "round_robin", "load_balance",
+                   "criticality")
 
 
 def random_energy(rng: random.Random) -> EnergyConfig:
@@ -168,6 +176,30 @@ def test_four_way_agreement(index):
     else:
         assert naive["energy"] is None
         assert generic["energy"] is None
+
+
+@pytest.mark.skipif(native.find_compiler() is None,
+                    reason="no C compiler on PATH")
+@pytest.mark.parametrize("index", range(N_POINTS))
+def test_native_agrees_with_generic(index, monkeypatch):
+    """The C kernel on the same points, with the energy model both as drawn
+    and flipped, equal to the generic loop on every field.  The five
+    built-in policies must run in C: their fallback kernels raise here."""
+    rng = random.Random(0xA6E11A + index)
+    cfg, mix, seed = random_point(rng)
+    trace = generate_trace(mix, TRACE_LEN, seed=seed)
+    if cfg.steering in NATIVE_POLICIES:
+        def no_fallback(*_args):
+            raise AssertionError(f"{cfg.steering} fell back to Python")
+
+        monkeypatch.setattr(native, "simulate", no_fallback)
+        monkeypatch.setattr(native, "simulate_specialized", no_fallback)
+    flipped = EnergyConfig(enabled=not cfg.energy.enabled)
+    for point_cfg in (cfg, cfg.with_(energy=flipped)):
+        label = f"point {index}: {point_cfg.describe()} mix={mix} seed={seed}"
+        assert kernel_result_fields(simulate_native(trace, point_cfg)) == \
+            kernel_result_fields(simulate(trace, point_cfg)), (
+                f"generic vs native diverge: {label}")
 
 
 @pytest.mark.parametrize("index", range(20))

@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.engine import KERNEL_VARIANTS
 from repro.service import MAX_BODY_BYTES, ServiceClient, ServiceError, ServiceThread
 from repro.service.jobs import ServiceUnavailable, effective_spec, job_id_for
 from repro.steering import list_policies
@@ -212,7 +213,15 @@ class TestValidation:
         assert err.value.code == "invalid_request"
         with pytest.raises(ServiceError) as err:
             client.submit(spec_dict(), kernel_variant="turbo")
+        assert err.value.status == 400
         assert err.value.code == "invalid_request"
+
+    @pytest.mark.parametrize("variant", KERNEL_VARIANTS)
+    def test_every_kernel_variant_accepted(self, service, variant):
+        _svc, client = service
+        response = client.submit(spec_dict(name=f"svc-{variant}"),
+                                 kernel_variant=variant)
+        assert client.wait(response["job_id"])["state"] == "done"
 
     def test_missing_spec_400(self, service):
         svc, _client = service
@@ -594,6 +603,14 @@ class TestModuleCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: sweep spec") and "not UTF-8" in err
+
+    @pytest.mark.parametrize("variant", KERNEL_VARIANTS)
+    def test_serve_accepts_every_kernel_variant(self, variant):
+        from repro.service.__main__ import build_parser
+
+        args = build_parser().parse_args(
+            ["serve", "--kernel-variant", variant])
+        assert args.kernel_variant == variant
 
     def test_submit_requires_exactly_one_spec_source(self, capsys):
         from repro.service.__main__ import main
