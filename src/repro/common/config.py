@@ -161,7 +161,12 @@ class ClusterConfig:
         _check_keys(cls, data)
         kwargs = dict(data)
         if "fu_counts" in kwargs:
-            kwargs["fu_counts"] = tuple(kwargs["fu_counts"])
+            counts = kwargs["fu_counts"]
+            _require(
+                isinstance(counts, (list, tuple)),
+                f"ClusterConfig.fu_counts must be a list, got {counts!r}",
+            )
+            kwargs["fu_counts"] = tuple(counts)
         return cls(**kwargs)
 
 
@@ -379,8 +384,14 @@ class ProcessorConfig:
         equal; the JSON canonicalisation (sorted keys, no whitespace) keeps
         the digest independent of Python version and dict insertion order.
         Used as (part of) the cache key of the sweep result store.
+        Memoized per instance (every field is frozen): a sweep shares one
+        config object across all the points that run it.
         """
-        return content_digest(self.to_dict(), 16)
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            digest = content_digest(self.to_dict(), 16)
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def describe(self) -> Dict[str, object]:
         """A flat, JSON-friendly summary used by benchmark/report output.

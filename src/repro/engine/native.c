@@ -132,37 +132,57 @@ static i64 *slot(slot_map *m, i64 key)
     return &m->counts[h];
 }
 
-/* Issue-slot and RING bus counts for the WINDOW cycles from fetch_cycle
- * on: one row of n_clusters counts per cycle, tagged with its cycle.  Both
- * are only ever probed at cycles >= fetch_cycle, which never decreases, so
- * a row tagged with an earlier cycle is free for reuse.  A probe whose row
- * still holds a live cycle (only with latencies near WINDOW) spills to the
- * map, and moves back into the row once the row frees.  Rows and map
- * together stay O(n) whatever the latencies. */
-enum { WINDOW = 1024 };
+/* Issue-slot and RING bus counts for the cycles from fetch_cycle on: a
+ * ring of `rows` rows (a power of two, at most WINDOW) of n_clusters
+ * cells, each cell one (cycle, cluster) count tagged with its cycle.  The
+ * rows hold at most WINDOW_CELLS cells in all, but always at least one
+ * row, so neither memory nor the work per cycle grows with n_clusters
+ * beyond one row.  Both are only ever probed at cycles >= fetch_cycle,
+ * which never decreases, so a cell tagged with an earlier cycle is free
+ * for reuse.  A probe whose cell still holds a live cycle (with latencies
+ * near `rows`) spills to the map, and moves back into the cell once the
+ * cell frees.  Cells and map together stay O(n) whatever the latencies. */
+enum { WINDOW = 1024, WINDOW_CELLS = 1 << 14 };
 
 typedef struct {
-    i64 tag[WINDOW];
-    i64 *rows;
+    i64 tag;
+    i64 count;
+} slot_cell;
+
+typedef struct {
+    slot_cell *cells;
+    i64 row_mask; /* rows - 1 */
     i64 nc;
     slot_map spill;
 } slot_window;
 
+static int window_init(slot_window *w, i64 nc)
+{
+    i64 rows = WINDOW;
+    while (rows > 1 && rows * nc > WINDOW_CELLS)
+        rows >>= 1;
+    w->nc = nc;
+    w->row_mask = rows - 1;
+    w->cells = malloc(rows * nc * sizeof(slot_cell));
+    if (!w->cells)
+        return 0;
+    for (i64 c = 0; c < rows * nc; c++)
+        w->cells[c].tag = -1;
+    return 1;
+}
+
 static i64 *window_slot(slot_window *w, i64 cycle, i64 cluster, i64 horizon)
 {
-    i64 *row = w->rows + (cycle & (WINDOW - 1)) * w->nc;
-    i64 *tag = &w->tag[cycle & (WINDOW - 1)];
-    if (*tag != cycle) {
-        if (*tag >= horizon)
+    slot_cell *cell = w->cells + (cycle & w->row_mask) * w->nc + cluster;
+    if (cell->tag != cycle) {
+        if (cell->tag >= horizon)
             return slot(&w->spill, cycle * w->nc + cluster);
-        *tag = cycle;
-        for (i64 c = 0; c < w->nc; c++) {
-            i64 *spilled = w->spill.used
-                ? slot_find(&w->spill, cycle * w->nc + c) : NULL;
-            row[c] = spilled ? *spilled : 0;
-        }
+        i64 *spilled = w->spill.used
+            ? slot_find(&w->spill, cycle * w->nc + cluster) : NULL;
+        cell->tag = cycle;
+        cell->count = spilled ? *spilled : 0;
     }
-    return row + cluster;
+    return &cell->count;
 }
 
 /* First cycle >= g at which `cluster` may inject another result. */
@@ -273,16 +293,9 @@ int repro_simulate(
     slot_map conv_slots = {0};
     ok = cluster_col && complete_col && grant_col && rob && fu_free && load
         && (retire_col || !track_retire) && issue_slots && ring_slots;
-    if (ok) {
-        issue_slots->nc = ring_slots->nc = nc;
-        issue_slots->rows = malloc(WINDOW * nc * sizeof(i64));
-        ring_slots->rows = malloc(WINDOW * nc * sizeof(i64));
-        ok = issue_slots->rows && ring_slots->rows;
-    }
+    ok = ok && window_init(issue_slots, nc) && window_init(ring_slots, nc);
     if (!ok)
         goto done;
-    for (int r = 0; r < WINDOW; r++)
-        issue_slots->tag[r] = ring_slots->tag[r] = -1;
     for (i64 i = 0; i < n; i++)
         grant_col[i] = -1;
 
@@ -486,7 +499,7 @@ done:
         slot_window *win = w ? ring_slots : issue_slots;
         if (win) {
             ok = ok && !win->spill.failed;
-            free(win->rows);
+            free(win->cells);
             free(win->spill.keys);
             free(win->spill.counts);
             free(win);

@@ -26,7 +26,8 @@ oldest unleased shard (lowest shard ordinal first — the shard the merge
 frontier is waiting on), idle-most backends first, so a fast peer
 pipelines several shards while a slow one grinds on its first.  A
 backend that delivers a shard is handed its next one *before* that shard
-is merged, so it never idles through the merge's fsyncs.  The
+is merged, so it never idles through the merge (which writes the shard's
+records and fsyncs them once).  The
 backend's progress callbacks renew the shard's lease; a lease that misses
 heartbeats for ``lease_timeout_s`` is declared expired — the backend is
 charged a failure, and the shard is requeued for a surviving backend.
@@ -351,8 +352,9 @@ class _Run:
             self._dispatch_idle()
             arrivals = self._drain()
             # Free every backend that delivered and hand it its next shard
-            # BEFORE merging: a merge fsyncs per record, and a backend
-            # waiting on it is idle time (the pool's refill-before-append).
+            # BEFORE merging: a merge writes its records and fsyncs once,
+            # and a backend waiting on it is idle time (the pool's
+            # refill-before-append).
             for ticket, records, exc in arrivals:
                 if exc is None and records is not None:
                     self._release(ticket)

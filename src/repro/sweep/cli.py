@@ -24,7 +24,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigurationError, ReproError
 from repro.exec.attempts import RetryPolicy
 from repro.sweep.grid import SweepSpec, paper_spec, smoke_spec
 from repro.sweep.report import build_tables, load_rows, write_report
@@ -63,19 +63,22 @@ def load_spec(args: argparse.Namespace) -> SweepSpec:
     if args.paper:
         return paper_spec()
     # A missing/unreadable file or malformed JSON is an *input* problem, not
-    # a bug: surface it as a ReproError so main() prints a clean one-line
-    # ``error: ...`` and exits 2 instead of dumping a traceback.
+    # a bug: surface it as a ReproError (a ConfigurationError when the file
+    # was read) so main() prints a clean one-line ``error: ...`` and exits
+    # 2 instead of dumping a traceback.
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ReproError(f"cannot read sweep spec {args.spec!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ReproError(
+        raise ConfigurationError(
             f"sweep spec {args.spec!r} is not UTF-8 text: {exc}"
         ) from exc
-    except json.JSONDecodeError as exc:
-        raise ReproError(
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past Python's digit limit, or
+        # nesting deeper than the decoder's recursion limit.
+        raise ConfigurationError(
             f"sweep spec {args.spec!r} is not valid JSON: {exc}"
         ) from exc
     return SweepSpec.from_dict(data)

@@ -285,7 +285,11 @@ class SweepSpec:
         return total
 
     def expand(self) -> List[ExperimentPoint]:
-        """Materialise the grid, in deterministic (declaration) order."""
+        """Materialise the grid, in deterministic (declaration) order.
+
+        Each distinct machine config is built once and shared by every
+        point that runs it (all mixes and seeds), so its memoized digest
+        is computed once too."""
         base_tree = ProcessorConfig().to_dict()
         # ``to_dict`` omits an all-default energy block (the digest-stability
         # rule), but dotted override paths like ``energy.enabled`` can only
@@ -297,22 +301,32 @@ class SweepSpec:
             _set_path(base_tree, path, value)
         override_paths = [path for path, _values in self.overrides]
         override_axes = [values for _path, values in self.overrides]
+        # Override values need not be hashable, so a config is keyed by
+        # the indices of its override values.
+        combos = list(itertools.product(
+            *(range(len(values)) for values in override_axes)))
+        configs: Dict[Tuple[Any, ...], ProcessorConfig] = {}
 
         points: List[ExperimentPoint] = []
         for mix, topo, n_clusters, steering, seed in itertools.product(
             self.mixes, self.topologies, self.cluster_counts,
             self.steerings, self.seeds,
         ):
-            for combo in itertools.product(*override_axes):
-                tree = json.loads(canonical_json(base_tree))  # deep copy
-                for path, value in zip(override_paths, combo):
-                    _set_path(tree, path, value)
-                tree["topology"] = topo
-                tree["n_clusters"] = n_clusters
-                tree["steering"] = steering
+            for combo in combos:
+                config = configs.get((topo, n_clusters, steering, combo))
+                if config is None:
+                    tree = json.loads(canonical_json(base_tree))  # deep copy
+                    for path, values, at in zip(
+                            override_paths, override_axes, combo):
+                        _set_path(tree, path, values[at])
+                    tree["topology"] = topo
+                    tree["n_clusters"] = n_clusters
+                    tree["steering"] = steering
+                    config = ProcessorConfig.from_dict(tree)
+                    configs[topo, n_clusters, steering, combo] = config
                 points.append(
                     ExperimentPoint(
-                        config=ProcessorConfig.from_dict(tree),
+                        config=config,
                         mix=mix,
                         n_instructions=self.n_instructions,
                         seed=seed,

@@ -12,13 +12,18 @@ then the point's outcome, so the orchestrator always knows which point
 each worker is running.  One :func:`multiprocessing.connection.wait` call
 covers every pipe and every worker's exit sentinel; when a point finishes,
 the orchestrator first refills the freed worker and only then hands the
-record on, so no worker idles while the orchestrator appends and fsyncs.
+record on, so no worker idles while the orchestrator appends.
 Completions arrive in whatever order the workers finish; an
 **expansion-order flush frontier** buffers out-of-order results and
 appends each record the moment every earlier point has been appended, so
 
-* partial progress is durable within moments of being computed — a crash
-  at point N of M keeps the N-1 finished prefix on disk, and
+* partial progress is on disk within moments of being computed — each
+  record is written and flushed when it is appended, so readers and a
+  resumed run see it at once and a crash (even SIGKILL) at point N of M
+  keeps the N-1 finished prefix; the store is fsynced on a cadence (at
+  the first append :data:`_COMMIT_INTERVAL_S` or more after the last
+  commit, so a power loss costs at most about one interval of work) and
+  always before :func:`run_sweep` returns or raises, and
 * the store's bytes are identical to a single-process fault-free run at
   any worker count, failure pattern, or interrupt point: what reaches the
   file is always an expansion-order prefix of the full sweep, and a re-run
@@ -135,6 +140,12 @@ _DEPTH = 2
 #: ``should_stop`` while nothing else happens.
 _POLL_INTERVAL_S = 0.01
 
+#: Least time between two store fsyncs (:meth:`ResultStore.commit`) while
+#: a sweep appends.  Each record is written and flushed at once; this
+#: bounds only what a power loss can take, and a commit per record cost
+#: more than the C kernel on short points.
+_COMMIT_INTERVAL_S = 0.25
+
 #: ``(mix_name, n_instructions, seed) -> (mix_definition, trace)``.
 #: Process-global on purpose: a grid that varies only the config re-uses one
 #: generated trace across all its points instead of regenerating it per
@@ -184,14 +195,23 @@ def default_workers() -> int:
 def _payload_for(point: ExperimentPoint) -> Dict[str, Any]:
     """Self-contained worker payload for one point.
 
+    The :meth:`ExperimentPoint.to_dict` fields, except that ``"config"``
+    is the point's :class:`~repro.common.config.ProcessorConfig` itself:
+    :meth:`ExperimentPoint.from_dict` takes it as is, so no point pays a
+    config parse, and a worker unpickles it with its memoized digest.
+
     Carries the full :class:`~repro.workloads.WorkloadMix` definition, not
     just its name: under the ``spawn`` start method (macOS/Windows default)
     workers re-import the package with a pristine registry, so a mix added
     via :func:`register_mix` in the parent would otherwise be unknown there.
     """
-    payload = point.to_dict()
-    payload["_mix_definition"] = get_mix(point.mix)
-    return payload
+    return {
+        "config": point.config,
+        "mix": point.mix,
+        "n_instructions": point.n_instructions,
+        "seed": point.seed,
+        "_mix_definition": get_mix(point.mix),
+    }
 
 
 def execute_point(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
@@ -199,7 +219,8 @@ def execute_point(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
 
     Module-level and picklable-in/picklable-out so it crosses process
     boundaries under any start method.  ``payload`` is
-    :meth:`ExperimentPoint.to_dict` output, optionally with a
+    :meth:`ExperimentPoint.to_dict` output (its ``"config"`` may be the
+    :class:`~repro.common.config.ProcessorConfig` itself), optionally with a
     ``"_mix_definition"`` entry (see :func:`_payload_for`) registered here
     if this interpreter does not know the mix yet, and a ``"_attempt"``
     counter (1-based) identifying which delivery attempt this is.
@@ -506,6 +527,7 @@ class _FrontierExecutor:
         self.timings: Dict[str, float] = {}
         self.failures: Dict[str, FailureRecord] = {}
         self.n_discarded = 0
+        self.committed_at = time.monotonic()
 
     @property
     def n_flushed(self) -> int:
@@ -520,6 +542,7 @@ class _FrontierExecutor:
                 self._run_inline()
         finally:
             self._stop_workers()
+            self.store.commit()
             self.n_discarded = self.frontier.discard()
             if self.n_discarded:
                 self.say(
@@ -546,11 +569,13 @@ class _FrontierExecutor:
 
     # -- frontier ---------------------------------------------------------
     def _emit(self, index: int, payload: Tuple[Dict[str, Any], float]) -> None:
-        """Append one frontier-reached record durably (the
+        """Append one frontier-reached record (the
         :class:`~repro.exec.frontier.FlushFrontier` emit hook: called
         exactly once per completed point, strictly in expansion order —
         a permanently-failed point blocks the frontier there, keeping the
-        store an expansion-order prefix of the fault-free sweep).
+        store an expansion-order prefix of the fault-free sweep), and
+        commit the store when :data:`_COMMIT_INTERVAL_S` has passed since
+        the last commit.
 
         ``should_stop`` is checked before each append, so a cancel lands
         within one record even when one completion releases several
@@ -558,13 +583,18 @@ class _FrontierExecutor:
         self._check_stop()
         record, elapsed = payload
         self.store.append(record)
+        now = time.monotonic()
+        if now - self.committed_at >= _COMMIT_INTERVAL_S:
+            self.store.commit()
+            self.committed_at = now
         task = self.tasks[index]
         self.timings[task.key] = elapsed
         self.say(f"  done {task.point.label()} ({elapsed*1e3:.0f} ms)")
         if self.on_point_done is not None:
             # Progress hook, invoked strictly in expansion order and
-            # only after the record is durably appended — a subscriber
-            # notified of (key, index) may read the store and find it.
+            # only after the record is appended and flushed — a
+            # subscriber notified of (key, index) may read the store and
+            # find it.
             # Exceptions propagate: a broken hook aborts the sweep
             # rather than silently dropping progress events.
             self.on_point_done(task.key, record, task.index)
@@ -858,10 +888,10 @@ class _FrontierExecutor:
             for task in last_tries:
                 self._attempt_in_process(task)
             # 4. Only now, with the workers busy again, hand the oldest
-            #    finished record to the frontier (store append + fsync,
-            #    then ``on_point_done``).  The rest wait for the next pass,
-            #    so workers are refilled between appends instead of idling
-            #    behind a run of fsyncs.
+            #    finished record to the frontier (store append, a commit
+            #    when one is due, then ``on_point_done``).  The rest wait
+            #    for the next pass, so workers are refilled between appends
+            #    instead of idling behind a run of them.
             if finished:
                 self._complete(*finished.popleft())
                 continue
@@ -906,7 +936,11 @@ def run_sweep(
     0.1 s base backoff, no timeout).
 
     Completed records are appended incrementally in expansion order (the
-    flush frontier), so partial progress survives crashes and interrupts;
+    flush frontier), so partial progress survives crashes and interrupts.
+    Each record is written and flushed when it is appended, the store is
+    fsynced whenever :data:`_COMMIT_INTERVAL_S` has passed since the last
+    commit, and whatever was appended is fsynced before this returns or
+    raises;
     SIGINT/SIGTERM raise :class:`SweepInterrupted` carrying the partial
     summary after the workers are stopped.  Points that exhaust their retry
     budget are reported in :attr:`SweepSummary.failures` and block the
@@ -914,7 +948,9 @@ def run_sweep(
 
     ``on_point_done(key, record, index)``, when given, is invoked once per
     freshly computed point, strictly in expansion order, immediately after
-    the record is durably appended to the store; ``index`` is the point's
+    the record is appended to the store and flushed — a fresh
+    :class:`ResultStore` of the same path finds it then, though its fsync
+    may follow later (see above); ``index`` is the point's
     0-based position within the pending (non-cached) shard.  The hook runs
     in the orchestrating thread and must be cheap; leaving it unset changes
     nothing — store bytes, summaries, and timings are identical.

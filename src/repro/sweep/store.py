@@ -64,6 +64,8 @@ class ResultStore:
         # against the on-disk size to detect *other* writers cheaply — one
         # stat per miss instead of one full re-read per miss.
         self._seen_size = 0
+        # True while records appended by this object await commit().
+        self._dirty = False
         # Serializes load/append/compact/read_record across threads: the
         # service appends from its job-runner thread while the event loop
         # serves reads from the same object.  Cross-*process* readers are
@@ -140,7 +142,15 @@ class ResultStore:
         return self
 
     def append(self, record: Dict[str, Any]) -> None:
-        """Persist ``record`` (which must carry a ``"key"``) durably."""
+        """Write ``record`` (which must carry a ``"key"``) as one line and
+        flush it.
+
+        The line is in the file when this returns: readers and a resumed
+        run see it at once, and it survives a SIGKILL of this process.  It
+        reaches stable storage (survives a power loss) at the next
+        :meth:`commit`; the sweep runner commits on a cadence and always
+        before :func:`~repro.sweep.runner.run_sweep` returns or raises.
+        """
         key = record.get("key")
         if not isinstance(key, str) or not key:
             raise StoreError(
@@ -164,12 +174,21 @@ class ResultStore:
                 self._repair_offset = None
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+            self._dirty = True
             self._records[key] = record
             self._lines[key] = line
             self.physical_records += 1
             self._seen_size += len(line.encode("utf-8")) + 1
+
+    def commit(self) -> None:
+        """fsync every record this object appended since the last commit;
+        a no-op when there is none."""
+        with self._lock:
+            if not self._dirty:
+                return
+            with open(self.path, "ab") as fh:
+                os.fsync(fh.fileno())
+            self._dirty = False
 
     def merge(self, records: Iterable[Dict[str, Any]]) -> int:
         """Fold shard records in; returns how many were newly appended.
@@ -190,7 +209,9 @@ class ResultStore:
 
         The conflict scan runs over *all* supplied records first (including
         duplicates within the batch itself), so a failed merge leaves the
-        store exactly as it was.
+        store exactly as it was.  The appended records are written and
+        visible at once, and the whole batch is fsynced by one
+        :meth:`commit` before this returns.
         """
         batch: List[Tuple[str, Dict[str, Any], str]] = []
         with self._lock:
@@ -219,6 +240,7 @@ class ResultStore:
                 batch.append((key, record, line))
             for key, record, line in batch:
                 self._append_line(key, record, line)
+            self.commit()
         return len(batch)
 
     def compact(self) -> int:
@@ -243,6 +265,7 @@ class ResultStore:
                 os.fsync(fh.fileno())
             os.replace(tmp, self.path)
             self._repair_offset = None
+            self._dirty = False
             self.physical_records = len(self._records)
             self._seen_size = written
             return dropped

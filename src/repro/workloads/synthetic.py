@@ -17,6 +17,7 @@ about.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -50,6 +51,15 @@ _DST_REGCLASS = np.array([
 ])
 _IS_BRANCH = np.array([k.is_branch for k in _CLASSES])
 _IS_MEMORY = np.array([k.is_memory for k in _CLASSES])
+
+#: numpy dtype of each :class:`Trace` column typecode.
+_COLUMN_DTYPES = {"b": np.int8, "q": np.int64}
+
+
+def _column(typecode: str, values: np.ndarray) -> array:
+    """``values`` as an ``array`` of ``typecode``, copied as raw bytes:
+    ``tolist`` would box every element on the way."""
+    return array(typecode, values.astype(_COLUMN_DTYPES[typecode]).tobytes())
 
 
 @dataclass(frozen=True)
@@ -251,8 +261,8 @@ def generate_trace(
              | (mem_miss & l2_draw) * FLAG_L2_MISS)
     dst = np.where(dst_class >= 0, dst_regs, -1)
 
-    return Trace(f"{mix.name}-{n}", opclass.tolist(), src1.tolist(),
-                 src2.tolist(), dst.tolist(), flags.tolist(),
+    return Trace(f"{mix.name}-{n}", _column("b", opclass), _column("q", src1),
+                 _column("q", src2), _column("q", dst), _column("b", flags),
                  validate=validate)
 
 

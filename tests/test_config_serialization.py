@@ -122,3 +122,38 @@ class TestDigest:
         cfg = custom_config()
         assert ProcessorConfig.from_dict(cfg.to_dict()).config_digest() == \
             cfg.config_digest()
+
+    def test_memoized_digest_matches_content_digest(self, monkeypatch):
+        import repro.common.config as config_mod
+        from repro.common.jsonutil import content_digest
+
+        cfg = custom_config()
+        assert cfg.config_digest() == content_digest(cfg.to_dict(), 16)
+        monkeypatch.setattr(config_mod, "content_digest", None)
+        assert cfg.config_digest() == content_digest(cfg.to_dict(), 16)
+
+    def test_replace_gets_a_fresh_digest(self):
+        import dataclasses
+
+        from repro.common.jsonutil import content_digest
+
+        cfg = custom_config()
+        cfg.config_digest()
+        other = dataclasses.replace(cfg, n_clusters=cfg.n_clusters + 1)
+        assert other.config_digest() == content_digest(other.to_dict(), 16)
+        assert other.config_digest() != cfg.config_digest()
+        assert cfg.with_(window_size=256).config_digest() == \
+            ProcessorConfig.from_dict(
+                dict(cfg.to_dict(), window_size=256)).config_digest()
+
+    def test_digest_survives_pickling(self, monkeypatch):
+        import pickle
+
+        import repro.common.config as config_mod
+
+        cfg = custom_config()
+        digest = cfg.config_digest()
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg
+        monkeypatch.setattr(config_mod, "content_digest", None)
+        assert copy.config_digest() == digest

@@ -107,6 +107,43 @@ class TestAgreement:
         assert result == simulate(trace, cfg)
 
 
+class TestManyClusters:
+    """The slot windows hold at most a fixed number of cells, so their
+    rows shrink as ``n_clusters`` grows and long latencies spill sooner."""
+
+    @pytest.mark.parametrize("n_clusters", [64, 1000])
+    @pytest.mark.parametrize("steering", ["dependence", "load_balance"])
+    @pytest.mark.parametrize("topology", [Topology.RING, Topology.CONV])
+    def test_short_rows_match_simulate(self, n_clusters, steering, topology):
+        cfg = ProcessorConfig(
+            n_clusters=n_clusters, topology=topology, steering=steering,
+            memory=MemoryHierarchyConfig(l2_miss_penalty=300),
+            energy=EnergyConfig(enabled=True),
+        )
+        trace = generate_trace("memory_bound", 2000, seed=5)
+        assert simulate_native(trace, cfg) == simulate(trace, cfg)
+
+    def test_huge_cluster_count_fits_in_one_gib(self, tmp_path):
+        # Rows of 1024 cycles x n_clusters counts needed 3.2 GB here.
+        code = (
+            "import os, resource\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '1'  # per-thread arenas\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from repro.common.config import ProcessorConfig\n"
+            "from repro.engine import native, simulate, simulate_native\n"
+            "from repro.workloads import generate_trace\n"
+            "cfg = ProcessorConfig(n_clusters=200_000)\n"
+            "trace = generate_trace('int_heavy', 10, seed=1)\n"
+            "assert native._arguments(cfg) is not None\n"
+            "assert simulate_native(trace, cfg) == simulate(trace, cfg)\n"
+            "print('ok')\n"
+        )
+        env_path = os.environ.get("PATH", "")
+        result = run_python(code, env_path, tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"
+
+
 class TestMalformedTraces:
     """``Trace(validate=False)`` input is rejected before the C loop."""
 

@@ -48,6 +48,23 @@ class TestExpansion:
         b = smoke_spec().expand()
         assert [p.key() for p in a] == [p.key() for p in b]
 
+    def test_each_distinct_config_is_built_once(self):
+        points = paper_spec().expand()
+        assert len(points) == 360
+        assert len({id(p.config) for p in points}) == 30
+
+    def test_override_axes_share_configs_across_mixes_and_seeds(self):
+        # Unhashable override values still map to one object per config.
+        spec = tiny_spec(
+            mixes=("int_heavy", "branchy"), seeds=(1, 2),
+            overrides={"cluster.fu_counts": [[1, 1, 1, 1], [2, 1, 1, 1]]},
+        )
+        points = spec.expand()
+        assert len(points) == 8
+        assert len({id(p.config) for p in points}) == 2
+        assert {p.config.cluster.fu_counts for p in points} == {
+            (1, 1, 1, 1), (2, 1, 1, 1)}
+
 
 class TestOverrides:
     def test_override_axis_multiplies_grid(self):

@@ -50,6 +50,26 @@ class TestRunner:
         with open(path, "rb") as fh:
             assert fh.read() == first_bytes
 
+    def test_inline_sweep_parses_no_config(self, tmp_path, monkeypatch):
+        # Payloads carry the expanded config objects, so no point pays
+        # ProcessorConfig.from_dict on the sweep path.
+        from repro.common.config import ProcessorConfig
+
+        points = small_spec(seeds=(7, 8)).expand()
+        calls = []
+        real = ProcessorConfig.from_dict.__func__
+
+        def counting(cls, data):
+            calls.append(data)
+            return real(cls, data)
+
+        monkeypatch.setattr(ProcessorConfig, "from_dict",
+                            classmethod(counting))
+        store = ResultStore(str(tmp_path / "store.jsonl"))
+        summary = run_sweep(points, store, workers=1)
+        assert summary.n_computed == 8
+        assert calls == []
+
     def test_two_fresh_runs_byte_identical(self, tmp_path):
         spec = small_spec()
         path_a = str(tmp_path / "a.jsonl")
