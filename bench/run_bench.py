@@ -247,15 +247,15 @@ def bench_matrix(trace, args, store_path: str):
 def bench_batch_sweep(args):
     """Batched sweep throughput: one ``simulate_batch`` call per matrix cell.
 
-    Mirrors what ``kernel_variant="batch"`` does inside the sweep runner —
-    every cell of the ring/conv x 2/4/8 matrix gets ``--batch-lanes``
-    same-key experiment points executed as one stacked kernel call — and
-    races that against the specialized kernel looped over the identical
-    traces.  Rounds are interleaved (spec loop, then batch call, repeated)
-    and each variant keeps its best (minimum) time per cell: at ~40s total
-    the dominant noise source is ambient machine load, which only ever adds
-    time, so min is the stable estimator where a median would need many
-    more rounds to settle.
+    The batch kernel's best case (the sweep runner never groups points, so
+    no real sweep reaches it): every cell of the ring/conv x 2/4/8 matrix
+    gets ``--batch-lanes`` same-key experiment points executed as one
+    stacked kernel call, raced against the specialized kernel looped over
+    the identical traces.  Rounds are interleaved (spec loop, then batch
+    call, repeated) and each variant keeps its best (minimum) time per
+    cell: at ~40s total the dominant noise source is ambient machine load,
+    which only ever adds time, so min is the stable estimator where a
+    median would need many more rounds to settle.
 
     The trace set is generated once and shared by all six cells.  The
     lane count and trace length are NOT shrunk under ``--smoke``: the batch

@@ -60,12 +60,19 @@ def _flat_from_dict(cls: Type[_T], data: Mapping[str, Any]) -> _T:
     return cls(**dict(data))
 
 
+def _is_int(value: Any) -> bool:
+    # ``bool`` is an ``int`` subclass, but ``true`` is not a count: it would
+    # be stored as ``true`` and key the point apart from the same machine
+    # with ``1``.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive(name: str, value: int) -> None:
-    _require(isinstance(value, int) and value >= 1, f"{name} must be a positive integer, got {value!r}")
+    _require(_is_int(value) and value >= 1, f"{name} must be a positive integer, got {value!r}")
 
 
 def _non_negative(name: str, value: int) -> None:
-    _require(isinstance(value, int) and value >= 0, f"{name} must be a non-negative integer, got {value!r}")
+    _require(_is_int(value) and value >= 0, f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -25,17 +25,15 @@ its workers, so forked workers inherit the loaded library and a sweep
 compiles once.
 
 Fallback.  A steering policy other than the five built-in classes has no C
-implementation: :func:`simulate_native` runs it with
-:func:`~repro.engine.codegen.simulate_specialized`, or with the generic
-loop when the policy has no codegen emitters either (the README's
-interpreted-only plugin).  So does a config with a scalar above
-``2**31 - 1``, which keeps the C side's 64-bit cycle arithmetic far from
-wrapping.
+implementation: :func:`simulate_native` runs it with the generic loop,
+:func:`~repro.engine.kernel.simulate`, whatever other kernels the policy
+supports.  So does a config with a scalar above ``2**31 - 1``, which
+keeps the C side's 64-bit cycle arithmetic far from wrapping.
 
 Safety.  Traces built with ``validate=False`` are checked before the C
-loop starts: a column shorter or longer than ``opclass``, an opclass
-outside ``[0, 12)`` or a source index ``>= n`` raises
-:class:`~repro.common.errors.TraceError` instead of reading out of
+loop, or the fallback, starts: a column shorter or longer than
+``opclass``, an opclass outside ``[0, 12)`` or a source index ``>= n``
+raises :class:`~repro.common.errors.TraceError` instead of reading out of
 bounds.
 """
 
@@ -54,7 +52,6 @@ from repro.common.config import ProcessorConfig
 from repro.common.errors import ConfigurationError, TraceError
 from repro.common.types import Topology
 from repro.energy import fold_breakdown
-from repro.engine.codegen import simulate_specialized
 from repro.engine.kernel import (
     KernelResult,
     build_tables,
@@ -68,7 +65,6 @@ from repro.steering import (
     LoadBalancePolicy,
     ModuloPolicy,
     RoundRobinPolicy,
-    SteeringPolicy,
     get_policy,
 )
 
@@ -84,8 +80,8 @@ _STDERR_TAIL = 2000
 
 #: Policy class -> the C side's steering id (``native.c``).  Keyed by class,
 #: not name, so a plugin subclassing a built-in still falls back.  The ids
-#: are cached per config, so, as with the codegen registry, re-register a
-#: name with other behaviour only in a fresh process.
+#: are cached per config, so re-register a name with other behaviour only
+#: in a fresh process.
 _STEERING_IDS = {
     DependencePolicy: 0,
     ModuloPolicy: 1,
@@ -166,13 +162,6 @@ def load() -> ctypes.CDLL:
         return _lib
 
 
-def _fallback(policy: SteeringPolicy):
-    """The Python kernel that runs a config the C side cannot."""
-    if type(policy).emit_steering is SteeringPolicy.emit_steering:
-        return simulate
-    return simulate_specialized
-
-
 @functools.lru_cache(maxsize=1024)
 def _arguments(cfg: ProcessorConfig) -> Optional[Tuple[ctypes.Array, ...]]:
     """``cfg``'s scalars and tables as C arrays, or ``None`` when the C
@@ -205,16 +194,21 @@ def _arguments(cfg: ProcessorConfig) -> Optional[Tuple[ctypes.Array, ...]]:
 
 def simulate_native(trace: Trace, cfg: ProcessorConfig) -> KernelResult:
     """Drop-in for :func:`repro.engine.kernel.simulate` running in C."""
-    arguments = _arguments(cfg)
-    if arguments is None:
-        return _fallback(get_policy(cfg.steering))(trace, cfg)
-    lib = load()
     n = len(trace)
     for column in ("src1", "src2", "flags"):
         if len(getattr(trace, column)) != n:
             raise TraceError(
                 f"trace {trace.name!r}: column {column} has "
                 f"{len(getattr(trace, column))} entries, expected {n}")
+    arguments = _arguments(cfg)
+    if arguments is None:
+        # What the C pre-pass rejects would index out of bounds in Python
+        # too; validate() then names the first offending instruction.
+        if n and (min(trace.opclass) < 0 or max(trace.opclass) >= _N_CLASSES
+                  or max(trace.src1) >= n or max(trace.src2) >= n):
+            trace.validate()
+        return simulate(trace, cfg)
+    lib = load()
     nc = cfg.n_clusters
     out = (ctypes.c_int64 * (_N_FIXED_OUT + _N_CLASSES + 2 * nc + 1))()
     rc = lib.repro_simulate(

@@ -27,8 +27,8 @@ from repro.engine.trace import Trace
 #: Valid values for ``Pipeline(kernel_variant=...)``.  ``native`` runs the
 #: generic model compiled from C (:mod:`repro.engine.native`).  ``batch``
 #: runs the lane-vectorized numpy kernel (:mod:`repro.engine.batch`) with a
-#: single lane; its real payoff is the sweep runner batching many points
-#: that share a specialization key through one call.
+#: single lane per point; the sweep runner groups nothing, so it is the
+#: slowest variant everywhere.
 KERNEL_VARIANTS = ("generic", "specialized", "batch", "native")
 
 #: Default kernel variant: ``native`` when a C compiler is on ``PATH`` at

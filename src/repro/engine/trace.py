@@ -20,6 +20,7 @@ at generation time (the workload generator draws them from configured rates):
 
 from __future__ import annotations
 
+import operator
 from array import array
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -30,7 +31,21 @@ FLAG_MISPREDICT = 1
 FLAG_L1_MISS = 2
 FLAG_L2_MISS = 4
 
+#: Every flag bit a trace may set.
+_ALL_FLAGS = FLAG_MISPREDICT | FLAG_L1_MISS | FLAG_L2_MISS
+
 _N_CLASSES = len(InstrClass)
+
+
+def _integer(value: object, what: str) -> int:
+    """``value`` as an ``int`` (an ``InstrClass`` or numpy integer counts;
+    a float, ``bool``, string or ``None`` does not)."""
+    if isinstance(value, bool):
+        raise TraceError(f"{what} {value!r} is not an integer")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TraceError(f"{what} {value!r} is not an integer") from None
 
 
 class Trace:
@@ -49,11 +64,15 @@ class Trace:
         validate: bool = True,
     ) -> None:
         self.name = name
-        self.opclass = array("b", opclass)
-        self.src1 = array("q", src1)
-        self.src2 = array("q", src2)
-        self.dst = array("q", dst)
-        self.flags = array("b", flags)
+        columns = (("opclass", "b", opclass), ("src1", "q", src1),
+                   ("src2", "q", src2), ("dst", "q", dst),
+                   ("flags", "b", flags))
+        for col_name, typecode, values in columns:
+            try:
+                setattr(self, col_name, array(typecode, values))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise TraceError(
+                    f"trace {name!r}: column {col_name}: {exc}") from None
         if validate:
             self.validate()
 
@@ -76,6 +95,11 @@ class Trace:
             if not 0 <= k < _N_CLASSES:
                 raise TraceError(f"trace {self.name!r}[{i}]: invalid opclass {k}")
             for s in (src1[i], src2[i]):
+                if s < -1:
+                    raise TraceError(
+                        f"trace {self.name!r}[{i}]: source {s} is neither -1 "
+                        "(none) nor an instruction index"
+                    )
                 if s >= i:
                     raise TraceError(
                         f"trace {self.name!r}[{i}]: source {s} does not precede "
@@ -87,6 +111,10 @@ class Trace:
                         f"({InstrClass(opclass[s]).name}) produces no register value"
                     )
             f = flags[i]
+            if f & ~_ALL_FLAGS:
+                raise TraceError(
+                    f"trace {self.name!r}[{i}]: unknown flag bits in {f}"
+                )
             if f & FLAG_MISPREDICT and not InstrClass(k).is_branch:
                 raise TraceError(
                     f"trace {self.name!r}[{i}]: mispredict flag on non-branch"
@@ -125,20 +153,24 @@ class Trace:
         dst: List[int] = []
         flags: List[int] = []
         reg_ids = {}
+        try:
+            ops = iter(ops)
+        except TypeError:
+            raise TraceError(f"ops {ops!r} is not iterable") from None
         for i, op in enumerate(ops):
-            if not 2 <= len(op) <= 5:
+            if not isinstance(op, (tuple, list)) or not 2 <= len(op) <= 5:
                 raise TraceError(
                     f"op {i}: expected (opclass, dst[, src1[, src2[, flags]]]), "
-                    f"got {len(op)} elements"
+                    f"got {op!r}"
                 )
-            k = int(op[0])
+            k = _integer(op[0], f"op {i}: opclass")
             if not 0 <= k < _N_CLASSES:
                 raise TraceError(f"op {i}: invalid opclass {k}")
             d = op[1]
             rest = list(op[2:])
             f = 0
             if len(rest) > 2:
-                f = int(rest.pop())
+                f = _integer(rest.pop(), f"op {i}: flags")
             for r in rest:
                 if r is not None and not isinstance(r, str):
                     raise TraceError(

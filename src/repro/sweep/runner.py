@@ -65,23 +65,12 @@ results, only wall-clock time.  :mod:`repro.faults` piggybacks on
 deterministically; the chaos CI job uses it to prove the byte-identity
 claim above instead of merely asserting it.
 
-Each worker process keeps two warm caches: the LRU trace memo here (a grid
-that varies only machine config reuses one generated trace for all its
-points) and the per-config compiled-kernel registry in
-:mod:`repro.engine.codegen` (points sharing a structural specialization key
-share one compiled kernel).  Neither affects results — only wall-clock.
-Under the ``native`` variant the orchestrator builds the C kernel
-(:func:`repro.engine.native.load`) before it starts any worker, so a sweep
-compiles it once and forked workers inherit it.
-
-Under ``kernel_variant="batch"`` pending points are grouped by structural
-specialization key and every multi-point group is executed through one
-:func:`repro.engine.batch.simulate_batch` call (:func:`execute_batch`) —
-one message to a worker, or one call in-process — demuxed back into
-per-point records that feed the same flush frontier.  Batching is pure
-scheduling: the store bytes are identical to any other variant's.  A batch
-times out after ``timeout_s`` per lane, and a failed batch charges each
-member one attempt and falls back to per-point execution.
+Each worker process keeps a warm LRU trace memo (a grid that varies only
+machine config reuses one generated trace for all its points); it affects
+wall-clock only, never results.  Under the ``native`` variant the
+orchestrator builds the C kernel (:func:`repro.engine.native.load`) before
+it starts any worker, so a sweep compiles it once and forked workers
+inherit it.
 """
 
 from __future__ import annotations
@@ -98,11 +87,8 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import ReproError, SimulationError
+from repro.common.errors import ReproError
 from repro.engine import native
-from repro.engine.batch import simulate_batch
-from repro.engine.codegen import specialization_key
-from repro.engine.kernel import ENGINE_VERSION
 from repro.engine.pipeline import Pipeline, resolve_kernel_variant
 from repro.engine.trace import Trace
 from repro.exec.attempts import RetryPolicy
@@ -125,13 +111,7 @@ MIN_POINTS_PER_WORKER = 2
 #: Per-process bound on memoized traces (see :func:`_cached_trace`).
 TRACE_CACHE_SIZE = 8
 
-#: Upper bound on lanes per batched kernel call under the ``batch`` variant.
-#: Caps the failure domain (one bad lane costs at most this many points one
-#: attempt each) and the per-call memory footprint; throughput saturates
-#: well before this many lanes for sweep-sized traces.
-MAX_BATCH_LANES = 32
-
-#: Jobs outstanding per worker: one running and one waiting in its pipe
+#: Points outstanding per worker: one running and one waiting in its pipe
 #: for the moment the running one finishes.
 _DEPTH = 2
 
@@ -152,9 +132,7 @@ _COMMIT_INTERVAL_S = 0.25
 #: point, and each pool worker warms its own copy.  The mix definition is
 #: kept alongside the trace so a ``register_mix(..., overwrite=True)`` that
 #: changes a mix's parameters busts the entry instead of serving a trace
-#: generated under the old definition.  (The per-config *kernel* cache lives
-#: in :mod:`repro.engine.codegen`'s registry, which is process-global the
-#: same way.)
+#: generated under the old definition.
 _TRACE_CACHE: "OrderedDict[Tuple[str, int, int], Tuple[WorkloadMix, Trace]]" = (
     OrderedDict()
 )
@@ -198,7 +176,9 @@ def _payload_for(point: ExperimentPoint) -> Dict[str, Any]:
     The :meth:`ExperimentPoint.to_dict` fields, except that ``"config"``
     is the point's :class:`~repro.common.config.ProcessorConfig` itself:
     :meth:`ExperimentPoint.from_dict` takes it as is, so no point pays a
-    config parse, and a worker unpickles it with its memoized digest.
+    config parse, and a worker unpickles it with its memoized digest.  The
+    point's memoized key (which :func:`~repro.sweep.grid.dedup_points`
+    computed) rides along as ``"_key"``, so no point is hashed twice.
 
     Carries the full :class:`~repro.workloads.WorkloadMix` definition, not
     just its name: under the ``spawn`` start method (macOS/Windows default)
@@ -210,6 +190,7 @@ def _payload_for(point: ExperimentPoint) -> Dict[str, Any]:
         "mix": point.mix,
         "n_instructions": point.n_instructions,
         "seed": point.seed,
+        "_key": point.key(),
         "_mix_definition": get_mix(point.mix),
     }
 
@@ -220,84 +201,32 @@ def execute_point(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
     Module-level and picklable-in/picklable-out so it crosses process
     boundaries under any start method.  ``payload`` is
     :meth:`ExperimentPoint.to_dict` output (its ``"config"`` may be the
-    :class:`~repro.common.config.ProcessorConfig` itself), optionally with a
-    ``"_mix_definition"`` entry (see :func:`_payload_for`) registered here
-    if this interpreter does not know the mix yet, and a ``"_attempt"``
-    counter (1-based) identifying which delivery attempt this is.
+    :class:`~repro.common.config.ProcessorConfig` itself), optionally with
+    the point's precomputed ``"_key"`` and a ``"_mix_definition"`` entry
+    (see :func:`_payload_for`) registered here if this interpreter does not
+    know the mix yet, and a ``"_attempt"`` counter (1-based) identifying
+    which delivery attempt this is.
     """
     t0 = time.perf_counter()
     data = dict(payload)
+    key = data.pop("_key", None)
     mix_definition = data.pop("_mix_definition", None)
     kernel_variant = data.pop("_kernel_variant", None)
     attempt = data.pop("_attempt", 1)
     if mix_definition is not None and mix_definition.name not in MIX_REGISTRY:
         register_mix(mix_definition)
     point = ExperimentPoint.from_dict(data)
+    if key is None:
+        key = point.key()
     # Fault-injection hook, armed only when a repro.faults plan is active.
     # Placed before any real work so an injected death or hang costs the
     # runner a whole attempt — the honest worst case.
-    maybe_inject(point.key(), attempt)
+    maybe_inject(key, attempt)
     trace = _cached_trace(point.mix, point.n_instructions, point.seed)
     record = Pipeline(point.config, kernel_variant=kernel_variant).run_record(trace)
-    record["key"] = point.key()
+    record["key"] = key
     record["point"] = point.to_dict()
     return record, time.perf_counter() - t0
-
-
-def execute_batch(
-    payloads: Sequence[Dict[str, Any]],
-) -> List[Tuple[Dict[str, Any], float]]:
-    """Run several experiment points through one batched kernel call.
-
-    The batched sibling of :func:`execute_point`: ``payloads`` are point
-    payloads (see there) whose configs share one structural specialization
-    key — the runner groups them that way — and the whole group is
-    simulated as lock-step lanes of :func:`repro.engine.batch.simulate_batch`.
-    Returns one ``(record, elapsed_seconds)`` pair per payload, in order;
-    every record is field-for-field identical to what :func:`execute_point`
-    would produce for that point (stores must not depend on batching), and
-    elapsed is the batch wall-clock split evenly across the lanes.
-
-    Any lane's failure (including an injected fault) fails the whole call —
-    the caller charges each member one attempt and falls back to per-point
-    execution, so one poisoned point cannot permanently wedge its
-    batch-mates.
-    """
-    t0 = time.perf_counter()
-    points: List[ExperimentPoint] = []
-    for payload in payloads:
-        data = dict(payload)
-        mix_definition = data.pop("_mix_definition", None)
-        data.pop("_kernel_variant", None)
-        attempt = data.pop("_attempt", 1)
-        if mix_definition is not None and \
-                mix_definition.name not in MIX_REGISTRY:
-            register_mix(mix_definition)
-        point = ExperimentPoint.from_dict(data)
-        maybe_inject(point.key(), attempt)
-        points.append(point)
-    traces = [
-        _cached_trace(p.mix, p.n_instructions, p.seed) for p in points
-    ]
-    results = simulate_batch(traces, [p.config for p in points])
-    per_lane = (time.perf_counter() - t0) / len(points) if points else 0.0
-    out: List[Tuple[Dict[str, Any], float]] = []
-    for point, trace, result in zip(points, traces, results):
-        if result.n_instructions and result.cycles <= 0:
-            raise SimulationError(
-                f"trace {trace.name!r}: simulation produced no forward "
-                "progress"
-            )
-        record = {
-            "engine_version": ENGINE_VERSION,
-            "config_digest": point.config.config_digest(),
-            "trace": trace.name,
-            "result": result.to_dict(),
-            "key": point.key(),
-            "point": point.to_dict(),
-        }
-        out.append((record, per_lane))
-    return out
 
 
 @dataclass
@@ -412,11 +341,6 @@ class _PointTask:
         self.ready_at = 0.0        # monotonic time when dispatchable again
 
 
-#: One unit sent to a worker: a single point, or the members of one batch
-#: (see :meth:`_FrontierExecutor._group_batches`).
-_Job = List[_PointTask]
-
-
 class WorkerDied(ReproError):
     """A worker process exited while it ran a point (killed, crashed, or
     ``os._exit``); the point is charged one attempt."""
@@ -427,10 +351,9 @@ def _worker_main(conn: Any) -> None:
     until ``None`` arrives, replying ``("started", index,
     time.monotonic())`` and then ``("done", index, outcome)``.
 
-    A dict payload is one point, run through the module-global
-    :func:`execute_point` (so a wrapper installed on it runs here too); a
-    list is one batch for :func:`execute_batch`.  The outcome is what that
-    returned or the exception it raised.  An outcome that cannot cross back
+    Each payload is one point, run through the module-global
+    :func:`execute_point` (so a wrapper installed on it runs here too); the
+    outcome is what that returned or the exception it raised.  An outcome that cannot cross back
     to the orchestrator is sent as a :class:`RuntimeError` naming the
     exception, or why the record would not pickle, so the point is charged
     instead of lost.
@@ -444,9 +367,8 @@ def _worker_main(conn: Any) -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     for index, payload in iter(conn.recv, None):
         conn.send(("started", index, time.monotonic()))
-        run = execute_batch if isinstance(payload, list) else execute_point
         try:
-            outcome: Any = run(payload)
+            outcome: Any = execute_point(payload)
         except Exception as exc:
             outcome = exc
         try:
@@ -460,8 +382,8 @@ def _worker_main(conn: Any) -> None:
 
 
 class _Worker:
-    """One worker process, the duplex pipe it is fed through, and the jobs
-    sent to it, oldest (running, or next to run) first."""
+    """One worker process, the duplex pipe it is fed through, and the
+    points sent to it, oldest (running, or next to run) first."""
 
     __slots__ = ("process", "conn", "jobs", "started_at")
 
@@ -472,7 +394,7 @@ class _Worker:
         )
         self.process.start()
         theirs.close()
-        self.jobs: Deque[_Job] = deque()
+        self.jobs: Deque[_PointTask] = deque()
         #: When the worker started ``jobs[0]``, by its clock; 0.0 until then.
         self.started_at = 0.0
 
@@ -511,14 +433,12 @@ class _FrontierExecutor:
         say: Callable[[str], None],
         on_point_done: Optional[Callable[[str, Dict[str, Any], int], None]] = None,
         should_stop: Optional[Callable[[], bool]] = None,
-        batch: bool = False,
     ) -> None:
         self.tasks = tasks
         self.store = store
         self.policy = policy
         self.n_workers = n_workers
         self.use_pool = use_pool
-        self.batch = batch
         self.say = say
         self.on_point_done = on_point_done
         self.should_stop = should_stop
@@ -642,151 +562,58 @@ class _FrontierExecutor:
         if self.should_stop is not None and self.should_stop():
             raise KeyboardInterrupt()
 
-    # -- batched execution (kernel_variant="batch") -----------------------
-    def _group_batches(self) -> List[_Job]:
-        """Group the tasks by structural specialization key, chunked to
-        :data:`MAX_BATCH_LANES`, earliest expansion index first so the
-        flush frontier advances as soon as possible.  Singleton chunks are
-        left to the per-point path (which still runs the batch kernel, just
-        with one lane)."""
-        groups: "OrderedDict[str, List[_PointTask]]" = OrderedDict()
-        for task in self.tasks:
-            key = specialization_key(task.point.config)
-            groups.setdefault(key, []).append(task)
-        batches: List[_Job] = []
-        for members in groups.values():
-            for start in range(0, len(members), MAX_BATCH_LANES):
-                chunk = members[start:start + MAX_BATCH_LANES]
-                if len(chunk) >= 2:
-                    batches.append(chunk)
-        batches.sort(key=lambda chunk: chunk[0].index)
-        if batches:
-            self.say(
-                f"  batch variant: {sum(len(b) for b in batches)} of "
-                f"{len(self.tasks)} point(s) in {len(batches)} batched "
-                "kernel call(s), grouped by specialization key"
-            )
-        return batches
+    # -- attempts -------------------------------------------------------
+    def _settle(self, task: _PointTask, outcome: Any,
+                finished: Deque[Tuple[_PointTask, Dict[str, Any], float]],
+                requeue: List[_PointTask], spent: float = 0.0) -> None:
+        """Charge ``task`` its attempt: ``outcome`` is the attempt's
+        ``(record, elapsed)`` pair, which joins ``finished``, or the
+        exception that failed it after ``spent`` seconds."""
+        task.attempts += 1
+        if isinstance(outcome, BaseException):
+            task.elapsed += spent
+            self._on_error(task, outcome, requeue)
+            return
+        record, elapsed = outcome
+        task.elapsed += elapsed
+        finished.append((task, record, elapsed))
 
-    def _run_batches(self) -> List[_PointTask]:
-        """Inline pre-phase for the batch variant: execute every
-        multi-point specialization-key group through one
-        :func:`execute_batch` call each, demuxing per-point records into
-        the ordinary flush frontier.
-
-        Returns the tasks still owed to the per-point path: singletons the
-        grouping left behind, plus every member of a failed batch — each
-        charged one attempt, so a poisoned point converges on its own
-        retry budget instead of wedging its batch-mates forever.
-        """
-        settled: set = set()
-        scrap: List[_PointTask] = []   # _on_error's requeue; unused here
-        for chunk in self._group_batches():
-            self._check_stop()
-            payloads = [
-                dict(task.payload, _attempt=task.attempts + 1)
-                for task in chunk
-            ]
-            t0 = time.perf_counter()
-            try:
-                pairs = execute_batch(payloads)
-            except Exception as exc:
-                share = (time.perf_counter() - t0) / len(chunk)
-                for task in chunk:
-                    task.attempts += 1
-                    task.elapsed += share
-                    self._on_error(task, exc, scrap)
-            else:
-                for task, (record, elapsed) in zip(chunk, pairs):
-                    task.attempts += 1
-                    task.elapsed += elapsed
-                    self._complete(task, record, elapsed)
-                    settled.add(task.index)
-        return [
-            task for task in self.tasks
-            if task.index not in settled
-            and not self.frontier.is_blocked(task.index)
-        ]
+    def _attempt_here(self, task: _PointTask,
+                      finished: Deque[Tuple[_PointTask, Dict[str, Any], float]],
+                      requeue: List[_PointTask]) -> None:
+        """Run ``task``'s next attempt in this process and settle it."""
+        t0 = time.perf_counter()
+        try:
+            outcome: Any = execute_point(
+                dict(task.payload, _attempt=task.attempts + 1))
+        except Exception as exc:
+            outcome = exc
+        self._settle(task, outcome, finished, requeue,
+                     time.perf_counter() - t0)
 
     # -- inline execution (no pool) ---------------------------------------
     def _run_inline(self) -> None:
-        for task in self._run_batches() if self.batch else self.tasks:
-            while True:
+        finished: Deque[Tuple[_PointTask, Dict[str, Any], float]] = deque()
+        for task in self.tasks:
+            requeue = [task]
+            while requeue:
                 self._check_stop()
                 if task.ready_at:
                     time.sleep(max(0.0, task.ready_at - time.monotonic()))
-                attempt = task.attempts + 1
-                t0 = time.perf_counter()
-                try:
-                    record, elapsed = execute_point(
-                        dict(task.payload, _attempt=attempt)
-                    )
-                except Exception as exc:
-                    task.attempts = attempt
-                    task.elapsed += time.perf_counter() - t0
-                    requeue: List[_PointTask] = []
-                    self._on_error(task, exc, requeue)
-                    if not requeue:
-                        break
-                else:
-                    task.attempts = attempt
-                    task.elapsed += elapsed
-                    self._complete(task, record, elapsed)
-                    break
-
-    def _attempt_in_process(self, task: _PointTask) -> None:
-        """Graceful degradation: the final permitted attempt runs in the
-        orchestrating process, immune to worker death and hangs."""
-        attempt = task.attempts + 1
-        self.say(
-            f"  last attempt for {task.point.label()} runs in-process "
-            "(graceful degradation)"
-        )
-        t0 = time.perf_counter()
-        try:
-            record, elapsed = execute_point(
-                dict(task.payload, _attempt=attempt)
-            )
-        except Exception as exc:
-            task.attempts = attempt
-            task.elapsed += time.perf_counter() - t0
-            self._fail(task, exc)
-        else:
-            task.attempts = attempt
-            task.elapsed += elapsed
-            self._complete(task, record, elapsed)
+                requeue = []
+                self._attempt_here(task, finished, requeue)
+            while finished:
+                self._complete(*finished.popleft())
 
     # -- pooled execution -------------------------------------------------
-    def _send(self, worker: _Worker, job: _Job) -> None:
-        """Send ``job`` (a point, or a batch as one message) to ``worker``."""
-        payloads = [
-            dict(task.payload, _attempt=task.attempts + 1) for task in job
-        ]
+    def _send(self, worker: _Worker, task: _PointTask) -> None:
+        """Send ``task``'s next attempt to ``worker``."""
         try:
             worker.conn.send(
-                (job[0].index, payloads if len(job) > 1 else payloads[0])
-            )
+                (task.index, dict(task.payload, _attempt=task.attempts + 1)))
         except OSError:
             pass  # the worker is dead: the loop sees its exit and resends
-        worker.jobs.append(job)
-
-    def _settle(self, job: _Job, outcome: Any,
-                finished: Deque[Tuple[_PointTask, Dict[str, Any], float]],
-                requeue: List[_PointTask], spent: float = 0.0) -> None:
-        """Charge each point of ``job`` its attempt: ``outcome`` is the
-        job's ``(record, elapsed)`` pair (a list of them for a batch), or
-        the exception that failed the whole job after ``spent`` seconds."""
-        if isinstance(outcome, BaseException):
-            for task in job:
-                task.attempts += 1
-                task.elapsed += spent / len(job)
-                self._on_error(task, outcome, requeue)
-            return
-        for task, (record, elapsed) in zip(
-                job, outcome if len(job) > 1 else [outcome]):
-            task.attempts += 1
-            task.elapsed += elapsed
-            finished.append((task, record, elapsed))
+        worker.jobs.append(task)
 
     def _drain(self, worker: _Worker,
                finished: Deque[Tuple[_PointTask, Dict[str, Any], float]],
@@ -805,18 +632,18 @@ class _FrontierExecutor:
             pass  # the worker died; the loop sees its exit
 
     def _deadline(self, worker: _Worker) -> float:
-        """When ``worker``'s running job times out: ``timeout_s`` per
-        point from the moment the worker started it."""
+        """When ``worker``'s running point times out: ``timeout_s`` from
+        the moment the worker started it."""
         if not worker.started_at or self.policy.timeout_s is None:
             return math.inf
-        return worker.started_at + self.policy.timeout_s * len(worker.jobs[0])
+        return worker.started_at + self.policy.timeout_s
 
     def _replace(self, n: int, exc: BaseException,
                  finished: Deque[Tuple[_PointTask, Dict[str, Any], float]],
                  requeue: List[_PointTask],
-                 ready: List[Tuple[int, _Job]]) -> None:
+                 ready: List[Tuple[int, _PointTask]]) -> None:
         """Kill and join worker ``n`` (dead or overdue), charge ``exc`` to
-        the job it was running, if any, re-queue its unstarted job
+        the point it was running, if any, re-queue its unstarted point
         uncharged, and start a fresh worker in its place."""
         worker = self.workers[n]
         worker.process.kill()
@@ -825,8 +652,8 @@ class _FrontierExecutor:
         if worker.started_at:
             self._settle(worker.jobs.popleft(), exc, finished, requeue,
                          time.monotonic() - worker.started_at)
-        for job in worker.jobs:
-            heapq.heappush(ready, (job[0].index, job))
+        for task in worker.jobs:
+            heapq.heappush(ready, (task.index, task))
         self.say(f"  worker replaced ({type(exc).__name__}: {exc})")
         self.workers[n] = _Worker()
 
@@ -834,13 +661,10 @@ class _FrontierExecutor:
         # Imported here: it costs every inline sweep ~6 ms of start-up.
         from multiprocessing.connection import wait
 
-        # Dispatchable jobs, lowest expansion index first so the frontier
-        # advances soonest; retries wait in ``backoff`` until due.
-        jobs = self._group_batches() if self.batch else []
-        batched = {task.index for job in jobs for task in job}
-        jobs += [[task] for task in self.tasks if task.index not in batched]
-        ready = [(job[0].index, job) for job in jobs]
-        heapq.heapify(ready)
+        # Dispatchable points, lowest expansion index first so the frontier
+        # advances soonest (``tasks`` is in index order, so already a
+        # heap); retries wait in ``backoff`` until due.
+        ready = [(task.index, task) for task in self.tasks]
         backoff: List[Tuple[float, int, _PointTask]] = []
         finished: Deque[Tuple[_PointTask, Dict[str, Any], float]] = deque()
         for _ in range(self.n_workers):
@@ -853,7 +677,7 @@ class _FrontierExecutor:
             for worker in self.workers:
                 self._drain(worker, finished, requeue)
             # 2. Replace each worker that died (reading what it sent before
-            #    it did) or overran its running job.
+            #    it did) or overran its running point.
             for n, worker in enumerate(self.workers):
                 code = worker.process.exitcode
                 if code is not None:
@@ -861,17 +685,17 @@ class _FrontierExecutor:
                     exc: BaseException = WorkerDied(
                         f"worker exited with code {code}")
                 elif time.monotonic() >= self._deadline(worker):
-                    limit = self._deadline(worker) - worker.started_at
                     exc = TimeoutError(
-                        f"no result within {limit:.1f}s of its start "
-                        "(worker hung)")
+                        f"no result within {self.policy.timeout_s:.1f}s of "
+                        "its start (worker hung)")
                 else:
                     continue
                 self._replace(n, exc, finished, requeue, ready)
-            # 3. Refill every worker to _DEPTH jobs, idle workers first.
+            # 3. Refill every worker to _DEPTH points, idle workers first.
             #    Retries whose backoff has elapsed rejoin the ready heap,
             #    except a point on its final attempt, which runs in-process
-            #    instead (see above) once the workers are busy.
+            #    once the workers are busy: graceful degradation, immune to
+            #    worker death and hangs.
             for task in requeue:
                 heapq.heappush(backoff, (task.ready_at, task.index, task))
             last_tries: List[_PointTask] = []
@@ -880,13 +704,16 @@ class _FrontierExecutor:
                 if task.attempts + 1 >= self.policy.max_attempts:
                     last_tries.append(task)
                 else:
-                    heapq.heappush(ready, (task.index, [task]))
+                    heapq.heappush(ready, (task.index, task))
             for depth in range(1, _DEPTH + 1):
                 for worker in self.workers:
                     if ready and len(worker.jobs) < depth:
                         self._send(worker, heapq.heappop(ready)[1])
             for task in last_tries:
-                self._attempt_in_process(task)
+                self.say(f"  last attempt for {task.point.label()} runs "
+                         "in-process (graceful degradation)")
+                # Its final attempt fails for good, so nothing is requeued.
+                self._attempt_here(task, finished, requeue)
             # 4. Only now, with the workers busy again, hand the oldest
             #    finished record to the frontier (store append, a commit
             #    when one is due, then ``on_point_done``).  The rest wait
@@ -928,10 +755,7 @@ def run_sweep(
     shard is too small to amortise process startup.  ``kernel_variant``
     selects the simulation kernel per worker (see
     :class:`repro.engine.Pipeline`); every variant produces identical
-    records, so the store contents do not depend on it.  The ``batch``
-    variant additionally groups pending points that share a structural
-    specialization key into single vectorized kernel calls (see the module
-    docstring) — again without touching store bytes.  ``policy``
+    records, so the store contents do not depend on it.  ``policy``
     configures retry/timeout/backoff handling (default: three attempts,
     0.1 s base backoff, no timeout).
 
@@ -965,8 +789,8 @@ def run_sweep(
     n_workers = default_workers() if workers is None else max(1, int(workers))
     retry_policy = RetryPolicy() if policy is None else policy
     say = log if log is not None else (lambda _msg: None)
-    # Resolve (and validate) the variant once, up front: the batch variant
-    # changes how work is scheduled, not just what each worker runs.
+    # Resolve (and validate) the variant once, up front, so a bad name
+    # fails before any worker starts.
     resolved_variant = resolve_kernel_variant(kernel_variant)
 
     # Deduplicate while preserving expansion order: a grid with repeated
@@ -1004,7 +828,6 @@ def run_sweep(
         executor = _FrontierExecutor(
             tasks, store, retry_policy, n_workers, use_pool, say,
             on_point_done=on_point_done, should_stop=should_stop,
-            batch=(resolved_variant == "batch"),
         )
         restore_sigterm = _convert_sigterm()
         try:
@@ -1037,7 +860,6 @@ def run_sweep(
 
 
 __all__ = [
-    "MAX_BATCH_LANES",
     "MIN_POINTS_PER_WORKER",
     "TRACE_CACHE_SIZE",
     "FailureRecord",
@@ -1046,7 +868,6 @@ __all__ = [
     "WorkerDied",
     "clear_trace_cache",
     "default_workers",
-    "execute_batch",
     "execute_point",
     "run_sweep",
 ]

@@ -78,6 +78,24 @@ class TestProcessorConfig:
         with pytest.raises(ConfigurationError):
             ProcessorConfig(**overrides)
 
+    @pytest.mark.parametrize("build", [
+        lambda: ProcessorConfig(fetch_width=True),
+        lambda: ProcessorConfig(frontend_depth=False),
+        lambda: ProcessorConfig(n_clusters=True),
+        lambda: ClusterConfig(fu_counts=(True, 1, 1, 1)),
+    ], ids=["fetch_width", "frontend_depth", "n_clusters", "fu_counts"])
+    def test_booleans_are_not_counts(self, build):
+        # bool is an int subclass; ``true`` would be stored as is and key
+        # the point apart from the same machine with ``1``.
+        with pytest.raises(ConfigurationError, match="integer"):
+            build()
+
+    def test_booleans_rejected_from_dict(self):
+        data = ProcessorConfig().to_dict()
+        data["bus"]["writeback_latency"] = False
+        with pytest.raises(ConfigurationError, match="writeback_latency"):
+            ProcessorConfig.from_dict(data)
+
     def test_with_returns_validated_copy(self):
         cfg = ProcessorConfig()
         ring8 = cfg.with_(n_clusters=8)

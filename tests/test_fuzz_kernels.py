@@ -184,7 +184,7 @@ def test_four_way_agreement(index):
 def test_native_agrees_with_generic(index, monkeypatch):
     """The C kernel on the same points, with the energy model both as drawn
     and flipped, equal to the generic loop on every field.  The five
-    built-in policies must run in C: their fallback kernels raise here."""
+    built-in policies must run in C: the fallback kernel raises here."""
     rng = random.Random(0xA6E11A + index)
     cfg, mix, seed = random_point(rng)
     trace = generate_trace(mix, TRACE_LEN, seed=seed)
@@ -193,7 +193,6 @@ def test_native_agrees_with_generic(index, monkeypatch):
             raise AssertionError(f"{cfg.steering} fell back to Python")
 
         monkeypatch.setattr(native, "simulate", no_fallback)
-        monkeypatch.setattr(native, "simulate_specialized", no_fallback)
     flipped = EnergyConfig(enabled=not cfg.energy.enabled)
     for point_cfg in (cfg, cfg.with_(energy=flipped)):
         label = f"point {index}: {point_cfg.describe()} mix={mix} seed={seed}"

@@ -6,8 +6,11 @@ way to a grid: :func:`repro.sweep.cli.load_spec` (file bytes -> JSON),
 (spec -> configs).  Whatever the input, the only exception that may escape
 is :class:`~repro.common.errors.ConfigurationError`, which the CLIs print
 as one ``error:`` line with exit status 2.  The cases cover wrong types,
-unknown paths, negative and huge numbers, deep nesting and bytes that are
-not UTF-8; a few of them also run the real CLI in a subprocess.
+unknown paths, negative and huge numbers, booleans where a count goes,
+deep nesting and bytes that are not UTF-8; a few of them also run the real
+CLI in a subprocess.  A spec that is accepted must not carry a boolean into
+any config field but ``energy.enabled``: ``true`` would be stored as is
+and key the point apart from the same machine with ``1``.
 """
 
 import argparse
@@ -58,6 +61,16 @@ PATHS = [
     "branch.mispredict_penalty", "energy", "energy.enabled", "energy.fu",
     "energy.fu.load", "energy.wakeup", "n_clusters", "topology", "steering",
     "", ".", "..", "nope", "energy..fu", "bus.", ".bus",
+]
+
+#: The paths above whose values are integer counts, cycles or costs.
+INT_PATHS = [
+    "bus.hop_latency", "bus.bandwidth", "bus.writeback_latency",
+    "window_size", "fetch_width", "frontend_depth", "cluster.issue_width",
+    "cluster.int_regs", "latencies.int_div", "memory.l1d.line_bytes",
+    "memory.l1d.size_kb", "memory.l1d.associativity",
+    "memory.l2_miss_penalty", "branch.mispredict_penalty", "energy.fu.load",
+    "energy.wakeup",
 ]
 
 
@@ -111,15 +124,33 @@ def mangle(rng: random.Random, data: bytes) -> bytes:
     return bytes(data)
 
 
+def stray_booleans(value: object, path: str = "") -> list:
+    """Paths in a config dict that hold a boolean other than
+    ``energy.enabled``."""
+    if isinstance(value, bool):
+        return [] if path == "energy.enabled" else [path]
+    if isinstance(value, dict):
+        return [found for key, item in value.items()
+                for found in stray_booleans(item, f"{path}.{key}".lstrip("."))]
+    if isinstance(value, list):
+        return [found for item in value for found in stray_booleans(item, path)]
+    return []
+
+
+def check_expansion(spec: SweepSpec) -> None:
+    for point in spec.expand():
+        assert stray_booleans(point.config.to_dict()) == [], point.label()
+
+
 def through_parser(spec: object) -> None:
-    SweepSpec.from_dict(spec).expand()
+    check_expansion(SweepSpec.from_dict(spec))
 
 
 def through_file(tmp_path, data: bytes) -> None:
     path = tmp_path / "spec.json"
     path.write_bytes(data)
     args = argparse.Namespace(spec=str(path), smoke=False, paper=False)
-    load_spec(args).expand()
+    check_expansion(load_spec(args))
 
 
 def outcome(run, *args) -> str:
@@ -153,6 +184,20 @@ def test_malformed_spec_files_raise_only_configuration_errors(seed, tmp_path):
         seen.add(outcome(through_file, tmp_path,
                          mangle(rng, json.dumps(BASE).encode())))
     assert seen == {"ok", "rejected"}
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_booleans_in_integer_fields_are_rejected(seed):
+    rng = random.Random(2000 + seed)
+    for _ in range(40):
+        spec = json.loads(json.dumps(BASE))
+        path, flag = rng.choice(INT_PATHS), rng.choice([True, False])
+        if rng.randrange(2):
+            spec["overrides"].pop(path, None)  # an axis would shadow it
+            spec["base"][path] = flag
+        else:
+            spec["overrides"][path] = rng.choice([[flag], [2, flag]])
+        assert outcome(through_parser, spec) == "rejected", (path, flag)
 
 
 @pytest.mark.parametrize("data", [

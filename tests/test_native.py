@@ -215,7 +215,7 @@ class TestFallback:
 
     @pytest.mark.parametrize("plugin, kernel", [
         (EvenOdd, "simulate"),
-        (RenamedLoadBalance, "simulate_specialized"),
+        (RenamedLoadBalance, "simulate"),
     ], indirect=["plugin"])
     def test_plugin_falls_back_and_matches(self, plugin, kernel,
                                            monkeypatch):
@@ -227,6 +227,22 @@ class TestFallback:
         trace = generate_trace("int_heavy", 800, seed=3)
         assert simulate_native(trace, cfg) == simulate(trace, cfg)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("plugin", [RenamedLoadBalance],
+                             indirect=True)
+    def test_plugin_with_emitters_compiles_no_python_kernel(
+            self, plugin, monkeypatch):
+        # A plugin with codegen emitters runs the generic loop, even at
+        # 1,024 clusters, where a per-config compiled kernel is slowest.
+        from repro.engine import codegen
+
+        compiled = []
+        monkeypatch.setattr(codegen, "compile_kernel",
+                            lambda cfg: compiled.append(cfg))
+        cfg = ProcessorConfig(steering=plugin.name, n_clusters=1024)
+        trace = generate_trace("int_heavy", 400, seed=3)
+        assert simulate_native(trace, cfg) == simulate(trace, cfg)
+        assert compiled == []
 
 
 class TestBuild:

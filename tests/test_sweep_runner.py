@@ -70,6 +70,26 @@ class TestRunner:
         assert summary.n_computed == 8
         assert calls == []
 
+    def test_inline_sweep_hashes_each_key_once(self, tmp_path, monkeypatch):
+        # dedup_points hashes each fresh point's key; the payload carries
+        # it to execute_point, which must not hash the point again.
+        from repro.sweep import grid
+
+        points = small_spec(seeds=(7, 8)).expand()
+        hashed = []
+        real = grid.content_digest
+
+        def counting(obj, *args):
+            if "point" in obj:
+                hashed.append(obj)
+            return real(obj, *args)
+
+        monkeypatch.setattr(grid, "content_digest", counting)
+        store = ResultStore(str(tmp_path / "store.jsonl"))
+        summary = run_sweep(points, store, workers=1)
+        assert summary.n_computed == len(points) == 8
+        assert len(hashed) == len(points)
+
     def test_two_fresh_runs_byte_identical(self, tmp_path):
         spec = small_spec()
         path_a = str(tmp_path / "a.jsonl")
@@ -440,12 +460,12 @@ class TestEventDrivenPool:
     def test_workers_refilled_before_the_append(self, tmp_path, monkeypatch):
         from repro.sweep import runner
 
-        dispatched = []  # points per message sent to a worker, in order
+        dispatched = []  # one entry per point sent to a worker, in order
         real_send = runner._FrontierExecutor._send
 
-        def counting_send(executor, worker, job):
-            dispatched.append(len(job))
-            real_send(executor, worker, job)
+        def counting_send(executor, worker, task):
+            dispatched.append(1)
+            real_send(executor, worker, task)
 
         monkeypatch.setattr(runner._FrontierExecutor, "_send", counting_send)
         points = self._spec().expand()
@@ -673,8 +693,8 @@ class TestDefaultWorkers:
 
 
 class TestBatchVariant:
-    """kernel_variant="batch": the runner groups same-specialization-key
-    points into single vectorized kernel calls, without touching bytes."""
+    """kernel_variant="batch" runs one lane per point and writes the same
+    bytes as every other variant."""
 
     def _bytes(self, path):
         with open(path, "rb") as fh:
@@ -695,118 +715,3 @@ class TestBatchVariant:
                   kernel_variant="batch")
         assert self._bytes(inline) == self._bytes(reference)
         assert self._bytes(pooled) == self._bytes(reference)
-
-    def test_groups_by_specialization_key(self, tmp_path):
-        # 4 distinct machine shapes x 3 seeds: 4 batched calls of 3 lanes.
-        spec = small_spec(seeds=(1, 2, 3))
-        messages = []
-        run_sweep(spec.expand(), ResultStore(str(tmp_path / "s.jsonl")),
-                  workers=1, kernel_variant="batch", log=messages.append)
-        batched = [m for m in messages if "batch variant:" in m]
-        assert len(batched) == 1
-        assert "12 of 12 point(s) in 4 batched kernel call(s)" in batched[0]
-
-    def test_oversize_groups_chunk_to_max_lanes(self, tmp_path):
-        from repro.sweep.runner import MAX_BATCH_LANES
-
-        n_seeds = MAX_BATCH_LANES + 3
-        spec = small_spec(topologies=("ring",), cluster_counts=(2,),
-                          n_instructions=60, seeds=tuple(range(n_seeds)))
-        reference = str(tmp_path / "generic.jsonl")
-        run_sweep(spec.expand(), ResultStore(reference), workers=1,
-                  kernel_variant="generic")
-        batch = str(tmp_path / "batch.jsonl")
-        messages = []
-        run_sweep(spec.expand(), ResultStore(batch), workers=1,
-                  kernel_variant="batch", log=messages.append)
-        joined = "\n".join(messages)
-        assert (f"{n_seeds} of {n_seeds} point(s) in 2 "
-                "batched kernel call(s)") in joined
-        assert self._bytes(batch) == self._bytes(reference)
-
-    def test_singleton_groups_fall_back_to_per_point(self, tmp_path):
-        # Every point has its own specialization key: nothing batches, the
-        # per-point path runs the batch kernel with one lane, bytes match.
-        spec = small_spec()
-        reference = str(tmp_path / "generic.jsonl")
-        run_sweep(spec.expand(), ResultStore(reference), workers=1,
-                  kernel_variant="generic")
-        batch = str(tmp_path / "batch.jsonl")
-        messages = []
-        summary = run_sweep(spec.expand(), ResultStore(batch), workers=1,
-                            kernel_variant="batch", log=messages.append)
-        assert not any("batch variant:" in m for m in messages)
-        assert summary.n_computed == 4
-        assert self._bytes(batch) == self._bytes(reference)
-
-    def test_execute_batch_records_match_execute_point(self):
-        from repro.sweep.runner import _payload_for, execute_batch
-
-        spec = small_spec(topologies=("conv",), cluster_counts=(4,),
-                          seeds=(1, 2, 3))
-        points = spec.expand()
-        payloads = [_payload_for(point) for point in points]
-        batched = execute_batch(payloads)
-        assert len(batched) == len(points)
-        for payload, (record, elapsed) in zip(payloads, batched):
-            reference, _ = execute_point(dict(payload))
-            assert record == reference
-            assert elapsed >= 0
-
-    def test_batch_whose_worker_dies_demotes_to_per_point(self, tmp_path,
-                                                           monkeypatch):
-        # One lane of a 3-lane batch kills its worker on attempt 1: each
-        # member of that batch is charged one WorkerDied attempt and
-        # recomputed point by point, and no other batch is touched.
-        from repro.exec import RetryPolicy
-        from repro.faults import ENV_VARS, FAULT_DEATH, FaultPlan
-
-        spec = small_spec(seeds=(1, 2, 3))  # 4 batches of 3 lanes
-        points = spec.expand()
-        reference = str(tmp_path / "generic.jsonl")
-        run_sweep(points, ResultStore(reference), workers=1,
-                  kernel_variant="generic")
-        monkeypatch.setenv(ENV_VARS["point"], FaultPlan(
-            scripted={points[4].key(): [FAULT_DEATH]}).to_env())
-        batch = str(tmp_path / "batch.jsonl")
-        messages = []
-        summary = run_sweep(
-            points, ResultStore(batch), workers=2, kernel_variant="batch",
-            log=messages.append,
-            policy=RetryPolicy(max_attempts=3, backoff_s=0.0),
-        )
-        assert summary.n_computed == 12 and not summary.failures
-        retried = [m for m in messages if "retry" in m]
-        assert len(retried) == 3
-        assert all("WorkerDied" in m for m in retried)
-        assert points[4].label() in "\n".join(retried)
-        assert sum("worker replaced" in m for m in messages) == 1
-        assert self._bytes(batch) == self._bytes(reference)
-
-    def test_failed_batch_demotes_to_per_point(self, tmp_path, monkeypatch):
-        # Every point's first attempt raises an injected fault, so every
-        # batched call fails wholesale; each member is charged one attempt
-        # and recomputed point by point — converging on identical bytes.
-        from repro.exec import RetryPolicy
-        from repro.faults import ENV_VARS, FaultPlan
-
-        spec = small_spec(seeds=(1, 2, 3))
-        reference = str(tmp_path / "generic.jsonl")
-        run_sweep(spec.expand(), ResultStore(reference), workers=1,
-                  kernel_variant="generic")
-        monkeypatch.setenv(
-            ENV_VARS["point"],
-            FaultPlan(seed=5, rates={"exception": 1.0},
-                      max_faults=1).to_env(),
-        )
-        batch = str(tmp_path / "batch.jsonl")
-        messages = []
-        summary = run_sweep(
-            spec.expand(), ResultStore(batch), workers=1,
-            kernel_variant="batch", log=messages.append,
-            policy=RetryPolicy(max_attempts=3, backoff_s=0.0),
-        )
-        assert summary.n_computed == 12
-        assert not summary.failures
-        assert any("retry" in m for m in messages)
-        assert self._bytes(batch) == self._bytes(reference)
