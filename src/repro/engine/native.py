@@ -202,11 +202,8 @@ def simulate_native(trace: Trace, cfg: ProcessorConfig) -> KernelResult:
                 f"{len(getattr(trace, column))} entries, expected {n}")
     arguments = _arguments(cfg)
     if arguments is None:
-        # What the C pre-pass rejects would index out of bounds in Python
-        # too; validate() then names the first offending instruction.
-        if n and (min(trace.opclass) < 0 or max(trace.opclass) >= _N_CLASSES
-                  or max(trace.src1) >= n or max(trace.src2) >= n):
-            trace.validate()
+        # What the C pre-pass rejects would index out of bounds in Python.
+        trace.check_bounds()
         return simulate(trace, cfg)
     lib = load()
     nc = cfg.n_clusters

@@ -83,12 +83,16 @@ class Pipeline:
         """Simulate ``trace`` and return its :class:`KernelResult` totals."""
         if self.kernel_variant == "native":
             result = simulate_native(trace, self.config)
-        elif self.kernel_variant == "specialized":
-            result = simulate_specialized(trace, self.config)
-        elif self.kernel_variant == "batch":
-            result = simulate_batch([trace], self.config)[0]
         else:
-            result = simulate(trace, self.config)
+            # The Python kernels trust their trace; reject here what the C
+            # kernel's pre-pass rejects, before they read out of bounds.
+            trace.check_bounds()
+            if self.kernel_variant == "specialized":
+                result = simulate_specialized(trace, self.config)
+            elif self.kernel_variant == "batch":
+                result = simulate_batch([trace], self.config)[0]
+            else:
+                result = simulate(trace, self.config)
         if result.n_instructions and result.cycles <= 0:
             raise SimulationError(
                 f"trace {trace.name!r}: simulation produced no forward progress"

@@ -128,6 +128,20 @@ class Trace:
                     f"trace {self.name!r}[{i}]: L2 miss without L1 miss"
                 )
 
+    def check_bounds(self) -> None:
+        """Raise :class:`TraceError` for what a kernel would read out of
+        bounds: a ``src1``, ``src2`` or ``flags`` column whose length is not
+        the trace's, an opclass outside ``[0, 12)``, or a source at or past
+        the trace's end.  These are the cases the C kernel's pre-pass
+        rejects, for a trace built with ``validate=False``.  A few min/max
+        passes; :meth:`validate` runs only to name what is wrong."""
+        n = len(self.opclass)
+        if any(len(getattr(self, column)) != n
+               for column in ("src1", "src2", "flags")) or n and (
+                   min(self.opclass) < 0 or max(self.opclass) >= _N_CLASSES
+                   or max(self.src1) >= n or max(self.src2) >= n):
+            self.validate()
+
     @classmethod
     def from_ops(
         cls,

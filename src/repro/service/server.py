@@ -100,12 +100,18 @@ class Request:
         return values[0] if values else default
 
     def json(self) -> Any:
-        """The body as JSON; empty body reads as ``{}``."""
+        """The body as JSON; empty body reads as ``{}``.
+
+        Whatever the parser refuses is a 400: bytes that are not UTF-8 or
+        not JSON (``ValueError``, which both decode errors subclass), an
+        integer literal past the interpreter's digit limit (also a
+        ``ValueError``), and nesting past its recursion limit
+        (``RecursionError``)."""
         if not self.body:
             return {}
         try:
             return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise HttpError(400, "bad_json",
                             f"request body is not valid JSON: {exc}") from exc
 

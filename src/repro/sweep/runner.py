@@ -4,14 +4,19 @@
 lists, skips every point whose key is already in the
 :class:`~repro.sweep.store.ResultStore` (a *cache hit*), and runs the rest
 on worker processes the runner owns: each worker is one
-:class:`multiprocessing.Process` fed through its own duplex pipe, one point
-per message.  A worker holds at most two points, one running and one
-waiting in its pipe, so when it finishes a point it starts the next without
-a round trip to the orchestrator.  It reports when it starts a point and
-then the point's outcome, so the orchestrator always knows which point
-each worker is running.  One :func:`multiprocessing.connection.wait` call
-covers every pipe and every worker's exit sentinel; when a point finishes,
-the orchestrator first refills the freed worker and only then hands the
+:class:`multiprocessing.Process` fed through its own duplex pipe, several
+points per message.  Chunks are sized by guided self-scheduling: the
+ready points divided by twice the worker count, at least one and at most
+:data:`_CHUNK_CAP`, so chunks shrink as the sweep drains and a small shard
+still spreads over every worker.  A worker is sent its next chunk as soon
+as it holds fewer unstarted points than one chunk, so when it finishes a
+point it starts the next without a round trip to the orchestrator.  It
+answers with one message per point, the point's outcome.  Which point it
+is running, and since when by its own clock, it publishes in a slot of
+shared memory (:class:`_Slot`) that the orchestrator reads without a
+message.  One :func:`multiprocessing.connection.wait` call covers every
+pipe and every worker's exit sentinel; when a point finishes, the
+orchestrator first refills the freed worker and only then hands the
 record on, so no worker idles while the orchestrator appends.
 Completions arrive in whatever order the workers finish; an
 **expansion-order flush frontier** buffers out-of-order results and
@@ -40,12 +45,13 @@ deterministic exponential backoff.  A point is charged one attempt when it
 raises, when its worker exits while running it (:class:`WorkerDied`, seen
 at once through the worker's sentinel, so no timeout is needed), and, with
 a per-point timeout, when it is still running ``timeout_s`` after its
-worker started it (time spent waiting in the pipe never counts).  A dead
-or overdue worker alone is killed, joined and replaced; the point waiting
-in its pipe is sent again uncharged, and no other worker or point is
-touched.  A point that never started is never charged.  The final
-permitted attempt runs in-process as graceful degradation so a
-pathological worker cannot starve a point.  A point that exhausts its
+worker started it (time spent waiting in the pipe, behind the points
+before it in its chunk, never counts).  A dead or overdue worker alone is
+killed, joined and replaced; the unstarted points of its chunks are sent
+again uncharged, and no other worker or point is touched.  A point that
+never started is never charged.  The final permitted attempt runs
+in-process as graceful degradation so a pathological worker cannot
+starve a point.  A point that exhausts its
 attempts becomes a :class:`FailureRecord` in :class:`SweepSummary` —
 structured provenance (attempts, error class, elapsed) that never enters
 the store — and blocks the frontier at its expansion index so the
@@ -111,9 +117,10 @@ MIN_POINTS_PER_WORKER = 2
 #: Per-process bound on memoized traces (see :func:`_cached_trace`).
 TRACE_CACHE_SIZE = 8
 
-#: Points outstanding per worker: one running and one waiting in its pipe
-#: for the moment the running one finishes.
-_DEPTH = 2
+#: Most points sent to a worker in one message.  A chunk saves the pipe
+#: round trips of its points; a larger one would let a worker hold back
+#: more of the sweep's tail while the others idle.
+_CHUNK_CAP = 8
 
 #: Cap on the worker loop's wait.  Messages, worker exits, deadlines and
 #: backoff wake the loop at once, so this only bounds how often it checks
@@ -346,17 +353,58 @@ class WorkerDied(ReproError):
     ``os._exit``); the point is charged one attempt."""
 
 
-def _worker_main(conn: Any) -> None:
-    """Body of one sweep worker: run each ``(index, payload)`` message
-    until ``None`` arrives, replying ``("started", index,
-    time.monotonic())`` and then ``("done", index, outcome)``.
+class _Slot:
+    """Which point a worker is running, in memory it shares with the
+    orchestrator: the point's index and attempt and the worker's
+    ``time.monotonic()`` when it started it, behind a sequence counter.
+
+    The worker alone writes: it makes the counter odd, writes the three
+    values and makes the counter even again (a seqlock).  A reader that
+    sees the same even count before and after its read therefore holds one
+    attempt's index with that attempt's own start, never another's; any
+    other read, a worker killed mid-write included, reads as "running
+    nothing".  The orchestrator charges a point only on a read it makes
+    after it has killed and joined the worker, when no write can be in
+    flight, so a misread before that can cost at most a needless worker
+    restart, never an early charge."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self) -> None:
+        #: count, index, attempt, start; index -1 while the worker runs
+        #: nothing.
+        self.cells = multiprocessing.RawArray("d", 4)
+        self.cells[1] = -1.0
+
+    def publish(self, index: int, attempt: int, start: float) -> None:
+        cells = self.cells
+        cells[0] += 1.0
+        cells[1], cells[2], cells[3] = index, attempt, start
+        cells[0] += 1.0
+
+    def read(self) -> Optional[Tuple[int, int, float]]:
+        """``(index, attempt, start)`` of the running point, or ``None``."""
+        cells = self.cells
+        count = cells[0]
+        index, attempt, start = cells[1], cells[2], cells[3]
+        if count % 2 or cells[0] != count or index < 0:
+            return None
+        return int(index), int(attempt), start
+
+
+def _worker_main(conn: Any, slot: _Slot) -> None:
+    """Body of one sweep worker: run each point of each chunk message (a
+    list of ``(index, payload)`` pairs) in order until ``None`` arrives,
+    publishing the point in ``slot`` before it starts, replying with its
+    outcome, and clearing ``slot`` once the outcome is sent (so a worker
+    that dies while sending is still charged for the point).
 
     Each payload is one point, run through the module-global
     :func:`execute_point` (so a wrapper installed on it runs here too); the
-    outcome is what that returned or the exception it raised.  An outcome that cannot cross back
-    to the orchestrator is sent as a :class:`RuntimeError` naming the
-    exception, or why the record would not pickle, so the point is charged
-    instead of lost.
+    outcome is what that returned or the exception it raised.  An outcome
+    that cannot cross back to the orchestrator is sent as a
+    :class:`RuntimeError` naming the exception, or why the record would not
+    pickle, so the point is charged instead of lost.
 
     Workers ignore SIGINT: a terminal Ctrl-C reaches the whole process
     group, but only the orchestrator may act on it — it then stops every
@@ -365,38 +413,40 @@ def _worker_main(conn: Any) -> None:
     :func:`_convert_sigterm`), and must simply die when terminated."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    for index, payload in iter(conn.recv, None):
-        conn.send(("started", index, time.monotonic()))
-        try:
-            outcome: Any = execute_point(payload)
-        except Exception as exc:
-            outcome = exc
-        try:
-            message = pickle.dumps(("done", index, outcome))
-            pickle.loads(message)
-        except Exception as exc:
-            culprit = outcome if isinstance(outcome, BaseException) else exc
-            message = pickle.dumps(("done", index, RuntimeError(
-                f"{type(culprit).__name__}: {culprit}")))
-        conn.send_bytes(message)
+    for chunk in iter(conn.recv, None):
+        for index, payload in chunk:
+            slot.publish(index, payload["_attempt"], time.monotonic())
+            try:
+                outcome: Any = execute_point(payload)
+            except Exception as exc:
+                outcome = exc
+            try:
+                message = pickle.dumps(outcome)
+                pickle.loads(message)
+            except Exception as exc:
+                culprit = outcome if isinstance(outcome, BaseException) else exc
+                message = pickle.dumps(RuntimeError(
+                    f"{type(culprit).__name__}: {culprit}"))
+            conn.send_bytes(message)
+            slot.publish(-1, 0, 0.0)
 
 
 class _Worker:
-    """One worker process, the duplex pipe it is fed through, and the
-    points sent to it, oldest (running, or next to run) first."""
+    """One worker process, the duplex pipe it is fed through, its
+    :class:`_Slot`, and the points sent to it, oldest (running, or next to
+    run) first."""
 
-    __slots__ = ("process", "conn", "jobs", "started_at")
+    __slots__ = ("process", "conn", "slot", "jobs")
 
     def __init__(self) -> None:
         self.conn, theirs = multiprocessing.Pipe()
+        self.slot = _Slot()
         self.process = multiprocessing.Process(
-            target=_worker_main, args=(theirs,), daemon=True,
+            target=_worker_main, args=(theirs, self.slot), daemon=True,
         )
         self.process.start()
         theirs.close()
         self.jobs: Deque[_PointTask] = deque()
-        #: When the worker started ``jobs[0]``, by its clock; 0.0 until then.
-        self.started_at = 0.0
 
 
 def _convert_sigterm() -> Callable[[], None]:
@@ -606,52 +656,82 @@ class _FrontierExecutor:
                 self._complete(*finished.popleft())
 
     # -- pooled execution -------------------------------------------------
-    def _send(self, worker: _Worker, task: _PointTask) -> None:
-        """Send ``task``'s next attempt to ``worker``."""
+    def _send(self, worker: _Worker, tasks: List[_PointTask]) -> None:
+        """Send the next attempt of each of ``tasks`` to ``worker``, in one
+        message."""
         try:
-            worker.conn.send(
-                (task.index, dict(task.payload, _attempt=task.attempts + 1)))
+            worker.conn.send([
+                (task.index, dict(task.payload, _attempt=task.attempts + 1))
+                for task in tasks])
         except OSError:
             pass  # the worker is dead: the loop sees its exit and resends
-        worker.jobs.append(task)
+        worker.jobs.extend(tasks)
+
+    def _chunk_size(self, n_ready: int) -> int:
+        """Guided self-scheduling: the ready points over twice the worker
+        count, rounded up, and at most :data:`_CHUNK_CAP`."""
+        return min(_CHUNK_CAP, -(-n_ready // (2 * self.n_workers)))
 
     def _drain(self, worker: _Worker,
                finished: Deque[Tuple[_PointTask, Dict[str, Any], float]],
                requeue: List[_PointTask]) -> None:
-        """Act on every message ``worker`` has sent so far."""
+        """Settle every outcome ``worker`` has sent so far."""
         try:
             while worker.conn.poll():
-                kind, _index, value = worker.conn.recv()
-                if kind == "started":
-                    worker.started_at = value
-                else:
-                    worker.started_at = 0.0
-                    self._settle(worker.jobs.popleft(), value,
-                                 finished, requeue)
+                outcome = worker.conn.recv()
+                self._settle(worker.jobs.popleft(), outcome, finished, requeue)
         except (EOFError, OSError):
             pass  # the worker died; the loop sees its exit
+
+    @staticmethod
+    def _started(worker: _Worker) -> Optional[float]:
+        """When ``worker`` started its oldest point, by its clock, if its
+        slot names that point's current attempt; ``None`` otherwise."""
+        running = worker.slot.read()
+        if running is None or not worker.jobs:
+            return None
+        task = worker.jobs[0]
+        if running[:2] != (task.index, task.attempts + 1):
+            return None
+        return running[2]
 
     def _deadline(self, worker: _Worker) -> float:
         """When ``worker``'s running point times out: ``timeout_s`` from
         the moment the worker started it."""
-        if not worker.started_at or self.policy.timeout_s is None:
+        started = self._started(worker)
+        if started is None or self.policy.timeout_s is None:
             return math.inf
-        return worker.started_at + self.policy.timeout_s
+        return started + self.policy.timeout_s
 
-    def _replace(self, n: int, exc: BaseException,
+    def _replace(self, n: int,
                  finished: Deque[Tuple[_PointTask, Dict[str, Any], float]],
                  requeue: List[_PointTask],
                  ready: List[Tuple[int, _PointTask]]) -> None:
-        """Kill and join worker ``n`` (dead or overdue), charge ``exc`` to
-        the point it was running, if any, re-queue its unstarted point
-        uncharged, and start a fresh worker in its place."""
+        """Kill and join worker ``n`` (dead or overdue), settle what it sent
+        before it died, charge the point it was running, if any, re-queue
+        its unstarted points uncharged, and start a fresh worker in its
+        place.  An overdue worker's point is charged only if it is still
+        the overdue one: a point that finished just before the kill is
+        settled by its own outcome, and the next one, just started, goes
+        back uncharged."""
         worker = self.workers[n]
+        code = worker.process.exitcode
         worker.process.kill()
         worker.process.join()
+        self._drain(worker, finished, requeue)
         worker.conn.close()
-        if worker.started_at:
+        if code is not None:
+            exc: BaseException = WorkerDied(f"worker exited with code {code}")
+        else:
+            exc = TimeoutError(
+                f"no result within {self.policy.timeout_s:.1f}s of its start "
+                "(worker hung)")
+        started = self._started(worker)
+        now = time.monotonic()
+        if started is not None and (code is not None
+                                    or now >= self._deadline(worker)):
             self._settle(worker.jobs.popleft(), exc, finished, requeue,
-                         time.monotonic() - worker.started_at)
+                         now - started)
         for task in worker.jobs:
             heapq.heappush(ready, (task.index, task))
         self.say(f"  worker replaced ({type(exc).__name__}: {exc})")
@@ -679,23 +759,14 @@ class _FrontierExecutor:
             # 2. Replace each worker that died (reading what it sent before
             #    it did) or overran its running point.
             for n, worker in enumerate(self.workers):
-                code = worker.process.exitcode
-                if code is not None:
-                    self._drain(worker, finished, requeue)
-                    exc: BaseException = WorkerDied(
-                        f"worker exited with code {code}")
-                elif time.monotonic() >= self._deadline(worker):
-                    exc = TimeoutError(
-                        f"no result within {self.policy.timeout_s:.1f}s of "
-                        "its start (worker hung)")
-                else:
-                    continue
-                self._replace(n, exc, finished, requeue, ready)
-            # 3. Refill every worker to _DEPTH points, idle workers first.
-            #    Retries whose backoff has elapsed rejoin the ready heap,
-            #    except a point on its final attempt, which runs in-process
-            #    once the workers are busy: graceful degradation, immune to
-            #    worker death and hangs.
+                if (worker.process.exitcode is not None
+                        or time.monotonic() >= self._deadline(worker)):
+                    self._replace(n, finished, requeue, ready)
+            # 3. Refill, idle workers first, every worker that holds fewer
+            #    unstarted points than one chunk.  Retries whose backoff has
+            #    elapsed rejoin the ready heap, except a point on its final
+            #    attempt, which runs in-process once the workers are busy:
+            #    graceful degradation, immune to worker death and hangs.
             for task in requeue:
                 heapq.heappush(backoff, (task.ready_at, task.index, task))
             last_tries: List[_PointTask] = []
@@ -705,10 +776,14 @@ class _FrontierExecutor:
                     last_tries.append(task)
                 else:
                     heapq.heappush(ready, (task.index, task))
-            for depth in range(1, _DEPTH + 1):
-                for worker in self.workers:
-                    if ready and len(worker.jobs) < depth:
-                        self._send(worker, heapq.heappop(ready)[1])
+            for worker in sorted(self.workers, key=lambda w: len(w.jobs)):
+                if not ready:
+                    break
+                size = self._chunk_size(len(ready))
+                running = self._started(worker) is not None
+                if len(worker.jobs) - running < size:
+                    self._send(worker, [heapq.heappop(ready)[1]
+                                        for _ in range(size)])
             for task in last_tries:
                 self.say(f"  last attempt for {task.point.label()} runs "
                          "in-process (graceful degradation)")
@@ -757,7 +832,10 @@ def run_sweep(
     :class:`repro.engine.Pipeline`); every variant produces identical
     records, so the store contents do not depend on it.  ``policy``
     configures retry/timeout/backoff handling (default: three attempts,
-    0.1 s base backoff, no timeout).
+    0.1 s base backoff, no timeout).  A pool gets its points in chunks of
+    up to :data:`_CHUNK_CAP` (see the module docstring), but each point
+    still has its own outcome, attempts and timeout, measured from its own
+    start.
 
     Completed records are appended incrementally in expansion order (the
     flush frontier), so partial progress survives crashes and interrupts.

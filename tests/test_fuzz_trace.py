@@ -8,9 +8,10 @@ negative, too-large or non-integer source indices, unknown flag bits,
 input, the only exception that may escape is
 :class:`~repro.common.errors.TraceError`.  A trace built with
 ``validate=False`` then goes through :func:`~repro.engine.simulate_native`,
-in C and on its Python fallback (a config scalar above ``2**31 - 1``),
-whose own checks must stop whatever would index out of bounds, with the same
-one exception allowed; a validated trace must simulate identically under the
+in C and on its Python fallback (a config scalar above ``2**31 - 1``), and
+through :class:`~repro.engine.Pipeline` under every kernel variant, whose
+checks must stop whatever would index out of bounds, with the same one
+exception allowed; a validated trace must simulate identically under the
 native and generic kernels.
 """
 
@@ -21,8 +22,16 @@ import pytest
 from repro.common.config import MemoryHierarchyConfig, ProcessorConfig
 from repro.common.errors import TraceError
 from repro.common.types import InstrClass
-from repro.engine import FLAG_L1_MISS, FLAG_MISPREDICT, Trace, native, simulate
-from repro.engine import simulate_native
+from repro.engine import (
+    FLAG_L1_MISS,
+    FLAG_MISPREDICT,
+    KERNEL_VARIANTS,
+    Pipeline,
+    Trace,
+    native,
+    simulate,
+    simulate_native,
+)
 
 COLUMNS = ("opclass", "src1", "src2", "dst", "flags")
 
@@ -131,6 +140,41 @@ def test_unvalidated_traces_raise_only_trace_errors_natively(seed, cfg):
     seen = {outcome(build_unchecked_and_simulate, mangle_columns(rng), cfg)
             for _ in range(150)}
     assert seen == {"ok", "rejected"}
+
+
+def build_unchecked_and_run(columns: dict, variant: str) -> None:
+    Pipeline(ProcessorConfig(), kernel_variant=variant).run(
+        build(columns, validate=False))
+
+
+def runnable(variant: str) -> bool:
+    return variant != "native" or native.find_compiler() is not None
+
+
+@pytest.mark.parametrize("variant", KERNEL_VARIANTS)
+@pytest.mark.parametrize("seed", range(2))
+def test_unvalidated_traces_raise_only_trace_errors_in_every_variant(
+        seed, variant):
+    if not runnable(variant):
+        pytest.skip("no C compiler on PATH")
+    rng = random.Random(300 + seed)
+    seen = {outcome(build_unchecked_and_run, mangle_columns(rng), variant)
+            for _ in range(100)}
+    assert seen == {"ok", "rejected"}
+
+
+@pytest.mark.parametrize("variant", KERNEL_VARIANTS)
+@pytest.mark.parametrize("columns", [
+    dict(opclass=[0, 0], src1=[-1, 5], src2=[-1, -1], dst=[0, 1],
+         flags=[0, 0]),
+    dict(opclass=[12], src1=[-1], src2=[-1], dst=[0], flags=[0]),
+    dict(opclass=[0, 0], src1=[-1], src2=[-1, -1], dst=[0, 1],
+         flags=[0, 0]),
+], ids=["source-past-the-end", "opclass-12", "ragged"])
+def test_unvalidated_out_of_bounds_trace_rejected(columns, variant):
+    if not runnable(variant):
+        pytest.skip("no C compiler on PATH")
+    assert outcome(build_unchecked_and_run, columns, variant) == "rejected"
 
 
 def valid_ops(rng: random.Random) -> list:

@@ -7,6 +7,7 @@ malformed-request paths) — the same wire the CI smoke job uses.
 """
 
 import json
+import random
 import socket
 import threading
 
@@ -275,6 +276,92 @@ class TestValidation:
         with pytest.raises(ServiceError) as err:
             client.report(response["job_id"], fmt="csv", table="no_such")
         assert err.value.status == 404
+
+
+def post(path: str, body: bytes) -> bytes:
+    return (f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+
+def deep(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+def malformed_body(rng: random.Random) -> bytes:
+    """A request body no JSON endpoint may accept: broken JSON, JSON that
+    breaks the submit schema, or a spec that ``SweepSpec`` rejects."""
+    valid = json.dumps({"spec": spec_dict(), "workers": 1})
+    kind = rng.randrange(9)
+    if kind == 0:                                  # a cut-off object
+        return valid[:rng.randrange(1, len(valid))].encode()
+    if kind == 1:                                  # not UTF-8
+        raw = bytearray(valid.encode())
+        raw[rng.randrange(len(raw))] = rng.choice([0x80, 0xC3, 0xFF])
+        return bytes(raw)
+    if kind == 2:                                  # nested past any limit
+        return rng.choice(["[", '{"a":', '{"spec":[']).encode() * 100_000
+    if kind == 3:                                  # a 5,000-digit integer
+        number = "9" * 5_000
+        return rng.choice([number, f'{{"spec": {number}}}',
+                           f'{{"spec": {{}}, "workers": {number}}}']).encode()
+    if kind == 4:                                  # random bytes
+        return bytes(rng.randrange(256) for _ in range(rng.randint(1, 40)))
+    if kind == 5:                                  # JSON, but not an object
+        return rng.choice(["1", "null", '"spec"', "[]", deep(500),
+                           "NaN", "-Infinity", "1e999"]).encode()
+    body = json.loads(valid)
+    junk = rng.choice([None, "x", -1, 0, 65, 10 ** 4_000, 1.5, float("nan"),
+                       float("inf"), [], {}, [None], {"a": [1]},
+                       json.loads(deep(rng.choice([300, 900])))])
+    if kind == 6:                                  # a key the schema lacks
+        body[rng.choice(["nonsense", "", "Spec", "\ud800"])] = junk
+    elif kind == 7:                                # a bad option value
+        body[rng.choice(["workers", "kernel_variant", "energy", "retries",
+                         "shard"])] = rng.choice(
+            [None, "x", -1, 65, 10 ** 4_000, float("nan"), [], {"a": 1},
+             json.loads(deep(900))])
+    elif rng.random() < 0.5:                       # a key SweepSpec lacks
+        body["spec"][rng.choice(["nonsense", "Name", "seed"])] = junk
+    else:                                          # a bad spec field
+        body["spec"][rng.choice(["mixes", "seeds", "topologies",
+                                 "overrides", "base"])] = rng.choice(
+            [None, "abc", json.loads(deep(900))])
+    return json.dumps(body).encode()
+
+
+class TestBodyFuzz:
+    """Seeded malformed bodies against every endpoint that reads JSON: each
+    answer is a 4xx carrying an error object, never a 500, and the service
+    stays up and creates no job."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_malformed_bodies_answer_4xx(self, service, seed):
+        svc, client = service
+        rng = random.Random(seed)
+        for _ in range(100):
+            path = rng.choice(["/jobs", "/jobs/0123abcd/cancel"])
+            body = malformed_body(rng)
+            status, error = raw_status_and_error(raw_http(svc, post(path,
+                                                                  body)))
+            assert 400 <= status < 500, (path, body[:200], status, error)
+            assert error["code"] and error["message"]
+        assert client.health()["status"] == "ok"
+        assert client.jobs() == []
+        response = client.submit(spec_dict(name="after-fuzz"), workers=1)
+        assert client.wait(response["job_id"])["state"] == "done"
+
+    @pytest.mark.parametrize("body", [
+        b"[" * 100_000,
+        ("9" * 5_000).encode(),
+        b'{"spec": ' + b"9" * 5_000 + b"}",
+    ], ids=["nested-100k", "integer-5000-digits", "spec-5000-digits"])
+    def test_json_the_parser_refuses_is_bad_json(self, service, body):
+        # Regression: a RecursionError and a ValueError escaped the body
+        # parser and answered 500 internal.
+        svc, _client = service
+        status, error = raw_status_and_error(raw_http(svc, post("/jobs",
+                                                               body)))
+        assert (status, error["code"]) == (400, "bad_json")
 
 
 class TestDedupAndResubmission:

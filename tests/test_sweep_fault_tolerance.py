@@ -270,11 +270,11 @@ class TestRetryRecovery:
 
     def test_deadline_runs_from_point_start_not_dispatch(
             self, tmp_path, monkeypatch):
-        # Every point sleeps 0.6 x the timeout.  Each worker holds a
-        # second point in its pipe while it runs one, so a point waits
-        # 0.6 timeouts before it starts and finishes 1.2 timeouts after it
-        # was sent; only a clock started when each point starts sees no
-        # timeout.  24 points on 2 workers.
+        # Every point sleeps 0.6 x the timeout.  Each worker holds more
+        # points in its pipe while it runs one, so a point waits at least
+        # 0.6 timeouts before it starts and finishes 1.2 or more timeouts
+        # after it was sent; only a clock started when each point starts
+        # sees no timeout.  24 points on 2 workers.
         timeout = 0.5
         points = small_spec(cluster_counts=(2, 3, 4, 8),
                             seeds=(7, 8, 9)).expand()
@@ -349,6 +349,128 @@ class TestRetryRecovery:
         before = set(pids[:hang_at + 1])
         after = set(pids[hang_at + 1:]) - {os.getpid()}
         assert len(before) == 2 and len(after - before) == 1
+
+    def test_sigkill_mid_chunk_charges_only_the_running_point(
+            self, tmp_path, monkeypatch):
+        # 16 points on 2 workers: the first chunk is points 0-3 (16 ready
+        # points over twice the worker count).  Point 1 SIGKILLs its worker
+        # on attempt 1.  Only point 1, which the worker's slot names, is
+        # charged; points 2 and 3, sent in the same chunk but never
+        # started, run again elsewhere as attempt 1.
+        from repro.sweep import runner
+
+        points = small_spec(cluster_counts=(2, 3, 4, 8),
+                            seeds=(7, 8)).expand()
+        assert len(points) == 16
+        ref = reference_bytes(points, tmp_path)
+        doomed = points[1]
+        starts = tmp_path / "starts"
+        chunks = []
+        real_send = runner._FrontierExecutor._send
+        real_execute = runner.execute_point
+
+        def recording_send(executor, worker, tasks):
+            chunks.append((worker.process.pid, [t.index for t in tasks]))
+            real_send(executor, worker, tasks)
+
+        def killing(payload):
+            with open(starts, "a") as fh:
+                fh.write(f"{os.getpid()} {payload['_key']} "
+                         f"{payload['_attempt']}\n")
+            if payload["_key"] == doomed.key() and payload["_attempt"] == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_execute(payload)
+
+        monkeypatch.setattr(runner._FrontierExecutor, "_send", recording_send)
+        monkeypatch.setattr(runner, "execute_point", killing)
+        path = str(tmp_path / "store.jsonl")
+        messages = []
+        summary = run_sweep(points, ResultStore(path), workers=2,
+                            log=messages.append,
+                            policy=RetryPolicy(max_attempts=3,
+                                               backoff_s=0.01))
+        assert not summary.failures
+        assert store_bytes(path) == ref
+        killed, first_chunk = chunks[0]
+        assert first_chunk == [0, 1, 2, 3]
+        retried = [m for m in messages if "retry" in m]
+        assert len(retried) == 1 and doomed.label() in retried[0]
+        assert "WorkerDied" in retried[0]
+        assert sum("worker replaced" in m for m in messages) == 1
+        runs = [line.split() for line in starts.read_text().splitlines()]
+        attempts = {}
+        for pid, key, attempt in runs:
+            attempts.setdefault(key, []).append(int(attempt))
+        assert attempts.pop(doomed.key()) == [1, 2]
+        assert all(tries == [1] for tries in attempts.values())
+        pids = {key: int(pid) for pid, key, _attempt in runs}
+        assert pids[points[0].key()] == killed
+        assert all(pids[p.key()] != killed for p in points[2:4])
+
+    def test_hang_third_in_its_chunk_times_out_from_its_own_start(
+            self, tmp_path, monkeypatch):
+        # 16 points on 2 workers, first chunk points 0-3.  Each pool point
+        # takes 0.3 s and point 2, third in the chunk, hangs on attempt 1.
+        # It starts about 0.6 s after its chunk was sent, so a clock
+        # started at the send would charge it 0.4 s into its run; it must
+        # be charged no earlier than the timeout after its own start.
+        import multiprocessing
+
+        from repro.sweep import runner
+
+        timeout = 1.0
+        points = small_spec(cluster_counts=(2, 3, 4, 8),
+                            seeds=(7, 8)).expand()
+        ref = reference_bytes(points, tmp_path)
+        hung = points[2]
+        monkeypatch.setenv(ENV_VAR, FaultPlan(
+            sleep_s=30.0, scripted={hung.key(): [FAULT_HANG]}).to_env())
+        starts = tmp_path / "starts"
+        sent_at = []
+        real_send = runner._FrontierExecutor._send
+        real_execute = runner.execute_point
+
+        def recording_send(executor, worker, tasks):
+            sent_at.append(([t.index for t in tasks], time.monotonic()))
+            real_send(executor, worker, tasks)
+
+        def recording(payload):
+            with open(starts, "a") as fh:
+                fh.write(f"{payload['_key']} {payload['_attempt']} "
+                         f"{time.monotonic()!r}\n")
+            if multiprocessing.parent_process() is not None:
+                time.sleep(0.3)
+            return real_execute(payload)
+
+        monkeypatch.setattr(runner._FrontierExecutor, "_send", recording_send)
+        monkeypatch.setattr(runner, "execute_point", recording)
+        charged_at = []
+
+        def log(message):
+            if "retry" in message:
+                charged_at.append((message, time.monotonic()))
+
+        path = str(tmp_path / "store.jsonl")
+        summary = run_sweep(
+            points, ResultStore(path), workers=2, log=log,
+            policy=RetryPolicy(max_attempts=3, backoff_s=0.01,
+                               timeout_s=timeout))
+        assert not summary.failures
+        assert store_bytes(path) == ref
+        first_chunk, chunk_sent = sent_at[0]
+        assert first_chunk == [0, 1, 2, 3]
+        runs = [line.split() for line in starts.read_text().splitlines()]
+        started = {(key, int(attempt)): float(t) for key, attempt, t in runs}
+        hang_start = started[(hung.key(), 1)]
+        assert hang_start - chunk_sent >= 0.5  # it waited behind two points
+        assert len(charged_at) == 1
+        message, charged = charged_at[0]
+        assert hung.label() in message and "TimeoutError" in message
+        assert charged - hang_start >= 0.9 * timeout
+        # Point 3 was still unstarted in the hung worker's chunk: it is
+        # re-sent uncharged.
+        assert [int(attempt) for key, attempt, _t in runs
+                if key == points[3].key()] == [1]
 
     def test_idle_worker_killed_during_backoff_is_recovered(
             self, tmp_path, monkeypatch):

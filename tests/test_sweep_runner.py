@@ -460,12 +460,12 @@ class TestEventDrivenPool:
     def test_workers_refilled_before_the_append(self, tmp_path, monkeypatch):
         from repro.sweep import runner
 
-        dispatched = []  # one entry per point sent to a worker, in order
+        dispatched = []  # points per chunk sent to a worker, in order
         real_send = runner._FrontierExecutor._send
 
-        def counting_send(executor, worker, task):
-            dispatched.append(1)
-            real_send(executor, worker, task)
+        def counting_send(executor, worker, tasks):
+            dispatched.append(len(tasks))
+            real_send(executor, worker, tasks)
 
         monkeypatch.setattr(runner._FrontierExecutor, "_send", counting_send)
         points = self._spec().expand()
@@ -517,8 +517,49 @@ class TestEventDrivenPool:
 
 
 class TestChunkedDispatch:
-    """Workers take one point per message; every point keeps its own
+    """Workers take several points per message, sized by guided
+    self-scheduling, and answer once per point; every point keeps its own
     outcome, and small shards still spread over every worker."""
+
+    def test_pooled_sweep_sends_few_messages_per_point(self, tmp_path,
+                                                       monkeypatch):
+        # Every pipe message of a fault-free sweep passes the orchestrator:
+        # it sends the chunks (and each worker's stop) and receives each
+        # point's outcome.  One point per message plus a "started" report
+        # made three messages per point.
+        from multiprocessing.connection import Connection
+
+        counts = {"send": 0, "recv": 0}
+        for name in counts:
+            real = getattr(Connection, name)
+
+            def counting(conn, *args, _name=name, _real=real):
+                counts[_name] += 1
+                return _real(conn, *args)
+
+            monkeypatch.setattr(Connection, name, counting)
+        points = small_spec(cluster_counts=(2, 3, 4, 8),
+                            steerings=("dependence", "round_robin", "modulo"),
+                            seeds=(7, 8, 9, 10)).expand()
+        assert len(points) == 96
+        summary = run_sweep(points, ResultStore(str(tmp_path / "s.jsonl")),
+                            workers=2)
+        assert summary.n_computed == 96
+        assert counts["recv"] == 96  # one outcome per point
+        assert (counts["send"] + counts["recv"]) / 96 < 1.5
+
+    def test_slot_reads_only_whole_writes(self):
+        from repro.sweep import runner
+
+        slot = runner._Slot()
+        assert slot.read() is None
+        slot.publish(3, 1, 12.5)
+        assert slot.read() == (3, 1, 12.5)
+        slot.cells[0] += 1  # a write in progress, or a worker killed in one
+        assert slot.read() is None
+        slot.cells[0] += 1
+        slot.publish(-1, 0, 0.0)
+        assert slot.read() is None
 
     @pytest.mark.parametrize("n_workers", [2, 3])
     def test_small_shard_reaches_every_worker(self, tmp_path, monkeypatch,
