@@ -1,18 +1,21 @@
-"""Sweep-as-a-service: an asyncio HTTP job API over :mod:`repro.sweep`.
+"""Sweep-as-a-service: a threaded HTTP job API over :mod:`repro.sweep`.
 
 The batch CLI's subsystems were built content-addressed and append-only so
 that a long-running, multi-tenant front end could sit on top without
-changing a byte of what gets computed — this package is that front end:
+changing a byte of what gets computed — this package is that front end.
+It runs on plain threads: one per connection, plus the job runner.
 
-* :mod:`repro.service.server` — stdlib asyncio HTTP/1.1 server:
-  routing, request-schema validation, structured errors, SSE streaming,
-  graceful drain on shutdown (:class:`SweepService`, :class:`ServiceThread`);
+* :mod:`repro.service.server` — stdlib threaded HTTP/1.1 server
+  (:mod:`http.server`): routing, request-schema validation, structured
+  errors, SSE streaming, graceful drain on shutdown
+  (:class:`SweepService`, :class:`ServiceThread`);
 * :mod:`repro.service.jobs` — :class:`JobManager`: spec-digest-deduped
   job submissions executed serially through the fault-tolerant
   :func:`~repro.sweep.runner.run_sweep`, with cancel (interrupt-path) and
   resume (cache-hit resubmission) semantics;
 * :mod:`repro.service.events` — per-job replayable event broadcast
-  feeding any number of concurrent Server-Sent-Events clients;
+  feeding any number of concurrent Server-Sent-Events clients, each
+  reading through its own blocking iterator;
 * :mod:`repro.service.schemas` — minimal JSON request-schema validation;
 * :mod:`repro.service.client` — blocking :class:`ServiceClient` for
   tests, CI, and scripts;

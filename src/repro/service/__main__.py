@@ -2,8 +2,9 @@
 
 Subcommands::
 
-    serve    run the HTTP service until SIGINT/SIGTERM; shutdown drains
-             queued and in-flight jobs before exiting
+    serve    run the HTTP service until SIGINT/SIGTERM; the first signal
+             drains queued and in-flight jobs before exiting, a second
+             cancels them (their finished points stay in the store)
     submit   submit a spec (JSON file, --smoke, or --paper) to a running
              service and follow its SSE stream to completion
 
@@ -16,10 +17,11 @@ drives the whole service lifecycle through this command and the blocking
 from __future__ import annotations
 
 import argparse
-import asyncio
 import signal
 import sys
-from typing import List, Optional
+import threading
+from functools import partial
+from typing import Any, List, Optional
 
 from repro.common.errors import ReproError
 from repro.engine.pipeline import KERNEL_VARIANTS
@@ -36,33 +38,32 @@ DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
 
 
-async def _serve_async(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> int:
+    check_workers(args.workers)
     service = SweepService(
         store_path=args.store,
         host=args.host,
         port=args.port,
         sweep_workers=args.workers,
         kernel_variant=args.kernel_variant,
-        log=print,
+        log=partial(print, flush=True),
     )
-    await service.start()
-    loop = asyncio.get_running_loop()
+    service.start()
+    signals: List[int] = []
 
-    def _on_signal() -> None:
-        # Second signal cancels instead of draining: the interrupt path
+    def _on_signal(signum: int, _frame: Any) -> None:
+        # The first signal drains, a second cancels: the interrupt path
         # still flushes each job's frontier, so nothing finished is lost.
-        drain = not service._shutting_down
-        asyncio.ensure_future(service.shutdown(drain=drain))
+        # A shutdown blocks until the jobs settle, so it runs on a thread
+        # of its own.
+        signals.append(signum)
+        threading.Thread(target=service.shutdown,
+                         args=(len(signals) == 1,)).start()
 
     for signum in (signal.SIGINT, signal.SIGTERM):
-        loop.add_signal_handler(signum, _on_signal)
-    await service.serve_forever()
+        signal.signal(signum, _on_signal)
+    service.serve_forever()
     return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    check_workers(args.workers)
-    return asyncio.run(_serve_async(args))
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:

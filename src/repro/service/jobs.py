@@ -12,17 +12,17 @@ recomputed) — which is also exactly how a cancelled job resumes.
 Execution is strictly serial: one daemon thread owns the
 :class:`~repro.sweep.store.ResultStore` and drains the job queue FIFO,
 calling :func:`repro.sweep.runner.run_sweep` — which parallelizes across
-*processes* per job — off the event loop.  Serializing jobs keeps the
-single-writer append discipline that the store's byte-identity guarantee
-rests on (the abelian correctness bar: the store's bytes must not depend
-on which job, worker, or submission order computed which point), while the
-asyncio side stays free to serve reads and streams to any number of
-clients.
+*processes* per job.  Serializing jobs keeps the single-writer append
+discipline that the store's byte-identity guarantee rests on (the store's
+bytes must not depend on which job, worker, or submission order computed
+which point), while the HTTP server's request threads serve reads and
+streams to any number of clients.
 
 Progress flows out through the runner's ``on_point_done`` hook into each
 job's :class:`~repro.service.events.EventBroadcaster`; cancellation flows
-in through ``should_stop``, riding PR 6's interrupt path (frontier
-flushed, partial prefix durable, resume-by-resubmission).
+in through ``should_stop``, riding the runner's interrupt path (frontier
+flushed, partial prefix durable, resume-by-resubmission).  The manager's
+methods may be called from any thread; a lock guards the job table.
 
 Two extensions serve the distributed fabric:
 
@@ -119,14 +119,11 @@ class Job:
 
     def __init__(self, job_id: str, spec: SweepSpec,
                  options: Dict[str, Any],
-                 broadcaster: Optional[EventBroadcaster],
                  shard: Optional[Dict[str, int]] = None) -> None:
         self.job_id = job_id
         self.spec = spec
         self.options = options
-        # ``None`` only for jobs recovered before start(); the manager
-        # attaches a broadcaster when it binds to the event loop.
-        self.broadcaster = broadcaster
+        self.broadcaster = EventBroadcaster()
         self.shard = dict(shard) if shard else None
         self.state = "queued"
         self.created_s = time.time()
@@ -144,7 +141,7 @@ class Job:
         self.cancel_event = threading.Event()
         #: Expansion-ordered unique point keys, filled in when the run
         #: starts (expansion is deferred to the job thread — a paper-sized
-        #: grid should not be expanded on the event loop).
+        #: grid should not be expanded while a request waits).
         self.point_keys: List[str] = []
 
     def status(self) -> Dict[str, Any]:
@@ -214,7 +211,6 @@ class JobManager:
         self._order: List[str] = []
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._lock = threading.RLock()
-        self._loop: Optional[Any] = None
         self._thread: Optional[threading.Thread] = None
         self._draining = False
         #: ``(spec digest, deduped expansion)`` of the last spec run — one
@@ -246,7 +242,7 @@ class JobManager:
             "created_s": job.created_s,
             "run_count": job.run_count,
         }
-        # Serialized under the manager lock: the event-loop thread (submit)
+        # Serialized under the manager lock: a request thread (submit)
         # and the job-runner thread (run-start/settle) both persist the
         # same job, and they must not share one tmp file unsynchronized.
         with self._lock:
@@ -264,7 +260,9 @@ class JobManager:
 
         Malformed or torn job files are skipped (the store, not the job
         table, is the durable truth — losing a listing is an inconvenience,
-        refusing to boot would be an outage).
+        refusing to boot would be an outage).  Each recovered job's event
+        stream holds one closed event naming its state, so a late
+        subscriber learns where the run went.
         """
         if not os.path.isdir(self._jobs_dir):
             return
@@ -279,7 +277,6 @@ class JobManager:
                 spec = SweepSpec.from_dict(record["spec"])
                 job = Job(record["job_id"], spec,
                           dict(record.get("options") or {}),
-                          broadcaster=None,
                           shard=record.get("shard"))
             except (OSError, ValueError, KeyError, ReproError):
                 continue
@@ -299,26 +296,18 @@ class JobManager:
         for job in sorted(recovered, key=lambda j: (j.created_s, j.job_id)):
             self.jobs[job.job_id] = job
             self._order.append(job.job_id)
+            job.broadcaster.publish(job.state, {
+                "job_id": job.job_id,
+                "state": job.state,
+                "recovered": True,
+                "error": job.error,
+            })
+            job.broadcaster.close()
+            self._persist(job)
 
     # -- lifecycle ---------------------------------------------------------
-    def start(self, loop: Any) -> None:
-        """Bind to the event loop and start the runner thread."""
-        self._loop = loop
-        with self._lock:
-            for job_id in self._order:
-                job = self.jobs[job_id]
-                if job.broadcaster is None:
-                    # Recovered job: give late subscribers a history that
-                    # explains where the run went, then end the stream.
-                    job.broadcaster = EventBroadcaster(loop)
-                    job.broadcaster.publish(job.state, {
-                        "job_id": job.job_id,
-                        "state": job.state,
-                        "recovered": True,
-                        "error": job.error,
-                    })
-                    job.broadcaster.close()
-                    self._persist(job)
+    def start(self) -> None:
+        """Start the job-runner thread."""
         self._thread = threading.Thread(
             target=self._run_jobs, name="sweep-job-runner", daemon=True
         )
@@ -330,8 +319,9 @@ class JobManager:
         ``drain=True`` lets every queued and in-flight job run to
         completion — the graceful path.  ``drain=False`` cancels them
         through the interrupt path first; their flushed prefixes stay
-        durable and resume on resubmission.  Blocking — call off the event
-        loop.
+        durable and resume on resubmission.  Blocking.  A call with
+        ``drain=False`` while another thread drains cancels what that
+        drain waits for.
         """
         with self._lock:
             self._draining = True
@@ -342,9 +332,8 @@ class JobManager:
         self._queue.put(None)
         if self._thread is not None:
             self._thread.join()
-            self._thread = None
 
-    # -- submission (event-loop thread) ------------------------------------
+    # -- submission (request threads) --------------------------------------
     def submit(self, body: Dict[str, Any]) -> Tuple[Job, str]:
         """Create, dedupe onto, or re-run the job for ``body``.
 
@@ -383,17 +372,10 @@ class JobManager:
                 job.summary = None
                 job.error = None
                 job.cancel_event = threading.Event()
-                if job.broadcaster is None:  # recovered before start()
-                    assert self._loop is not None, \
-                        "JobManager.start() not called"
-                    job.broadcaster = EventBroadcaster(self._loop)
-                else:
-                    job.broadcaster.reset()
+                job.broadcaster.reset()
                 disposition = "resubmitted"
             else:
-                assert self._loop is not None, "JobManager.start() not called"
-                job = Job(job_id, spec, options,
-                          EventBroadcaster(self._loop), shard=shard)
+                job = Job(job_id, spec, options, shard=shard)
                 self.jobs[job_id] = job
                 self._order.append(job_id)
                 disposition = "created"

@@ -16,6 +16,7 @@ unknown steerings, empty axes, and override-path rules.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Mapping
 
 from repro.common.errors import ReproError
@@ -23,7 +24,9 @@ from repro.engine.pipeline import KERNEL_VARIANTS
 
 #: JSON-name -> python type(s) for the ``type`` keyword.  ``bool`` is an
 #: ``int`` subclass in python, so integer/number checks must exclude it
-#: explicitly — ``true`` is not a valid worker count.
+#: explicitly — ``true`` is not a valid worker count.  A ``number`` must
+#: also be finite: the JSON parser reads ``NaN`` and ``Infinity``, and
+#: ``NaN`` passes every ``minimum`` and ``maximum`` comparison.
 _TYPES: Dict[str, Any] = {
     "object": dict,
     "array": list,
@@ -73,6 +76,8 @@ def validate(value: Any, schema: Mapping[str, Any], path: str = "body") -> None:
             raise SchemaError(
                 path, f"expected {expected}, got {_type_name(value)}"
             )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SchemaError(path, f"must be a finite number, got {value}")
     if "enum" in schema and value not in schema["enum"]:
         raise SchemaError(
             path, f"must be one of {sorted(map(str, schema['enum']))}, "
@@ -120,8 +125,8 @@ SUBMIT_SCHEMA: Dict[str, Any] = {
         "kernel_variant": {"type": "string", "enum": list(KERNEL_VARIANTS)},
         "energy": {"type": "boolean"},
         "retries": {"type": "integer", "minimum": 0, "maximum": 16},
-        "timeout_s": {"type": "number", "minimum": 0.001},
-        "backoff_s": {"type": "number", "minimum": 0},
+        "timeout_s": {"type": "number", "minimum": 0.001, "maximum": 86_400},
+        "backoff_s": {"type": "number", "minimum": 0, "maximum": 3_600},
         # Shard execution (the distributed fabric's unit of dispatch):
         # run only the half-open slice [start, stop) of the spec's deduped
         # expansion-order point list.  Unlike the knobs above, a shard

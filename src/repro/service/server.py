@@ -1,11 +1,12 @@
-"""Asyncio HTTP/1.1 front end for the sweep subsystem.
+"""Threaded HTTP/1.1 front end for the sweep subsystem.
 
-Stdlib only: :func:`asyncio.start_server` streams, a hand-rolled (and
-deliberately small) HTTP/1.1 request parser, and a regex routing table.
-Every connection carries one request and is closed after the response
-(``Connection: close``), except ``GET /jobs/<id>/events`` which stays open
-streaming Server-Sent Events until the job's run ends or the client
-disconnects.
+Stdlib only: :class:`http.server.ThreadingHTTPServer` serves each
+connection on its own thread, and a regex routing table maps a request to
+a handler, a plain function of ``(query, body, **path groups)`` that
+returns the response.  Every connection carries one request and is closed
+after the response (``Connection: close``), except ``GET
+/jobs/<id>/events`` which stays open streaming Server-Sent Events until
+the job's run ends or the client disconnects.
 
 Endpoints::
 
@@ -24,19 +25,26 @@ Endpoints::
 
 Errors are structured JSON — ``{"error": {"code", "message"}}`` — with
 conventional status codes (400 malformed/invalid, 404 unknown, 405 wrong
-method, 413 oversized body, 422 never: spec problems are 400s, 503 while
-draining).  Graceful shutdown stops accepting connections, lets queued and
-in-flight jobs drain through the job manager, and only then returns.
+method, 413 oversized body, 414/431 oversize request line/header, 422
+never: spec problems are 400s, 503 while draining).  The request line and
+headers are parsed by :mod:`http.server`, whose own refusals take the same
+JSON shape.  Graceful shutdown stops accepting connections, lets queued
+and in-flight jobs drain through the job manager, and only then returns.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import re
+import socket
 import threading
-from functools import partial
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Pattern, Tuple
+import traceback
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Pattern, Tuple,
+    Union,
+)
 from urllib.parse import parse_qs, urlsplit
 
 from repro.common.errors import ConfigurationError, ReproError
@@ -58,19 +66,39 @@ from repro.workloads import MIX_REGISTRY
 #: KB; anything megabyte-sized is a mistake or an attack.
 MAX_BODY_BYTES = 1 << 20
 
-#: Request line + headers must fit in this many bytes (431 otherwise).
-MAX_HEAD_BYTES = 32 * 1024
-
-#: Seconds a connection may take to deliver its request head + body.
+#: Seconds a connection may stay silent while its request is read (the
+#: socket timeout of every request thread).
 REQUEST_TIMEOUT_S = 30.0
 
-_REASONS = {
-    200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 408: "Request Timeout",
-    409: "Conflict", 413: "Payload Too Large",
-    431: "Request Header Fields Too Large", 500: "Internal Server Error",
-    501: "Not Implemented", 503: "Service Unavailable",
+#: Longest the accept loop waits before it checks for a shutdown request
+#: again.  :meth:`SweepService.shutdown` wakes it at once with a
+#: connection of its own; this only bounds a wake-up that was lost.
+_POLL_INTERVAL_S = 0.5
+
+#: Error codes for the refusals :mod:`http.server` makes on its own.
+_STDLIB_ERRORS = {
+    400: "bad_request",
+    414: "request_line_too_long",
+    431: "headers_too_large",
+    505: "version_not_supported",
 }
+
+#: Exceptions a handler may raise and the response each becomes; anything
+#: else is a 500.
+_ERRORS: Tuple[Tuple[type, int, str], ...] = (
+    (ServiceUnavailable, 503, "draining"),
+    (UnknownJob, 404, "unknown_job"),
+    (schemas.SchemaError, 400, "invalid_request"),
+    (ConfigurationError, 400, "invalid_spec"),
+)
+
+Query = Dict[str, List[str]]
+
+#: ``(status, body, content type)``; a body that is not ``bytes`` is
+#: streamed chunk by chunk until it ends.
+Response = Tuple[int, Union[bytes, Iterable[bytes]], str]
+
+Handler = Callable[..., Response]
 
 
 class HttpError(ReproError):
@@ -82,41 +110,147 @@ class HttpError(ReproError):
         self.code = code
 
 
-class Request:
-    """One parsed HTTP request."""
+def _json(status: int, obj: Any) -> Response:
+    payload = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+    return status, payload, "application/json"
 
-    __slots__ = ("method", "path", "query", "headers", "body")
 
-    def __init__(self, method: str, path: str, query: Dict[str, List[str]],
-                 headers: Dict[str, str], body: bytes) -> None:
-        self.method = method
-        self.path = path
-        self.query = query
-        self.headers = headers
-        self.body = body
+def _error_response(exc: Exception) -> Response:
+    """``exc`` as a JSON error response (see :data:`_ERRORS`)."""
+    if not isinstance(exc, HttpError):
+        status, code = next(
+            ((status, code) for kind, status, code in _ERRORS
+             if isinstance(exc, kind)), (500, "internal"))
+        message = str(exc) if isinstance(exc, ReproError) \
+            else f"{type(exc).__name__}: {exc}"
+        exc = HttpError(status, code, message)
+    return _json(exc.status, {
+        "error": {"code": exc.code, "message": str(exc)},
+    })
 
-    def param(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        values = self.query.get(name)
-        return values[0] if values else default
 
-    def json(self) -> Any:
-        """The body as JSON; empty body reads as ``{}``.
+def _parse_json(body: bytes) -> Any:
+    """The body as JSON; empty body reads as ``{}``.
 
-        Whatever the parser refuses is a 400: bytes that are not UTF-8 or
-        not JSON (``ValueError``, which both decode errors subclass), an
-        integer literal past the interpreter's digit limit (also a
-        ``ValueError``), and nesting past its recursion limit
-        (``RecursionError``)."""
-        if not self.body:
-            return {}
+    Whatever the parser refuses is a 400: bytes that are not UTF-8 or not
+    JSON (``ValueError``, which both decode errors subclass), an integer
+    literal past the interpreter's digit limit (also a ``ValueError``),
+    and nesting past its recursion limit (``RecursionError``)."""
+    if not body:
+        return {}
+    try:
+        return json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise HttpError(400, "bad_json",
+                        f"request body is not valid JSON: {exc}") from exc
+
+
+def _param(query: Query, name: str,
+           default: Optional[str] = None) -> Optional[str]:
+    values = query.get(name)
+    return values[0] if values else default
+
+
+class _RequestHandler(BaseHTTPRequestHandler):
+    """Reads one request, asks the :class:`SweepService` for the response
+    and writes it."""
+
+    protocol_version = "HTTP/1.1"
+    # A request line without a version is answered as HTTP/1.1, so even a
+    # refusal of a malformed one carries a status line.
+    default_request_version = "HTTP/1.1"
+    timeout = REQUEST_TIMEOUT_S
+    server: "_Server"
+
+    def __getattr__(self, name: str) -> Any:
+        # Every method reaches the routing table, so a known path answers
+        # 405 to a method it lacks, and an unknown one 404.
+        if name.startswith("do_"):
+            return self._dispatch
+        raise AttributeError(name)
+
+    def log_message(self, format: str, *args: Any) -> None:
+        pass  # one line per request would drown the service log
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """The refusals :mod:`http.server` makes itself, in the JSON error
+        shape."""
+        self._respond(*_json(code, {"error": {
+            "code": _STDLIB_ERRORS.get(code, "bad_request"),
+            "message": message or HTTPStatus(code).phrase,
+        }}))
+
+    def _read_body(self) -> bytes:
+        if "chunked" in self.headers.get("Transfer-Encoding", "").lower():
+            raise HttpError(501, "not_implemented",
+                            "chunked request bodies are not supported")
+        raw_length = self.headers.get("Content-Length")
+        if raw_length is None:
+            return b""
         try:
-            return json.loads(self.body.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise HttpError(400, "bad_json",
-                            f"request body is not valid JSON: {exc}") from exc
+            length = int(raw_length)
+            if length < 0:
+                raise ValueError
+        except ValueError:
+            raise HttpError(400, "bad_request",
+                            f"invalid Content-Length {raw_length!r}") from None
+        try:
+            if length > MAX_BODY_BYTES:
+                # Drain what the client already pushed so its blocking
+                # send() cannot deadlock against our unread buffer, then
+                # refuse.  The drain is capped: a Content-Length lie
+                # cannot hold the connection hostage.
+                remaining = min(length, 8 * MAX_BODY_BYTES)
+                while remaining > 0:
+                    chunk = self.rfile.read1(min(65536, remaining))
+                    if not chunk:
+                        break
+                    remaining -= len(chunk)
+                raise HttpError(
+                    413, "body_too_large",
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit",
+                )
+            body = self.rfile.read(length)
+        except socket.timeout:
+            raise HttpError(408, "timeout",
+                            "request body not received in time") from None
+        if len(body) < length:
+            raise HttpError(400, "bad_request",
+                            "request body shorter than Content-Length")
+        return body
+
+    def _dispatch(self) -> None:
+        try:
+            response = self.server.service.respond(
+                self.command, self.path, self._read_body())
+        except ReproError as exc:
+            response = _error_response(exc)
+        except Exception as exc:  # a defect: log it, answer 500, serve on
+            traceback.print_exc()
+            response = _error_response(exc)
+        try:
+            self._respond(*response)
+        except OSError:
+            pass  # the client went away; nothing to answer
+
+    def _respond(self, status: int, body: Union[bytes, Iterable[bytes]],
+                 content_type: str) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        if isinstance(body, bytes):
+            self.send_header("Content-Length", str(len(body)))
+        else:
+            self.send_header("Cache-Control", "no-cache")
+        self.send_header("Connection", "close")
+        self.end_headers()
+        for chunk in [body] if isinstance(body, bytes) else body:
+            self.wfile.write(chunk)
 
 
-Handler = Callable[..., Awaitable[None]]
+class _Server(ThreadingHTTPServer):
+    service: "SweepService"
 
 
 class SweepService:
@@ -138,11 +272,10 @@ class SweepService:
             kernel_variant=kernel_variant,
         )
         self.say = log if log is not None else (lambda _msg: None)
-        self._server: Optional[asyncio.AbstractServer] = None
-        # Created in start(): asyncio primitives must be born on the loop
-        # they are awaited on for 3.9 compatibility.
-        self._stopped: Optional[asyncio.Event] = None
+        self._httpd: Optional[_Server] = None
+        self._lock = threading.Lock()
         self._shutting_down = False
+        self._stopped = threading.Event()
         self._routes: List[Tuple[str, Pattern[str], Handler]] = [
             ("GET", re.compile(r"^/$"), self._r_index),
             ("GET", re.compile(r"^/healthz$"), self._r_health),
@@ -164,210 +297,70 @@ class SweepService:
         ]
 
     # -- lifecycle ---------------------------------------------------------
-    async def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._stopped = asyncio.Event()
-        self.manager.start(loop)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
-            limit=MAX_HEAD_BYTES,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def start(self) -> None:
+        """Bind the port and start the job runner; :meth:`serve_forever`
+        then accepts connections."""
+        self._httpd = _Server((self.host, self.port), _RequestHandler)
+        self._httpd.service = self
+        self._httpd.timeout = _POLL_INTERVAL_S
+        self.port = self._httpd.server_address[1]
+        self.manager.start()
         self.say(f"service: listening on http://{self.host}:{self.port} "
                  f"(store {self.manager.store.path})")
 
-    async def serve_forever(self) -> None:
-        assert self._stopped is not None, "call start() first"
-        await self._stopped.wait()
+    def serve_forever(self) -> None:
+        """Accept connections until :meth:`shutdown` is called, stop
+        listening, and return once the shutdown has finished."""
+        assert self._httpd is not None, "call start() first"
+        while not self._shutting_down:
+            self._httpd.handle_request()
+        self._httpd.server_close()
+        self._stopped.wait()
 
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop accepting, drain (or cancel) jobs, release serve_forever."""
-        if self._shutting_down:
-            return
-        self._shutting_down = True
+    def shutdown(self, drain: bool = True) -> None:
+        """Stop accepting, drain (or cancel) jobs, release serve_forever.
+
+        Call it from another thread than :meth:`serve_forever`'s.  A later
+        call only matters with ``drain=False``: it cancels the jobs the
+        first call is draining."""
+        with self._lock:
+            again, self._shutting_down = self._shutting_down, True
         self.say("service: shutting down "
                  + ("(draining jobs)" if drain else "(cancelling jobs)"))
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, partial(self.manager.shutdown, drain))
-        if self._stopped is not None:
-            self._stopped.set()
+        if again:
+            self.manager.shutdown(drain)
+            return
+        assert self._httpd is not None, "call start() first"
+        try:  # wake the accept loop, so that it stops listening now
+            socket.create_connection(self._httpd.server_address, 1).close()
+        except OSError:
+            pass
+        self.manager.shutdown(drain)
+        self._stopped.set()
         self.say("service: stopped")
 
-    # -- connection handling ----------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                request = await asyncio.wait_for(
-                    self._read_request(reader), REQUEST_TIMEOUT_S
-                )
-            except asyncio.TimeoutError:
-                await self._send_error(writer, HttpError(
-                    408, "timeout", "request not received in time"))
-                return
-            except HttpError as exc:
-                await self._send_error(writer, exc)
-                return
-            if request is None:  # connection closed before a request
-                return
-            await self._dispatch(request, writer)
-        except (ConnectionError, asyncio.CancelledError):
-            pass  # client went away; nothing to answer
-        except Exception as exc:  # pragma: no cover - last-ditch guard
-            try:
-                await self._send_error(writer, HttpError(
-                    500, "internal", f"{type(exc).__name__}: {exc}"))
-            except Exception:
-                pass
-        finally:
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Request]:
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None  # clean early disconnect
-            raise HttpError(400, "bad_request",
-                            "incomplete HTTP request head") from exc
-        except asyncio.LimitOverrunError as exc:
-            raise HttpError(431, "headers_too_large",
-                            f"request head exceeds {MAX_HEAD_BYTES} bytes"
-                            ) from exc
-        try:
-            lines = head.decode("latin-1").split("\r\n")
-            method, target, _version = lines[0].split(" ", 2)
-        except ValueError as exc:
-            raise HttpError(400, "bad_request",
-                            "malformed HTTP request line") from exc
-        headers: Dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, _sep, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        if "chunked" in headers.get("transfer-encoding", "").lower():
-            raise HttpError(501, "not_implemented",
-                            "chunked request bodies are not supported")
-        body = b""
-        raw_length = headers.get("content-length")
-        if raw_length is not None:
-            try:
-                length = int(raw_length)
-                if length < 0:
-                    raise ValueError
-            except ValueError:
-                raise HttpError(400, "bad_request",
-                                f"invalid Content-Length {raw_length!r}"
-                                ) from None
-            if length > MAX_BODY_BYTES:
-                # Drain what the client already pushed so its blocking
-                # send() cannot deadlock against our unread buffer, then
-                # refuse.  The drain is capped: a Content-Length lie
-                # cannot hold the connection hostage.
-                await self._discard(reader, length)
-                raise HttpError(
-                    413, "body_too_large",
-                    f"request body of {length} bytes exceeds the "
-                    f"{MAX_BODY_BYTES}-byte limit",
-                )
-            if length:
-                try:
-                    body = await reader.readexactly(length)
-                except asyncio.IncompleteReadError as exc:
-                    raise HttpError(400, "bad_request",
-                                    "request body shorter than "
-                                    "Content-Length") from exc
+    # -- routing -----------------------------------------------------------
+    def respond(self, method: str, target: str, body: bytes) -> Response:
+        """The response to one request; raises what
+        :func:`_error_response` turns into an error response."""
         parts = urlsplit(target)
-        return Request(method.upper(), parts.path,
-                       parse_qs(parts.query), headers, body)
-
-    @staticmethod
-    async def _discard(reader: asyncio.StreamReader, length: int,
-                       cap: int = 8 * MAX_BODY_BYTES) -> None:
-        remaining = min(length, cap)
-        while remaining > 0:
-            chunk = await reader.read(min(65536, remaining))
-            if not chunk:
-                return
-            remaining -= len(chunk)
-
-    async def _dispatch(self, request: Request,
-                        writer: asyncio.StreamWriter) -> None:
         matched_path = False
-        for method, pattern, handler in self._routes:
-            match = pattern.match(request.path)
+        for route_method, pattern, handler in self._routes:
+            match = pattern.match(parts.path)
             if match is None:
                 continue
             matched_path = True
-            if method != request.method:
-                continue
-            try:
-                await handler(request, writer, **match.groupdict())
-            except HttpError as exc:
-                await self._send_error(writer, exc)
-            except ServiceUnavailable as exc:
-                await self._send_error(writer, HttpError(
-                    503, "draining", str(exc)))
-            except UnknownJob as exc:
-                await self._send_error(writer, HttpError(
-                    404, "unknown_job", str(exc)))
-            except schemas.SchemaError as exc:
-                await self._send_error(writer, HttpError(
-                    400, "invalid_request", str(exc)))
-            except ConfigurationError as exc:
-                await self._send_error(writer, HttpError(
-                    400, "invalid_spec", str(exc)))
-            except (ConnectionError, asyncio.CancelledError):
-                raise
-            except ReproError as exc:
-                await self._send_error(writer, HttpError(
-                    500, "internal", str(exc)))
-            return
+            if route_method == method.upper():
+                return handler(parse_qs(parts.query), body,
+                               **match.groupdict())
         if matched_path:
-            await self._send_error(writer, HttpError(
-                405, "method_not_allowed",
-                f"{request.method} is not supported on {request.path}"))
-        else:
-            await self._send_error(writer, HttpError(
-                404, "not_found", f"no such endpoint: {request.path}"))
-
-    # -- response helpers --------------------------------------------------
-    async def _send(self, writer: asyncio.StreamWriter, status: int,
-                    payload: bytes, content_type: str) -> None:
-        reason = _REASONS.get(status, "Unknown")
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + payload)
-        await writer.drain()
-
-    async def _send_json(self, writer: asyncio.StreamWriter,
-                         status: int, obj: Any) -> None:
-        payload = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
-        await self._send(writer, status, payload, "application/json")
-
-    async def _send_error(self, writer: asyncio.StreamWriter,
-                          exc: HttpError) -> None:
-        await self._send_json(writer, exc.status, {
-            "error": {"code": exc.code, "message": str(exc)},
-        })
+            raise HttpError(405, "method_not_allowed",
+                            f"{method} is not supported on {parts.path}")
+        raise HttpError(404, "not_found", f"no such endpoint: {parts.path}")
 
     # -- handlers ----------------------------------------------------------
-    async def _r_index(self, request: Request,
-                       writer: asyncio.StreamWriter) -> None:
-        await self._send_json(writer, 200, {
+    def _r_index(self, query: Query, body: bytes) -> Response:
+        return _json(200, {
             "service": "repro.sweep",
             "description": "sweep-as-a-service job API over the "
                            "content-addressed result store",
@@ -394,75 +387,53 @@ class SweepService:
             },
         })
 
-    async def _r_health(self, request: Request,
-                        writer: asyncio.StreamWriter) -> None:
-        await self._send_json(writer, 200, {
+    def _r_health(self, query: Query, body: bytes) -> Response:
+        return _json(200, {
             "status": "ok",
             "jobs": len(self.manager.jobs),
             "records": len(self.manager.store),
             "draining": self._shutting_down,
         })
 
-    async def _r_submit(self, request: Request,
-                        writer: asyncio.StreamWriter) -> None:
-        body = request.json()
-        schemas.validate(body, schemas.SUBMIT_SCHEMA)
-        job, disposition = self.manager.submit(body)
+    def _r_submit(self, query: Query, body: bytes) -> Response:
+        request = _parse_json(body)
+        schemas.validate(request, schemas.SUBMIT_SCHEMA)
+        job, disposition = self.manager.submit(request)
         status = 201 if disposition == "created" else 200
         self.say(f"service: job {job.job_id} {disposition} "
                  f"({job.spec.name!r}, {job.n_points} points)")
-        await self._send_json(writer, status, {
+        return _json(status, {
             "job_id": job.job_id,
             "disposition": disposition,
             "job": job.status(),
         })
 
-    async def _r_jobs(self, request: Request,
-                      writer: asyncio.StreamWriter) -> None:
-        await self._send_json(writer, 200, {
+    def _r_jobs(self, query: Query, body: bytes) -> Response:
+        return _json(200, {
             "jobs": [job.status() for job in self.manager.list_jobs()],
         })
 
-    async def _r_job(self, request: Request, writer: asyncio.StreamWriter,
-                     job_id: str) -> None:
-        job = self.manager.get(job_id)
-        await self._send_json(writer, 200, job.status())
+    def _r_job(self, query: Query, body: bytes, job_id: str) -> Response:
+        return _json(200, self.manager.get(job_id).status())
 
-    async def _r_cancel(self, request: Request,
-                        writer: asyncio.StreamWriter, job_id: str) -> None:
-        body = request.json()
-        schemas.validate(body, schemas.CANCEL_SCHEMA)
+    def _r_cancel(self, query: Query, body: bytes, job_id: str) -> Response:
+        schemas.validate(_parse_json(body), schemas.CANCEL_SCHEMA)
         outcome = self.manager.cancel(job_id)
-        status = 200 if outcome["cancelled"] else 409
-        await self._send_json(writer, status, outcome)
+        return _json(200 if outcome["cancelled"] else 409, outcome)
 
-    async def _r_events(self, request: Request,
-                        writer: asyncio.StreamWriter, job_id: str) -> None:
-        job = self.manager.get(job_id)
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: text/event-stream\r\n"
-            "Cache-Control: no-cache\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1"))
-        await writer.drain()
-        stream = job.broadcaster.subscribe()
-        try:
-            async for event in stream:
-                writer.write(format_sse(event))
-                await writer.drain()
-                if is_terminal(event[1]):
-                    break
-        finally:
-            # Deterministic unsubscription: run the generator's cleanup now
-            # instead of whenever the GC finds it.
-            await stream.aclose()
+    def _r_events(self, query: Query, body: bytes, job_id: str) -> Response:
+        return 200, self._sse(self.manager.get(job_id)), "text/event-stream"
 
-    async def _r_report(self, request: Request,
-                        writer: asyncio.StreamWriter, job_id: str) -> None:
+    @staticmethod
+    def _sse(job: Job) -> Iterator[bytes]:
+        for event in job.broadcaster.subscribe():
+            yield format_sse(event)
+            if is_terminal(event[1]):
+                return
+
+    def _r_report(self, query: Query, body: bytes, job_id: str) -> Response:
         job = self.manager.get(job_id)
-        fmt = request.param("format", "md")
+        fmt = _param(query, "format", "md")
         if fmt not in ("md", "csv"):
             raise HttpError(400, "invalid_request",
                             f"format must be 'md' or 'csv', got {fmt!r}")
@@ -470,32 +441,27 @@ class SweepService:
         rows = rows_from_records(records, where=f"<job {job_id}>")
         tables = build_tables(rows)
         if fmt == "csv":
-            slug = request.param("table")
+            slug = _param(query, "table")
+            slugs = sorted(table.slug for table in tables)
             if slug is None:
-                slugs = sorted(table.slug for table in tables)
                 raise HttpError(400, "invalid_request",
                                 f"format=csv needs &table=<slug>; "
                                 f"available: {slugs}")
             for table in tables:
                 if table.slug == slug:
-                    await self._send(writer, 200,
-                                     table.to_csv_text().encode("utf-8"),
-                                     "text/csv; charset=utf-8")
-                    return
+                    return (200, table.to_csv_text().encode("utf-8"),
+                            "text/csv; charset=utf-8")
             raise HttpError(404, "unknown_table",
-                            f"no table {slug!r}; available: "
-                            f"{sorted(t.slug for t in tables)}")
+                            f"no table {slug!r}; available: {slugs}")
         markdown = render_markdown(tables, meta={
             "job": job_id,
             "state": job.state,
             "records": f"{len(records)}/{job.n_points or len(records)}",
         })
-        await self._send(writer, 200, markdown.encode("utf-8"),
-                         "text/markdown; charset=utf-8")
+        return 200, markdown.encode("utf-8"), "text/markdown; charset=utf-8"
 
-    async def _r_job_results(self, request: Request,
-                             writer: asyncio.StreamWriter,
-                             job_id: str) -> None:
+    def _r_job_results(self, query: Query, body: bytes,
+                       job_id: str) -> Response:
         job = self.manager.get(job_id)
         if job.state != "done":
             raise HttpError(409, "job_not_done",
@@ -510,11 +476,9 @@ class SweepService:
         # Exactly the concatenated GET /results/<key> bodies: one fetch
         # carries a whole shard, and the client splits and validates it
         # line by line.
-        await self._send(writer, 200, "".join(lines).encode("utf-8"),
-                         "application/x-ndjson")
+        return 200, "".join(lines).encode("utf-8"), "application/x-ndjson"
 
-    async def _r_result(self, request: Request,
-                        writer: asyncio.StreamWriter, key: str) -> None:
+    def _r_result(self, query: Query, body: bytes, key: str) -> Response:
         record = self.manager.store.read_record(key)
         if record is None:
             raise HttpError(404, "unknown_result",
@@ -523,10 +487,9 @@ class SweepService:
         # newline, so clients can reconstruct (and cmp) store files from
         # the API alone.
         payload = (canonical_json(record) + "\n").encode("utf-8")
-        await self._send(writer, 200, payload, "application/json")
+        return 200, payload, "application/json"
 
-    async def _r_steering(self, request: Request,
-                          writer: asyncio.StreamWriter) -> None:
+    def _r_steering(self, query: Query, body: bytes) -> Response:
         policies = []
         for name in sorted(STEERING_REGISTRY):
             policy = STEERING_REGISTRY[name]
@@ -537,10 +500,9 @@ class SweepService:
                 "needs_retire": bool(policy.needs_retire),
                 "description": doc[0] if doc else "",
             })
-        await self._send_json(writer, 200, {"steering_policies": policies})
+        return _json(200, {"steering_policies": policies})
 
-    async def _r_mixes(self, request: Request,
-                       writer: asyncio.StreamWriter) -> None:
+    def _r_mixes(self, query: Query, body: bytes) -> Response:
         mixes = []
         for name in sorted(MIX_REGISTRY):
             mix = MIX_REGISTRY[name]
@@ -560,12 +522,12 @@ class SweepService:
                 "l2_miss_rate": mix.l2_miss_rate,
                 "n_arch_regs": mix.n_arch_regs,
             })
-        await self._send_json(writer, 200, {"mixes": mixes})
+        return _json(200, {"mixes": mixes})
 
 
 class ServiceThread:
     """Run a :class:`SweepService` on a background thread (tests, CI,
-    embedders).  ``start()`` blocks until the port is bound; ``stop()``
+    embedders).  ``start()`` returns once the port is bound; ``stop()``
     performs the graceful (or cancelling) shutdown and joins."""
 
     def __init__(self, store_path: str, host: str = "127.0.0.1",
@@ -575,61 +537,24 @@ class ServiceThread:
         self.service: Optional[SweepService] = None
         self.host = host
         self.port: Optional[int] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
         self._thread: Optional[threading.Thread] = None
 
-    def start(self, timeout: float = 10.0) -> "ServiceThread":
+    def start(self) -> "ServiceThread":
+        self.service = SweepService(**self._kwargs)
+        self.service.start()
+        self.port = self.service.port
         self._thread = threading.Thread(
-            target=self._thread_main, name="sweep-service", daemon=True
+            target=self.service.serve_forever, name="sweep-service",
+            daemon=True,
         )
         self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("service thread did not start in time")
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"service failed to start: {self._startup_error}"
-            ) from self._startup_error
         return self
 
-    def _thread_main(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # pragma: no cover - surfaced by start
-            if not self._ready.is_set():
-                self._startup_error = exc
-                self._ready.set()
-
-    async def _amain(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self.service = SweepService(**self._kwargs)
-        try:
-            await self.service.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
+    def stop(self, drain: bool = True) -> None:
+        if self._thread is None or self.service is None:
             return
-        self.port = self.service.port
-        self._ready.set()
-        await self.service.serve_forever()
-
-    def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
-        if self._thread is None or self._loop is None or self.service is None:
-            return
-        if self._thread.is_alive():
-            service = self.service
-
-            def _begin_shutdown() -> None:
-                asyncio.ensure_future(service.shutdown(drain))
-
-            try:
-                self._loop.call_soon_threadsafe(_begin_shutdown)
-            except RuntimeError:  # loop already closed
-                pass
-        self._thread.join(timeout)
-        if self._thread.is_alive():  # pragma: no cover - drain wedged
-            raise RuntimeError("service thread did not stop in time")
+        self.service.shutdown(drain)
+        self._thread.join()
         self._thread = None
 
     @property
@@ -640,8 +565,6 @@ class ServiceThread:
 __all__ = [
     "HttpError",
     "MAX_BODY_BYTES",
-    "MAX_HEAD_BYTES",
-    "Request",
     "ServiceThread",
     "SweepService",
 ]

@@ -191,6 +191,11 @@ class SweepSpec:
     def __post_init__(self) -> None:
         # Normalise sequences (callers pass lists; JSON specs always do),
         # rejecting malformed fields here so a bad spec fails at load time.
+        if not isinstance(self.name, str):
+            raise ConfigurationError(
+                f"SweepSpec.name must be a string, "
+                f"got {type(self.name).__name__}"
+            )
         for axis_name, element in _AXES:
             values = _axis(axis_name, getattr(self, axis_name), element)
             if not values:
@@ -235,6 +240,11 @@ class SweepSpec:
                 raise ConfigurationError(
                     f"SweepSpec: override axis {path!r} has no values"
                 )
+        # Every path must name a config field: set each override's first
+        # value on a throwaway tree, under the rules expand() applies.
+        tree = self._base_tree()
+        for path, values in self.overrides:
+            _set_path(tree, path, values[0])
 
     # -- serialization ----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -284,21 +294,26 @@ class SweepSpec:
             total *= len(values)
         return total
 
+    def _base_tree(self) -> Dict[str, Any]:
+        """The default config as a dict, with ``base`` applied."""
+        tree = ProcessorConfig().to_dict()
+        # ``to_dict`` omits an all-default energy block (the digest-stability
+        # rule), but dotted override paths like ``energy.enabled`` can only
+        # address existing keys — seed the defaults so energy sweeps work.
+        # Points that leave the block at its defaults serialize without it,
+        # so non-energy grids keep their pre-energy content-hash keys.
+        tree.setdefault("energy", EnergyConfig().to_dict())
+        for path, value in self.base:
+            _set_path(tree, path, value)
+        return tree
+
     def expand(self) -> List[ExperimentPoint]:
         """Materialise the grid, in deterministic (declaration) order.
 
         Each distinct machine config is built once and shared by every
         point that runs it (all mixes and seeds), so its memoized digest
         is computed once too."""
-        base_tree = ProcessorConfig().to_dict()
-        # ``to_dict`` omits an all-default energy block (the digest-stability
-        # rule), but dotted override paths like ``energy.enabled`` can only
-        # address existing keys — seed the defaults so energy sweeps work.
-        # Points that leave the block at its defaults serialize without it,
-        # so non-energy grids keep their pre-energy content-hash keys.
-        base_tree.setdefault("energy", EnergyConfig().to_dict())
-        for path, value in self.base:
-            _set_path(base_tree, path, value)
+        base_tree = self._base_tree()
         override_paths = [path for path, _values in self.overrides]
         override_axes = [values for _path, values in self.overrides]
         # Override values need not be hashable, so a config is keyed by

@@ -49,7 +49,11 @@ worker started it (time spent waiting in the pipe, behind the points
 before it in its chunk, never counts).  A dead or overdue worker alone is
 killed, joined and replaced; the unstarted points of its chunks are sent
 again uncharged, and no other worker or point is touched.  A point that
-never started is never charged.  The final permitted attempt runs
+never started is never charged; so that workers that die before they
+start any point cannot be replaced forever, ``max_attempts`` replacements
+in a row with no outcome between them (no point finished, failed or
+charged) end the sweep with :class:`WorkerDied`, after the store is
+committed.  The final permitted attempt runs
 in-process as graceful degradation so a pathological worker cannot
 starve a point.  A point that exhausts its
 attempts becomes a :class:`FailureRecord` in :class:`SweepSummary` —
@@ -350,7 +354,9 @@ class _PointTask:
 
 class WorkerDied(ReproError):
     """A worker process exited while it ran a point (killed, crashed, or
-    ``os._exit``); the point is charged one attempt."""
+    ``os._exit``); the point is charged one attempt.  Raised out of
+    :func:`run_sweep` when workers keep exiting before they start any
+    point."""
 
 
 class _Slot:
@@ -498,6 +504,8 @@ class _FrontierExecutor:
         self.failures: Dict[str, FailureRecord] = {}
         self.n_discarded = 0
         self.committed_at = time.monotonic()
+        #: Worker replacements since the last settled attempt.
+        self.barren_replacements = 0
 
     @property
     def n_flushed(self) -> int:
@@ -620,6 +628,7 @@ class _FrontierExecutor:
         ``(record, elapsed)`` pair, which joins ``finished``, or the
         exception that failed it after ``spent`` seconds."""
         task.attempts += 1
+        self.barren_replacements = 0
         if isinstance(outcome, BaseException):
             task.elapsed += spent
             self._on_error(task, outcome, requeue)
@@ -713,7 +722,10 @@ class _FrontierExecutor:
         place.  An overdue worker's point is charged only if it is still
         the overdue one: a point that finished just before the kill is
         settled by its own outcome, and the next one, just started, goes
-        back uncharged."""
+        back uncharged.  Raises :class:`WorkerDied` instead of starting
+        the new worker once ``max_attempts`` replacements in a row have
+        settled nothing."""
+        self.barren_replacements += 1
         worker = self.workers[n]
         code = worker.process.exitcode
         worker.process.kill()
@@ -734,6 +746,10 @@ class _FrontierExecutor:
                          now - started)
         for task in worker.jobs:
             heapq.heappush(ready, (task.index, task))
+        if self.barren_replacements >= self.policy.max_attempts:
+            raise WorkerDied(
+                f"{self.barren_replacements} worker replacements in a row "
+                f"settled no point (last: {exc})")
         self.say(f"  worker replaced ({type(exc).__name__}: {exc})")
         self.workers[n] = _Worker()
 

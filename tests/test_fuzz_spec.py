@@ -200,6 +200,28 @@ def test_booleans_in_integer_fields_are_rejected(seed):
         assert outcome(through_parser, spec) == "rejected", (path, flag)
 
 
+@pytest.mark.parametrize("patch, message", [
+    ({"overrides": {"a": [1]}}, "'a' is not a field of ProcessorConfig"),
+    ({"overrides": {"bus.width": [1, 2]}}, "'width' is not a field of bus"),
+    ({"overrides": {"bus.hop_latency.x": [1]}}, "not a field of bus.hop_latency"),
+    ({"base": {"nope": 1}}, "'nope' is not a field of ProcessorConfig"),
+    ({"base": {"energy..fu": 1}}, "'' is not a field of energy"),
+    ({"base": {"bus": {"x": 1}}}, "'hop_latency' is not a field of bus"),
+    ({"name": None}, "SweepSpec.name must be a string, got NoneType"),
+    ({"name": 10 ** 4000}, "SweepSpec.name must be a string, got int"),
+    ({"name": {"a": 1}}, "SweepSpec.name must be a string, got dict"),
+    ({"name": json.loads("[" * 900 + "]" * 900)},
+     "SweepSpec.name must be a string, got list"),
+])
+def test_bad_paths_and_names_are_rejected_when_the_spec_is_built(patch,
+                                                                  message):
+    # Regression: these specs were accepted by from_dict, and a path that
+    # names no config field failed only when the grid was expanded.
+    with pytest.raises(ConfigurationError) as err:
+        SweepSpec.from_dict(dict(BASE, **patch))
+    assert message in str(err.value)
+
+
 @pytest.mark.parametrize("data", [
     b"\xff\xfe{}",
     b'{"name": "caf\xe9"}',

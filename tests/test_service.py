@@ -363,6 +363,28 @@ class TestBodyFuzz:
                                                                body)))
         assert (status, error["code"]) == (400, "bad_json")
 
+    @pytest.mark.parametrize("spec_patch, options, code", [
+        ({"overrides": {"a": [1]}}, {}, "invalid_spec"),
+        ({"base": {"bus.width": 2}}, {}, "invalid_spec"),
+        ({"name": None}, {}, "invalid_spec"),
+        ({"name": {"a": 1}}, {}, "invalid_spec"),
+        ({}, {"timeout_s": float("nan")}, "invalid_request"),
+        ({}, {"timeout_s": 10 ** 400}, "invalid_request"),
+        ({}, {"backoff_s": float("inf")}, "invalid_request"),
+    ], ids=["override-path", "base-path", "name-null", "name-object",
+            "timeout-nan", "timeout-huge", "backoff-inf"])
+    def test_spec_and_option_checks_answer_400(self, service, spec_patch,
+                                               options, code):
+        # Regression: each of these was accepted with 201 created, or 200
+        # where it deduped onto a job already made.
+        svc, client = service
+        body = {"spec": {**spec_dict(), **spec_patch}, "workers": 1,
+                **options}
+        status, error = raw_status_and_error(raw_http(svc, post(
+            "/jobs", json.dumps(body).encode())))
+        assert (status, error["code"]) == (400, code)
+        assert client.jobs() == []
+
 
 class TestDedupAndResubmission:
     def test_duplicate_spec_dedupes_onto_active_job(self, service):

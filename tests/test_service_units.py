@@ -1,12 +1,13 @@
 """Unit tests for the service's building blocks: schemas and events.
 
 No HTTP here — these exercise the request-schema validator and the SSE
-event broadcaster directly, on a locally-driven event loop.
+event broadcaster directly, with subscribers on plain threads.
 """
 
-import asyncio
 import json
+import sys
 import threading
+import time
 
 import pytest
 
@@ -93,6 +94,28 @@ class TestValidate:
         with pytest.raises(SchemaError):
             validate({"force": True}, CANCEL_SCHEMA)
 
+    @pytest.mark.parametrize("key", ["timeout_s", "backoff_s"])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf")])
+    def test_number_must_be_finite(self, key, value):
+        # Regression: NaN passed every bound (each comparison is false)
+        # and Infinity met the minimum with no maximum to stop it.
+        with pytest.raises(SchemaError) as err:
+            validate({"spec": {}, key: value}, SUBMIT_SCHEMA)
+        assert err.value.path == f"body.{key}"
+        assert "must be a finite number" in str(err.value)
+
+    @pytest.mark.parametrize("key, too_big", [
+        ("timeout_s", 10 ** 400), ("timeout_s", 86_400.5),
+        ("backoff_s", 10 ** 400), ("backoff_s", 3_601),
+    ])
+    def test_timeout_and_backoff_have_a_finite_maximum(self, key, too_big):
+        with pytest.raises(SchemaError) as err:
+            validate({"spec": {}, key: too_big}, SUBMIT_SCHEMA)
+        assert "must be <=" in str(err.value)
+        validate({"spec": {}, key: SUBMIT_SCHEMA["properties"][key][
+            "maximum"]}, SUBMIT_SCHEMA)
+
 
 class TestFormatSSE:
     def test_wire_format(self):
@@ -112,151 +135,188 @@ class TestFormatSSE:
         assert not is_terminal("point") and not is_terminal("table")
 
 
-def drive(coro):
-    """Run a coroutine on a fresh event loop (3.9-safe)."""
-    return asyncio.new_event_loop().run_until_complete(coro)
+class Subscriber(threading.Thread):
+    """Collects one subscription's events on its own thread."""
+
+    def __init__(self, broadcaster):
+        super().__init__(daemon=True)
+        self.stream = broadcaster.subscribe()
+        self.events = []
+
+    def run(self):
+        for event in self.stream:
+            self.events.append(event)
+
+    def result(self, timeout=5):
+        self.join(timeout)
+        assert not self.is_alive(), "subscriber still blocked"
+        return self.events
 
 
-async def collect(broadcaster, limit=None):
-    events = []
-    stream = broadcaster.subscribe()
-    try:
-        async for event in stream:
-            events.append(event)
-            if limit is not None and len(events) >= limit:
-                break
-    finally:
-        await stream.aclose()
-    return events
+def collect(broadcaster):
+    """Every event of a closed (or reset) run, on this thread."""
+    return list(broadcaster.subscribe())
+
+
+def wait_until_blocked(subscriber, n_events=0, timeout=5):
+    """Let ``subscriber`` read ``n_events`` and block for the next one."""
+    deadline = time.monotonic() + timeout
+    while len(subscriber.events) < n_events:
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+    time.sleep(0.05)
 
 
 class TestEventBroadcaster:
     def test_replay_then_live_with_monotonic_ids(self):
-        async def scenario():
-            broadcaster = EventBroadcaster(asyncio.get_running_loop())
-            broadcaster.publish("queued", {"n": 1})
-            broadcaster.publish("running", {"n": 2})
-            await asyncio.sleep(0)  # let call_soon_threadsafe land
-
-            late = asyncio.ensure_future(collect(broadcaster))
-            await asyncio.sleep(0)
-            broadcaster.publish("point", {"n": 3})
-            broadcaster.publish("done", {"n": 4})
-            broadcaster.close()
-            return await late
-
-        events = drive(scenario())
-        assert [(eid, name) for eid, name, _d in events] == [
+        broadcaster = EventBroadcaster()
+        broadcaster.publish("queued", {"n": 1})
+        broadcaster.publish("running", {"n": 2})
+        late = Subscriber(broadcaster)
+        late.start()
+        wait_until_blocked(late, 2)
+        broadcaster.publish("point", {"n": 3})
+        broadcaster.publish("done", {"n": 4})
+        broadcaster.close()
+        assert [(eid, name) for eid, name, _d in late.result()] == [
             (1, "queued"), (2, "running"), (3, "point"), (4, "done"),
         ]
 
     def test_subscriber_after_close_gets_full_history(self):
-        async def scenario():
-            broadcaster = EventBroadcaster(asyncio.get_running_loop())
-            broadcaster.publish("queued", {})
-            broadcaster.publish("done", {})
-            broadcaster.close()
-            await asyncio.sleep(0)
-            assert broadcaster.closed
-            return await collect(broadcaster)
-
-        events = drive(scenario())
+        broadcaster = EventBroadcaster()
+        broadcaster.publish("queued", {})
+        broadcaster.publish("done", {})
+        broadcaster.close()
+        assert broadcaster.closed
+        events = collect(broadcaster)
         assert [name for _eid, name, _d in events] == ["queued", "done"]
 
     def test_publish_after_close_is_dropped(self):
-        async def scenario():
-            broadcaster = EventBroadcaster(asyncio.get_running_loop())
-            broadcaster.publish("done", {})
-            broadcaster.close()
-            broadcaster.publish("straggler", {})
-            await asyncio.sleep(0)
-            return broadcaster.history()
-
-        history = drive(scenario())
+        broadcaster = EventBroadcaster()
+        broadcaster.publish("done", {})
+        broadcaster.close()
+        broadcaster.publish("straggler", {})
+        history = broadcaster.history()
         assert [name for _eid, name, _d in history] == ["done"]
 
     def test_reset_clears_history_but_ids_keep_increasing(self):
-        async def scenario():
-            broadcaster = EventBroadcaster(asyncio.get_running_loop())
-            broadcaster.publish("queued", {})
-            broadcaster.publish("done", {})
-            broadcaster.close()
-            broadcaster.reset()
-            broadcaster.publish("queued", {"run": 2})
-            await asyncio.sleep(0)
-            return broadcaster.history()
-
-        history = drive(scenario())
+        broadcaster = EventBroadcaster()
+        broadcaster.publish("queued", {})
+        broadcaster.publish("done", {})
+        broadcaster.close()
+        broadcaster.reset()
+        broadcaster.publish("queued", {"run": 2})
+        history = broadcaster.history()
         assert [(eid, name) for eid, name, _d in history] == [(3, "queued")]
 
     def test_reset_releases_stuck_subscribers(self):
-        async def scenario():
-            broadcaster = EventBroadcaster(asyncio.get_running_loop())
-            broadcaster.publish("queued", {})
-            await asyncio.sleep(0)
-            subscriber = asyncio.ensure_future(collect(broadcaster))
-            await asyncio.sleep(0)
-            broadcaster.reset()  # no close() first: reset must release
-            return await asyncio.wait_for(subscriber, 5)
-
-        events = drive(scenario())
+        broadcaster = EventBroadcaster()
+        broadcaster.publish("queued", {})
+        subscriber = Subscriber(broadcaster)
+        subscriber.start()
+        wait_until_blocked(subscriber, 1)
+        broadcaster.reset()  # no close() first: reset must release
+        events = subscriber.result()
         assert [name for _eid, name, _d in events] == ["queued"]
 
     def test_slow_subscriber_does_not_block_publisher_or_peers(self):
-        async def scenario():
-            broadcaster = EventBroadcaster(asyncio.get_running_loop())
-            slow = broadcaster.subscribe()
-            fast = asyncio.ensure_future(collect(broadcaster))
-            await asyncio.sleep(0)
-            for n in range(50):
-                broadcaster.publish("point", {"n": n})
-            broadcaster.publish("done", {})
-            broadcaster.close()
-            events = await asyncio.wait_for(fast, 5)
-            # the slow subscriber never consumed anything — queues are
-            # per-subscriber and unbounded, so nobody waited on it
-            await slow.aclose()
-            return events
-
-        events = drive(scenario())
-        assert len(events) == 51
+        broadcaster = EventBroadcaster()
+        broadcaster.publish("queued", {})
+        slow = broadcaster.subscribe()
+        assert next(slow)[1] == "queued"
+        fast = Subscriber(broadcaster)
+        fast.start()
+        for n in range(50):
+            broadcaster.publish("point", {"n": n})
+        broadcaster.publish("done", {})
+        broadcaster.close()
+        events = fast.result()
+        # the slow subscriber read one event and then nothing — each
+        # subscriber has its own cursor, so nobody waited on it
+        assert len(events) == 52
         assert events[-1][1] == "done"
+        assert len(list(slow)) == 51
 
     def test_history_overflow_yields_truncated_marker(self):
-        async def scenario():
-            broadcaster = EventBroadcaster(asyncio.get_running_loop())
-            extra = 5
-            for n in range(MAX_EVENT_HISTORY + extra):
-                broadcaster._publish_on_loop("point", {"n": n})
-            broadcaster._close_on_loop()
-            events = await collect(broadcaster)
-            return extra, events
-
-        extra, events = drive(scenario())
+        broadcaster = EventBroadcaster()
+        extra = 5
+        for n in range(MAX_EVENT_HISTORY + extra):
+            broadcaster.publish("point", {"n": n})
+        broadcaster.close()
+        events = collect(broadcaster)
         assert events[0][1] == "truncated"
         assert events[0][2] == {"dropped_events": extra}
         assert len(events) == MAX_EVENT_HISTORY + 1  # marker + retained
 
+    def test_subscriber_overtaken_by_the_history_bound_is_told(self):
+        broadcaster = EventBroadcaster()
+        broadcaster.publish("queued", {})
+        behind = broadcaster.subscribe()
+        assert next(behind)[1] == "queued"
+        extra = 3
+        for n in range(MAX_EVENT_HISTORY + extra):
+            broadcaster.publish("point", {"n": n})
+        broadcaster.close()
+        events = list(behind)
+        # "queued" plus the first `extra` points fell out of the history;
+        # "queued" was read, so the marker names the points alone
+        assert events[0] == (0, "truncated", {"dropped_events": extra})
+        assert events[1][2] == {"n": extra}
+        assert len(events) == MAX_EVENT_HISTORY + 1
+
+    def test_stress_concurrent_publishers_and_subscribers(self):
+        # More threads than cores and a tiny switch interval, so that a
+        # publish or a cursor step that is not atomic would lose, repeat or
+        # reorder an event.
+        n_publishers, n_events, n_subscribers = 8, 5000, 4
+        broadcaster = EventBroadcaster()
+        subscribers = [Subscriber(broadcaster) for _ in range(n_subscribers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for subscriber in subscribers:
+                subscriber.start()
+
+            def publish(source):
+                for n in range(n_events):
+                    broadcaster.publish("point", {"source": source, "n": n})
+
+            publishers = [threading.Thread(target=publish, args=(source,))
+                          for source in range(n_publishers)]
+            for thread in publishers:
+                thread.start()
+            for thread in publishers:
+                thread.join(30)
+                assert not thread.is_alive()
+            broadcaster.publish("done", {})
+            broadcaster.close()
+            streams = [subscriber.result(30) for subscriber in subscribers]
+        finally:
+            sys.setswitchinterval(interval)
+        total = n_publishers * n_events + 1
+        for events in streams:
+            assert [eid for eid, _name, _d in events] == \
+                list(range(1, total + 1))
+            for source in range(n_publishers):
+                assert [d["n"] for _eid, _name, d in events
+                        if d.get("source") == source] == list(range(n_events))
+        assert all(events == streams[0] for events in streams)
+
     def test_cross_thread_publish(self):
-        async def scenario():
-            loop = asyncio.get_running_loop()
-            broadcaster = EventBroadcaster(loop)
-            subscriber = asyncio.ensure_future(collect(broadcaster))
-            await asyncio.sleep(0)
+        broadcaster = EventBroadcaster()
+        subscriber = Subscriber(broadcaster)
+        subscriber.start()
 
-            def worker():
-                for n in range(10):
-                    broadcaster.publish("point", {"n": n})
-                broadcaster.publish("done", {})
-                broadcaster.close()
+        def worker():
+            for n in range(10):
+                broadcaster.publish("point", {"n": n})
+            broadcaster.publish("done", {})
+            broadcaster.close()
 
-            thread = threading.Thread(target=worker)
-            thread.start()
-            events = await asyncio.wait_for(subscriber, 10)
-            thread.join()
-            return events
-
-        events = drive(scenario())
+        thread = threading.Thread(target=worker)
+        thread.start()
+        events = subscriber.result(10)
+        thread.join()
         assert [d.get("n") for _eid, name, d in events if name == "point"] \
             == list(range(10))
         assert events[-1][1] == "done"

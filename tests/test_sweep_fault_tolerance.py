@@ -530,6 +530,41 @@ class TestRetryRecovery:
         assert not [m for m in messages if "in-process" in m]
         assert store_bytes(path) == ref
 
+    def test_workers_that_die_before_any_point_end_the_sweep(self, tmp_path):
+        # Every worker exits before it starts a point, so no point is ever
+        # charged.  The sweep must stop after max_attempts replacements in
+        # a row and raise WorkerDied instead of replacing workers forever.
+        # A subprocess with a timeout turns a regression into a failure,
+        # not a hung suite.
+        script = f"""
+import multiprocessing, os, sys
+from repro.exec import RetryPolicy
+from repro.sweep import runner
+from repro.sweep.grid import SweepSpec
+from repro.sweep.store import ResultStore
+runner._worker_main = lambda conn, slot: os._exit(3)
+spec = SweepSpec(name="ft", topologies=("ring", "conv"), cluster_counts=(2, 4),
+                 n_instructions=300, seeds=(7,))
+messages = []
+try:
+    runner.run_sweep(spec.expand(), ResultStore({str(tmp_path / "s.jsonl")!r}),
+                     workers=2, log=messages.append,
+                     policy=RetryPolicy(max_attempts=3, backoff_s=0.01))
+except runner.WorkerDied as exc:
+    print("raised:", exc)
+print("replaced:", sum("worker replaced" in m for m in messages))
+print("children:", len(multiprocessing.active_children()))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=_cli_env(), cwd=REPO_ROOT,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "raised: 3 worker replacements in a row settled no point " \
+            "(last: worker exited with code 3)" in proc.stdout
+        assert "replaced: 2" in proc.stdout
+        assert "children: 0" in proc.stdout
+
     def test_death_while_sending_is_charged(self, tmp_path, monkeypatch):
         # Every pool attempt of point 1 dies, as if killed, while pickling
         # its finished record.  Each death is charged, so the point reaches
