@@ -19,7 +19,9 @@ which point), while the HTTP server's request threads serve reads and
 streams to any number of clients.
 
 Progress flows out through the runner's ``on_point_done`` hook into each
-job's :class:`~repro.service.events.EventBroadcaster`; cancellation flows
+job's :class:`~repro.service.events.EventBroadcaster`; the ``table``
+events render report rows the job keeps as its points complete, so each
+record is parsed at most once per run.  Cancellation flows
 in through ``should_stop``, riding the runner's interrupt path (frontier
 flushed, partial prefix durable, resume-by-resubmission).  The manager's
 methods may be called from any thread; a lock guards the job table.
@@ -61,7 +63,7 @@ from repro.sweep.grid import (
     dedup_points,
     spec_digest,
 )
-from repro.sweep.report import relative_ipc_table, rows_from_records
+from repro.sweep.report import ResultRow, relative_ipc_table, rows_from_records
 from repro.sweep.runner import (
     SweepInterrupted,
     SweepSummary,
@@ -479,20 +481,20 @@ class JobManager:
             "ipc": (n_instr / cycles) if cycles else 0.0,
         }
 
-    def incremental_table_markdown(self, job: Job) -> str:
-        """The headline RING/CONV table over the job's completed points.
-
-        Rendered from the in-memory subset of the job's records present in
-        the store *right now* — this is what makes reports live while a
-        job runs (and what ``table`` SSE events carry).
-        """
-        records = []
-        for key in job.point_keys:
-            record = self.store.get(key)
-            if record is not None:
-                records.append(record)
-        rows = rows_from_records(records, where=f"<job {job.job_id}>")
-        return relative_ipc_table(rows).to_markdown()
+    @staticmethod
+    def _table_event(job: Job, rows: Dict[str, ResultRow]) -> Dict[str, Any]:
+        """A ``table`` event: the headline RING/CONV table over the job's
+        completed points, from ``rows`` (key -> report row, kept as points
+        complete), in job order — this is what makes reports live while a
+        job runs."""
+        table = relative_ipc_table(
+            [rows[key] for key in job.point_keys if key in rows])
+        return {
+            "job_id": job.job_id,
+            "n_done": job.n_done,
+            "n_points": job.n_points,
+            "markdown": table.to_markdown(),
+        }
 
     def job_records(self, job: Job) -> List[Dict[str, Any]]:
         """The job's completed records, expansion-ordered."""
@@ -551,6 +553,10 @@ class JobManager:
             "shard": dict(job.shard) if job.shard else None,
         })
 
+        # The job's report rows by key: each record is parsed once, the
+        # cached ones before the sweep and the rest as they complete.
+        rows: Dict[str, ResultRow] = {}
+        where = f"<job {job.job_id}>"
         flushed_since_table = 0
 
         def on_point_done(key: str, record: Dict[str, Any], index: int) -> None:
@@ -559,15 +565,11 @@ class JobManager:
             job.broadcaster.publish(
                 "point", self._point_event(job, key, record, index)
             )
+            rows[key] = rows_from_records([record], where)[0]
             flushed_since_table += 1
             if flushed_since_table >= self.table_every:
                 flushed_since_table = 0
-                job.broadcaster.publish("table", {
-                    "job_id": job.job_id,
-                    "n_done": job.n_done,
-                    "n_points": job.n_points,
-                    "markdown": self.incremental_table_markdown(job),
-                })
+                job.broadcaster.publish("table", self._table_event(job, rows))
 
         options = job.options
         policy = RetryPolicy(
@@ -576,6 +578,10 @@ class JobManager:
             timeout_s=options.get("timeout_s"),
         )
         try:
+            for key in job.point_keys:
+                record = self.store.get(key)
+                if record is not None:
+                    rows[key] = rows_from_records([record], where)[0]
             summary = run_sweep(
                 points,
                 self.store,
@@ -597,12 +603,7 @@ class JobManager:
             return
         # A final table event so late dashboards see the complete picture
         # even when n_points is not a multiple of table_every.
-        job.broadcaster.publish("table", {
-            "job_id": job.job_id,
-            "n_done": job.n_done,
-            "n_points": job.n_points,
-            "markdown": self.incremental_table_markdown(job),
-        })
+        job.broadcaster.publish("table", self._table_event(job, rows))
         if summary.failures:
             self._settle(
                 job, "failed", summary=summary,

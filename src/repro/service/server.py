@@ -19,7 +19,7 @@ Endpoints::
     GET  /jobs/<id>/events      SSE: queued/running/point/table/terminal
     GET  /jobs/<id>/report      incremental tables (?format=md|csv&table=)
     GET  /jobs/<id>/results     a done job's store lines, in job order
-    GET  /results/<key>         one store record, canonical JSON bytes
+    GET  /results/<key>         one store line, the bytes the store holds
     GET  /registry/steering     the steering-policy plugin registry
     GET  /registry/mixes        the workload-mix registry
 
@@ -48,7 +48,6 @@ from typing import (
 from urllib.parse import parse_qs, urlsplit
 
 from repro.common.errors import ConfigurationError, ReproError
-from repro.common.jsonutil import canonical_json
 from repro.engine.pipeline import resolve_kernel_variant
 from repro.service import schemas
 from repro.service.events import format_sse, is_terminal
@@ -468,26 +467,24 @@ class SweepService:
                             f"job {job_id} is {job.state!r}, not 'done'")
         lines = []
         for key in job.point_keys:
-            record = self.manager.store.read_record(key)
-            if record is None:
+            line = self.manager.store.line(key)
+            if line is None:
                 raise HttpError(409, "missing_result",
                                 f"job {job_id} has no record for {key!r}")
-            lines.append(canonical_json(record) + "\n")
+            lines.append(line)
         # Exactly the concatenated GET /results/<key> bodies: one fetch
         # carries a whole shard, and the client splits and validates it
         # line by line.
-        return 200, "".join(lines).encode("utf-8"), "application/x-ndjson"
+        return 200, b"".join(lines), "application/x-ndjson"
 
     def _r_result(self, query: Query, body: bytes, key: str) -> Response:
-        record = self.manager.store.read_record(key)
-        if record is None:
+        line = self.manager.store.line(key)
+        if line is None:
             raise HttpError(404, "unknown_result",
                             f"no result with key {key!r}")
-        # Byte-for-byte the store line: canonical JSON plus the trailing
-        # newline, so clients can reconstruct (and cmp) store files from
-        # the API alone.
-        payload = (canonical_json(record) + "\n").encode("utf-8")
-        return 200, payload, "application/json"
+        # Byte-for-byte the store line, trailing newline included, so
+        # clients can reconstruct (and cmp) store files from the API alone.
+        return 200, line, "application/json"
 
     def _r_steering(self, query: Query, body: bytes) -> Response:
         policies = []

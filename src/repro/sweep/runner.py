@@ -80,7 +80,8 @@ machine config reuses one generated trace for all its points); it affects
 wall-clock only, never results.  Under the ``native`` variant the
 orchestrator builds the C kernel (:func:`repro.engine.native.load`) before
 it starts any worker, so a sweep compiles it once and forked workers
-inherit it.
+inherit it.  The store's append descriptor is closed
+(:meth:`ResultStore.close`) before :func:`run_sweep` returns or raises.
 """
 
 from __future__ import annotations
@@ -520,7 +521,7 @@ class _FrontierExecutor:
                 self._run_inline()
         finally:
             self._stop_workers()
-            self.store.commit()
+            self.store.close()
             self.n_discarded = self.frontier.discard()
             if self.n_discarded:
                 self.say(

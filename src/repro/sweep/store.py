@@ -13,6 +13,23 @@ the point's content hash.  The format is deliberately dumb — canonical JSON
   bytes, so two fresh runs of one spec produce byte-identical stores — the
   property the determinism tests pin.
 
+A :class:`ResultStore` holds each live record once, as its store line: the
+exact bytes on disk, trailing newline included.  :meth:`~ResultStore.load`
+parses every line once to validate it and keeps only the bytes; a record
+read back (:meth:`~ResultStore.get`, :meth:`~ResultStore.records`) is
+parsed on demand into a fresh dict, and :meth:`~ResultStore.line` hands out
+the bytes themselves, which is what the service serves.  A parsed record
+costs about 7.5 times its line in memory, and the sweep service holds its
+whole store for its lifetime.
+
+Appends go through one ``O_APPEND`` file descriptor, opened at the first
+append and written with one ``os.write`` per line, so no userspace buffer
+holds a record (nor can a forked worker inherit one).  Each append first
+checks that the path still names the descriptor's file and reopens it when
+another process has replaced the file (:meth:`~ResultStore.compact`).
+:meth:`~ResultStore.commit` fsyncs it and :meth:`~ResultStore.close`
+closes it; the next append reopens it.
+
 Wall-clock timings never enter the store (they would break byte-identity);
 the runner reports them in its :class:`~repro.sweep.runner.SweepSummary`.
 """
@@ -28,25 +45,27 @@ from repro.common.errors import StoreConflictError, StoreError
 from repro.common.jsonutil import canonical_json
 
 
+def _line_of(record: Dict[str, Any]) -> bytes:
+    """``record``'s canonical store line, newline included."""
+    return (canonical_json(record) + "\n").encode("utf-8")
+
+
 class ResultStore:
     """A keyed, append-only store of sweep result records.
 
     Records are plain dicts with at least a ``"key"`` entry.  Appending an
-    existing key replaces the in-memory record (last-wins, matching what a
-    reload would see) and appends a new line; :meth:`compact` rewrites the
-    file with one line per live key.
+    existing key replaces the held line (last-wins, matching what a reload
+    would see) and appends a new line; :meth:`compact` rewrites the file
+    with one line per live key.
     """
 
     def __init__(self, path: str, load: bool = True) -> None:
         self.path = path
-        self._records: Dict[str, Dict[str, Any]] = {}
-        # key -> the record's serialized line (no newline), maintained by
-        # load/append/compact.  This is merge()'s conflict reference: an
-        # N-shard merge compares candidate bytes against this cache instead
-        # of re-serializing every overlapping existing record per shard, so
-        # a full fabric merge costs one serialization per *supplied* record
-        # — O(total records), not O(shards x store size).
-        self._lines: Dict[str, str] = {}
+        # key -> the record's line as it is in the file (newline included),
+        # in file order: the only form a record is held in.  It is also
+        # merge()'s conflict reference, so a merge serializes each
+        # *supplied* record once and never re-serializes a held one.
+        self._lines: Dict[str, bytes] = {}
         #: Bytes of truncated tail detected by the last load.
         self.recovered_bytes = 0
         #: Physical record lines in the file (appends included), which can
@@ -60,21 +79,33 @@ class ResultStore:
         # that writer's record in flight.
         self._repair_offset: Optional[int] = None
         # File size this object has accounted for (bytes read by the last
-        # load() plus bytes it appended itself).  read_record() compares it
+        # load() plus bytes it appended itself).  line() compares it
         # against the on-disk size to detect *other* writers cheaply — one
         # stat per miss instead of one full re-read per miss.
         self._seen_size = 0
+        # The append descriptor, opened by the first append after a load,
+        # compact or close.
+        self._fd: Optional[int] = None
+        # (st_dev, st_ino) of the file _fd is open on.
+        self._fd_id: Tuple[int, int] = (0, 0)
         # True while records appended by this object await commit().
         self._dirty = False
-        # Serializes load/append/compact/read_record across threads: the
-        # service appends from its job-runner thread while the event loop
-        # serves reads from the same object.  Cross-*process* readers are
+        # Serializes load/append/compact/line across threads: the service
+        # appends from its job-runner thread while request threads serve
+        # reads from the same object.  Cross-*process* readers are
         # protected by the append discipline instead (a record line is
-        # written and flushed in one call, and the trailing-newline rule
-        # makes a torn tail invisible to load()).
+        # written in one call, and the trailing-newline rule makes a torn
+        # tail invisible to load()).
         self._lock = threading.RLock()
         if load:
             self.load()
+
+    def __del__(self, _close=os.close) -> None:
+        # A store dropped without close() must not leak its descriptor
+        # (``_close`` is bound here: module globals may be gone at exit).
+        fd = getattr(self, "_fd", None)
+        if fd is not None:
+            _close(fd)
 
     # -- persistence ------------------------------------------------------
     def load(self) -> "ResultStore":
@@ -88,7 +119,10 @@ class ResultStore:
             return self._load_locked()
 
     def _load_locked(self) -> "ResultStore":
-        self._records = {}
+        # Commit and drop the append descriptor: the next append reopens
+        # the path, which may now name another file (a compaction by
+        # another process replaces it).
+        self.close()
         self._lines = {}
         self.recovered_bytes = 0
         self.physical_records = 0
@@ -136,14 +170,12 @@ class ResultStore:
                     "manual repair (a truncated *final* line would have been "
                     "recovered automatically)"
                 ) from None
-            self._records[record["key"]] = record
-            self._lines[record["key"]] = line.decode("utf-8")
+            self._lines[record["key"]] = line + b"\n"
             self.physical_records += 1
         return self
 
     def append(self, record: Dict[str, Any]) -> None:
-        """Write ``record`` (which must carry a ``"key"``) as one line and
-        flush it.
+        """Write ``record`` (which must carry a ``"key"``) as one line.
 
         The line is in the file when this returns: readers and a resumed
         run see it at once, and it survives a SIGKILL of this process.  It
@@ -157,38 +189,62 @@ class ResultStore:
                 f"result store {self.path!r}: record must have a non-empty "
                 f"string 'key', got {key!r}"
             )
-        self._append_line(key, record, canonical_json(record))
+        self._append_line(key, _line_of(record))
 
-    def _append_line(self, key: str, record: Dict[str, Any],
-                     line: str) -> None:
-        """Append a pre-serialized record (``line`` = its canonical JSON,
-        no newline) — merge() passes the line it already computed for the
+    def _append_line(self, key: str, line: bytes) -> None:
+        """Append a serialized record (``line`` = its canonical JSON and
+        newline) — merge() passes the line it already computed for the
         conflict scan, so a merged record is serialized exactly once."""
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
         with self._lock:
             if self._repair_offset is not None:
-                with open(self.path, "r+b") as fh:
-                    fh.truncate(self._repair_offset)
+                self.close()
+                os.truncate(self.path, self._repair_offset)
                 self._seen_size = self._repair_offset
                 self._repair_offset = None
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            if self._fd is not None and not self._fd_names_path():
+                # Another process replaced the file (compact): append to
+                # the file the path names now, not to the unlinked one.
+                self.close()
+            if self._fd is None:
+                parent = os.path.dirname(os.path.abspath(self.path))
+                os.makedirs(parent, exist_ok=True)
+                self._fd = os.open(
+                    self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                st = os.fstat(self._fd)
+                self._fd_id = (st.st_dev, st.st_ino)
+            view = memoryview(line)
+            while view:  # one write unless the kernel cuts it short
+                view = view[os.write(self._fd, view):]
             self._dirty = True
-            self._records[key] = record
             self._lines[key] = line
             self.physical_records += 1
-            self._seen_size += len(line.encode("utf-8")) + 1
+            self._seen_size += len(line)
+
+    def _fd_names_path(self) -> bool:
+        """Whether the path still names the file the descriptor is open on
+        (one ``stat`` per append)."""
+        try:
+            st = os.stat(self.path)
+        except FileNotFoundError:
+            return False
+        return (st.st_dev, st.st_ino) == self._fd_id
 
     def commit(self) -> None:
         """fsync every record this object appended since the last commit;
         a no-op when there is none."""
         with self._lock:
-            if not self._dirty:
-                return
-            with open(self.path, "ab") as fh:
-                os.fsync(fh.fileno())
-            self._dirty = False
+            if self._dirty:
+                os.fsync(self._fd)
+                self._dirty = False
+
+    def close(self) -> None:
+        """:meth:`commit`, then close the append descriptor.  The store
+        stays usable: the next append opens it again."""
+        with self._lock:
+            self.commit()
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
 
     def merge(self, records: Iterable[Dict[str, Any]]) -> int:
         """Fold shard records in; returns how many were newly appended.
@@ -213,9 +269,9 @@ class ResultStore:
         visible at once, and the whole batch is fsynced by one
         :meth:`commit` before this returns.
         """
-        batch: List[Tuple[str, Dict[str, Any], str]] = []
+        batch: List[Tuple[str, bytes]] = []
         with self._lock:
-            staged: Dict[str, str] = {}
+            staged: Dict[str, bytes] = {}
             for record in records:
                 key = record.get("key")
                 if not isinstance(key, str) or not key:
@@ -223,7 +279,7 @@ class ResultStore:
                         f"result store {self.path!r}: merge record must have "
                         f"a non-empty string 'key', got {key!r}"
                     )
-                line = canonical_json(record)
+                line = _line_of(record)
                 against = self._lines.get(key)
                 if against is None:
                     against = staged.get(key)
@@ -237,14 +293,14 @@ class ResultStore:
                         )
                     continue
                 staged[key] = line
-                batch.append((key, record, line))
-            for key, record, line in batch:
-                self._append_line(key, record, line)
+                batch.append((key, line))
+            for key, line in batch:
+                self._append_line(key, line)
             self.commit()
         return len(batch)
 
     def compact(self) -> int:
-        """Rewrite the file with exactly one line per live key.
+        """Rewrite the file with exactly one canonical line per live key.
 
         The live view is *last-wins*: when a key was appended more than
         once (``force=True`` re-runs), the latest record is the one a
@@ -252,29 +308,28 @@ class ResultStore:
         number of shadowed duplicate lines dropped from the file.
         """
         with self._lock:
-            dropped = self.physical_records - len(self._records)
+            dropped = self.physical_records - len(self._lines)
+            lines = {key: _line_of(json.loads(line))
+                     for key, line in self._lines.items()}
             tmp = self.path + ".tmp"
-            written = 0
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for key, record in self._records.items():
-                    line = canonical_json(record)
-                    self._lines[key] = line
-                    fh.write(line + "\n")
-                    written += len(line.encode("utf-8")) + 1
+            with open(tmp, "wb") as fh:
+                fh.writelines(lines.values())
                 fh.flush()
                 os.fsync(fh.fileno())
+            # The descriptor names the file being replaced; the next append
+            # opens the new one.
+            self.close()
             os.replace(tmp, self.path)
+            self._lines = lines
             self._repair_offset = None
-            self._dirty = False
-            self.physical_records = len(self._records)
-            self._seen_size = written
+            self.physical_records = len(lines)
+            self._seen_size = sum(map(len, lines.values()))
             return dropped
 
     # -- queries ----------------------------------------------------------
-    def read_record(
-        self, key: str, default: Optional[Dict[str, Any]] = None
-    ) -> Optional[Dict[str, Any]]:
-        """Point lookup that sees records appended by *other* writers.
+    def line(self, key: str) -> Optional[bytes]:
+        """``key``'s store line, exactly as in the file (newline included),
+        or ``None``; sees records appended by *other* writers.
 
         :meth:`get` consults only this object's in-memory view; a reader
         following a store that another process is appending to (the
@@ -291,32 +346,45 @@ class ResultStore:
         deferred to :meth:`append`, which only the owning writer calls).
         """
         with self._lock:
-            hit = self._records.get(key)
+            hit = self._lines.get(key)
             if hit is not None:
                 return hit
             try:
                 size = os.path.getsize(self.path)
             except OSError:
-                return default
+                return None
             if size != self._seen_size:
                 self._load_locked()
-            return self._records.get(key, default)
+            return self._lines.get(key)
+
+    def read_record(
+        self, key: str, default: Optional[Dict[str, Any]] = None
+    ) -> Optional[Dict[str, Any]]:
+        """:meth:`line`, parsed: a point lookup that sees records appended
+        by other writers."""
+        line = self.line(key)
+        return default if line is None else json.loads(line)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._lines)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._records
+        return key in self._lines
 
     def get(self, key: str, default: Optional[Dict[str, Any]] = None):
-        return self._records.get(key, default)
+        """``key``'s record, parsed into a fresh dict, or ``default``."""
+        line = self._lines.get(key)
+        return default if line is None else json.loads(line)
 
     def keys(self) -> List[str]:
-        return list(self._records)
+        return list(self._lines)
 
     def records(self) -> Iterator[Dict[str, Any]]:
-        """Records in file (= insertion) order."""
-        return iter(self._records.values())
+        """Records in file (= insertion) order, each parsed into a fresh
+        dict as the iterator reaches it."""
+        with self._lock:
+            lines = list(self._lines.values())
+        return map(json.loads, lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultStore({self.path!r}, {len(self)} records)"

@@ -169,6 +169,18 @@ class TestMalformedTraces:
             simulate_native(self.unchecked([alu, opclass], [-1, -1]),
                             ProcessorConfig())
 
+    @pytest.mark.parametrize("store_share", [1.0, 0.5])
+    def test_conv_grants_to_sources_that_produce_nothing(self, store_share):
+        # Unvalidated sources may name stores, which CONV grants lazily
+        # like producers: the grant map must hold them too.
+        n = 400
+        kinds = [int(InstrClass.STORE) if i % int(1 / store_share) == 0
+                 else int(InstrClass.INT_ALU) for i in range(n)]
+        trace = self.unchecked(kinds, [-1] + list(range(n - 1)))
+        cfg = ProcessorConfig(topology=Topology.CONV, n_clusters=4,
+                              steering="round_robin")
+        assert simulate_native(trace, cfg) == simulate(trace, cfg)
+
     def test_column_length_mismatch(self):
         alu = int(InstrClass.INT_ALU)
         trace = Trace("bad", [alu, alu], [-1], [-1, -1], [-1, -1], [0, 0],

@@ -429,6 +429,26 @@ class TestPeerShardFetch:
         assert shard.label() in str(excinfo.value)
         assert "after 3 fetch attempt(s)" in str(excinfo.value)
 
+    def test_a_non_canonical_held_line_fails_the_shard(self, tmp_path):
+        # A peer serves its store lines exactly as held.  A hand-edited
+        # line that load() accepts but that is not canonical JSON is
+        # served as is, and the coordinator refuses it.
+        spec = SweepSpec.from_dict(spec_dict())
+        shard = shard_of(spec, 0, 2)
+        ref = ResultStore(str(tmp_path / "ref.jsonl"))
+        run_sweep(list(shard.points), ref, workers=1)
+        with open(tmp_path / "peer.jsonl", "w") as fh:
+            for key in shard.keys:
+                fh.write(json.dumps(ref.get(key)) + "\n")
+        svc = ServiceThread(str(tmp_path / "peer.jsonl"),
+                            sweep_workers=1).start()
+        try:
+            backend = self._peer(svc, fetch_retries=0)
+            with pytest.raises(ShardValidationError, match="non-canonical"):
+                backend.run_shard(spec, shard, lambda: None)
+        finally:
+            svc.stop()
+
     def test_fault_free_run_fetches_once_per_peer_shard(
             self, tmp_path, monkeypatch):
         calls = {"result": 0, "job_results": 0}
