@@ -5,15 +5,21 @@ sampling, tie-breaking that the paper describes as "random") draws from a
 :class:`numpy.random.Generator` created through these helpers so that runs
 are reproducible given a seed, and independent components get independent
 streams derived from the same master seed.
+
+numpy is imported on first use, not with this module, so a process that
+never draws a random number (``python -m repro.sweep list``, a sweep whose
+points are all cached) does not pay for it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+import numbers
+from typing import TYPE_CHECKING, Iterable, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-SeedLike = Union[int, np.random.Generator, None]
+SeedLike = Union[int, "np.random.Generator", None]
 
 #: Default master seed used across the library when the caller does not
 #: provide one.  Chosen arbitrarily; fixed for reproducibility.
@@ -27,6 +33,8 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     existing generator (returned unchanged so callers can thread a single
     stream through several layers).
     """
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     if seed is None:
@@ -42,6 +50,8 @@ def spawn_rng(seed: SeedLike, *keys: Union[int, str]) -> np.random.Generator:
     String keys are hashed with a stable (non-randomised) scheme so results
     do not depend on ``PYTHONHASHSEED``.
     """
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         # Derive from the generator's own bit stream deterministically.
         base = int(seed.integers(0, 2**31 - 1))
@@ -58,7 +68,7 @@ def spawn_rng(seed: SeedLike, *keys: Union[int, str]) -> np.random.Generator:
 
 def _stable_key(key: Union[int, str]) -> int:
     """Map a key to a 32-bit integer in a platform-independent way."""
-    if isinstance(key, (int, np.integer)):
+    if isinstance(key, numbers.Integral):  # numpy integers register here
         return int(key) & 0xFFFF_FFFF
     acc = 2166136261  # FNV-1a offset basis
     for byte in str(key).encode("utf-8"):
@@ -73,6 +83,8 @@ def choice_index(rng: np.random.Generator, weights: Iterable[float]) -> int:
     A tiny convenience wrapper used by the workload generator; ``weights``
     need not be normalised but must contain at least one positive entry.
     """
+    import numpy as np
+
     w = np.asarray(list(weights), dtype=float)
     total = w.sum()
     if total <= 0:

@@ -11,18 +11,14 @@ baseline, the per-configuration specializing compiler
 ``PATH``), and the public
 :class:`~repro.engine.pipeline.Pipeline` facade with its ``kernel_variant``
 selector.
+
+``batch`` and ``codegen`` import numpy, which no sweep needs until it
+generates a trace, so their names here are loaded on first access
+(:pep:`562`), not with the package.
 """
 
-from repro.engine.batch import simulate_batch
-from repro.engine.codegen import (
-    clear_registry,
-    compile_kernel,
-    emit_kernel_source,
-    get_kernel,
-    registry_size,
-    simulate_specialized,
-    specialization_key,
-)
+import importlib
+
 from repro.engine.kernel import (
     ENGINE_VERSION,
     KernelResult,
@@ -45,6 +41,24 @@ from repro.engine.trace import (
     Trace,
 )
 from repro.engine.window import SoAWindow
+
+#: Names re-exported from the numpy-backed modules, by module.
+_LAZY = {
+    "simulate_batch": "repro.engine.batch",
+    **{name: "repro.engine.codegen" for name in (
+        "clear_registry", "compile_kernel", "emit_kernel_source",
+        "get_kernel", "registry_size", "simulate_specialized",
+        "specialization_key",
+    )},
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "DEFAULT_KERNEL_VARIANT",

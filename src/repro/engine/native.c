@@ -132,14 +132,16 @@ static i64 *slot(slot_map *m, i64 key)
     return &m->counts[h];
 }
 
-/* Issue-slot and RING bus counts for the cycles from fetch_cycle on: a
+/* Issue-slot and bus-grant counts for the cycles from a horizon on: a
  * ring of `rows` rows (a power of two, at most WINDOW) of n_clusters
  * cells, each cell one (cycle, cluster) count tagged with its cycle.  The
  * rows hold at most WINDOW_CELLS cells in all, but always at least one
  * row, so neither memory nor the work per cycle grows with n_clusters
- * beyond one row.  Both are only ever probed at cycles >= fetch_cycle,
- * which never decreases, so a cell tagged with an earlier cycle is free
- * for reuse.  A probe whose cell still holds a live cycle (with latencies
+ * beyond one row.  Each probe passes its horizon, a cycle that never
+ * decreases and below which no later probe falls (fetch_cycle for issue
+ * slots and RING grants; for CONV's lazy grants, see `reach` in
+ * repro_simulate), so a cell tagged with an earlier cycle is free for
+ * reuse.  A probe whose cell still holds a live cycle (with latencies
  * near `rows`) spills to the map, and moves back into the cell once the
  * cell frees.  Cells and map together stay O(n) whatever the latencies. */
 enum { WINDOW = 1024, WINDOW_CELLS = 1 << 14 };
@@ -191,20 +193,6 @@ static i64 grant_window(slot_window *bus, i64 g, i64 cluster, i64 bandwidth,
 {
     for (;; g++) {
         i64 *count = window_slot(bus, g, cluster, horizon);
-        if (*count < bandwidth) {
-            ++*count;
-            return g;
-        }
-    }
-}
-
-/* The same over a map, for CONV's lazy grants, which may probe a cycle
- * long before fetch_cycle. */
-static i64 grant_map(slot_map *bus, i64 g, i64 cluster, i64 nc,
-                     i64 bandwidth)
-{
-    for (;; g++) {
-        i64 *count = slot(bus, g * nc + cluster);
         if (*count < bandwidth) {
             ++*count;
             return g;
@@ -269,6 +257,29 @@ int repro_simulate(
         if (class_counts[k] && k != NOP && fu_counts[fu_for[k]] == 0)
             return ERR_FU_COVERAGE;
 
+    /* CONV grants a producer its bus slot lazily, when its first remote
+     * consumer arrives, at most `reach` instructions later: the longest
+     * i - src, or n when some source does not precede its consumer
+     * (possible with validate=False).  Every producer a consumer at i or
+     * later can name has then been fetched no earlier than instruction
+     * i - reach, so no later grant probes a cycle before that fetch cycle
+     * and the bus window may reuse any cell tagged earlier.  A loop of its
+     * own: the validation loop above runs for RING too. */
+    i64 reach = 0;
+    if (!is_ring) {
+        for (i64 i = 0; i < n; i++) {
+            const i64 s1 = src1[i], s2 = src2[i];
+            if (s1 >= i || s2 >= i) {
+                reach = n;
+                break;
+            }
+            if (s1 >= 0 && i - s1 > reach)
+                reach = i - s1;
+            if (s2 >= 0 && i - s2 > reach)
+                reach = i - s2;
+        }
+    }
+
     /* fu_free[cluster * units_per_cluster + unit_off[t] + u]: next-free
      * cycle of unit u of FU type t. */
     i64 unit_off[N_FU];
@@ -285,15 +296,18 @@ int repro_simulate(
     i64 *complete_col = calloc(n + 1, sizeof(i64));
     i64 *grant_col = malloc((n + 1) * sizeof(i64));
     i64 *retire_col = track_retire ? malloc((n + 1) * sizeof(i64)) : NULL;
+    /* Each instruction's fetch cycle, for CONV's grant horizon; filled
+     * for RING too, where testing for it in the loop cost ~2 ns/instr. */
+    i64 *fetch_col = malloc((n + 1) * sizeof(i64));
     i64 *rob = calloc(window_size, sizeof(i64));
     i64 *fu_free = calloc(nc * units_per_cluster + 1, sizeof(i64));
     i64 *load = calloc(nc, sizeof(i64));
     slot_window *issue_slots = calloc(1, sizeof(slot_window));
-    slot_window *ring_slots = calloc(1, sizeof(slot_window));
-    slot_map conv_slots = {0};
+    slot_window *bus_slots = calloc(1, sizeof(slot_window));
     ok = cluster_col && complete_col && grant_col && rob && fu_free && load
-        && (retire_col || !track_retire) && issue_slots && ring_slots;
-    ok = ok && window_init(issue_slots, nc) && window_init(ring_slots, nc);
+        && (retire_col || !track_retire) && fetch_col
+        && issue_slots && bus_slots;
+    ok = ok && window_init(issue_slots, nc) && window_init(bus_slots, nc);
     if (!ok)
         goto done;
     for (i64 i = 0; i < n; i++)
@@ -324,6 +338,7 @@ int repro_simulate(
             fetched_this_cycle = 0;
         }
         fetched_this_cycle++;
+        fetch_col[i] = fetch_cycle;
         i64 ready = fetch_cycle + frontend_depth;
 
         /* Retire the program-order prefix whose window entries have freed
@@ -392,8 +407,9 @@ int repro_simulate(
             } else {
                 i64 g = grant_col[s];
                 if (g < 0) {
-                    g = grant_map(&conv_slots, complete_col[s] + wb_lat, pc,
-                                  nc, bus_bw) + wb_lat;
+                    const i64 horizon = i >= reach ? fetch_col[i - reach] : 0;
+                    g = grant_window(bus_slots, complete_col[s] + wb_lat, pc,
+                                     bus_bw, horizon) + wb_lat;
                     grant_col[s] = g;
                     communications++;
                 }
@@ -453,7 +469,7 @@ int repro_simulate(
         if (has_dst[k]) {
             if (is_ring) {
                 /* Every result enters the unidirectional ring exactly once. */
-                grant_col[i] = grant_window(ring_slots, complete, cluster,
+                grant_col[i] = grant_window(bus_slots, complete, cluster,
                                             bus_bw, fetch_cycle) + wb_lat;
                 communications++;
             }
@@ -492,11 +508,12 @@ done:
     free(complete_col);
     free(grant_col);
     free(retire_col);
+    free(fetch_col);
     free(rob);
     free(fu_free);
     free(load);
     for (int w = 0; w < 2; w++) {
-        slot_window *win = w ? ring_slots : issue_slots;
+        slot_window *win = w ? bus_slots : issue_slots;
         if (win) {
             ok = ok && !win->spill.failed;
             free(win->cells);
@@ -505,8 +522,5 @@ done:
             free(win);
         }
     }
-    ok = ok && !conv_slots.failed;
-    free(conv_slots.keys);
-    free(conv_slots.counts);
     return ok ? OK : ERR_NOMEM;
 }

@@ -10,9 +10,11 @@ counters.  What stays in Python is what runs once per call:
 :func:`~repro.engine.kernel.check_fu_coverage` message and
 :func:`repro.energy.fold_breakdown`, which is fed the C counters.
 
-Building.  :func:`load` compiles ``native.c`` with the first of ``cc``,
-``gcc`` or ``clang`` on ``PATH`` the first time it is called, never at
-import.  The shared object is built in a private
+Building.  ``native.c`` is compiled with the first of ``cc``, ``gcc`` or
+``clang`` on ``PATH``, never at import: :func:`start_build` starts the
+compiler as a child process and returns at once, and :func:`load` waits
+for that build, or compiles on the spot when none was started, and loads
+the result.  The shared object is built in a private
 :func:`tempfile.mkdtemp` directory, loaded with ``dlopen`` and deleted at
 once, so no build artifact outlives the process and there is no on-disk
 cache.  A lock makes the build safe from several threads (the service's
@@ -20,9 +22,11 @@ job thread).  Every config value reaches the C side as an argument, so
 nothing from a spec or config is ever pasted into the source that the
 compiler sees.  A failed build raises
 :class:`~repro.common.errors.ConfigurationError` with the tail of the
-compiler's stderr.  The sweep runner calls :func:`load` before it starts
-its workers, so forked workers inherit the loaded library and a sweep
-compiles once.
+compiler's stderr.  The sweep runner starts the build as soon as it knows
+points are pending, prepares the sweep while the compiler runs, calls
+:func:`load` before the first kernel call or worker fork (so forked
+workers inherit the library and a sweep compiles once) and
+:func:`join_build` on every exit path, so no compiler outlives a sweep.
 
 Fallback.  A steering policy other than the five built-in classes has no C
 implementation: :func:`simulate_native` runs it with the generic loop,
@@ -100,6 +104,8 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 _I8P = ctypes.POINTER(ctypes.c_int8)
 
 _lib: Optional[ctypes.CDLL] = None
+#: The compiler run :func:`start_build` started and no one has joined.
+_building: Optional["_Build"] = None
 _lock = threading.Lock()
 
 
@@ -112,53 +118,96 @@ def find_compiler() -> Optional[str]:
     return None
 
 
-def _build() -> ctypes.CDLL:
-    compiler = find_compiler()
-    if compiler is None:
-        raise ConfigurationError(
-            "kernel variant 'native' needs a C compiler on PATH "
-            f"(one of {', '.join(COMPILERS)}); use kernel_variant="
-            "'specialized' (or REPRO_KERNEL_VARIANT=specialized) instead"
-        )
-    workdir = tempfile.mkdtemp(prefix="repro-native-")
-    try:
-        library = os.path.join(workdir, "native.so")
+class _Build:
+    """One compiler run: started by the constructor, awaited by
+    :meth:`join`, which always removes the private build directory."""
+
+    def __init__(self) -> None:
+        self.compiler = find_compiler()
+        if self.compiler is None:
+            raise ConfigurationError(
+                "kernel variant 'native' needs a C compiler on PATH "
+                f"(one of {', '.join(COMPILERS)}); use kernel_variant="
+                "'specialized' (or REPRO_KERNEL_VARIANT=specialized) instead"
+            )
+        self.workdir = tempfile.mkdtemp(prefix="repro-native-")
+        self.library = os.path.join(self.workdir, "native.so")
         try:
-            proc = subprocess.run(
-                [compiler, *_CFLAGS, "-o", library, _SOURCE],
-                stdin=subprocess.DEVNULL, capture_output=True, text=True,
+            self.proc = subprocess.Popen(
+                [self.compiler, *_CFLAGS, "-o", self.library, _SOURCE],
+                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True,
             )
         except OSError as exc:
+            shutil.rmtree(self.workdir, ignore_errors=True)
             raise ConfigurationError(
-                f"cannot run C compiler {compiler}: {exc}") from exc
-        if proc.returncode != 0:
-            raise ConfigurationError(
-                f"building the native kernel with {compiler} failed "
-                f"(exit {proc.returncode}): "
-                f"{proc.stderr.strip()[-_STDERR_TAIL:]}"
-            )
+                f"cannot run C compiler {self.compiler}: {exc}") from exc
+
+    def join(self) -> ctypes.CDLL:
+        """Wait for the compiler and load what it built."""
         try:
-            lib = ctypes.CDLL(library)
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot load the native kernel built by {compiler}: {exc}"
-            ) from exc
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-    lib.repro_simulate.restype = ctypes.c_int
-    lib.repro_simulate.argtypes = [
-        ctypes.c_int64, _I8P, _I64P, _I64P, _I8P,
-        _I64P, _I64P, _I64P, _I64P, _I64P, _I64P, _I64P,
-    ]
-    return lib
+            _stdout, stderr = self.proc.communicate()
+            if self.proc.returncode != 0:
+                raise ConfigurationError(
+                    f"building the native kernel with {self.compiler} failed "
+                    f"(exit {self.proc.returncode}): "
+                    f"{stderr.strip()[-_STDERR_TAIL:]}"
+                )
+            try:
+                lib = ctypes.CDLL(self.library)
+            except OSError as exc:
+                raise ConfigurationError(
+                    f"cannot load the native kernel built by {self.compiler}: "
+                    f"{exc}") from exc
+        finally:
+            if self.proc.returncode is None:  # interrupted while waiting
+                self.proc.kill()
+                self.proc.communicate()
+            shutil.rmtree(self.workdir, ignore_errors=True)
+        lib.repro_simulate.restype = ctypes.c_int
+        lib.repro_simulate.argtypes = [
+            ctypes.c_int64, _I8P, _I64P, _I64P, _I8P,
+            _I64P, _I64P, _I64P, _I64P, _I64P, _I64P, _I64P,
+        ]
+        return lib
+
+
+def start_build() -> None:
+    """Start the compiler in the background, unless the library is loaded
+    or already being built, so the caller can do other work while it runs;
+    :func:`load` waits for it.  A build that cannot start is left for
+    :func:`load` to attempt again and report."""
+    global _building
+    with _lock:
+        if _lib is None and _building is None:
+            try:
+                _building = _Build()
+            except ConfigurationError:
+                pass
+
+
+def join_build() -> None:
+    """Wait for a build :func:`start_build` began and keep the library if
+    it loads, so no compiler outlives the caller.  A failed build is
+    dropped silently: the next :func:`load` builds again and raises."""
+    global _building, _lib
+    with _lock:
+        build, _building = _building, None
+        if build is not None:
+            try:
+                _lib = build.join()
+            except ConfigurationError:
+                pass
 
 
 def load() -> ctypes.CDLL:
-    """The compiled kernel library, building it on first use."""
-    global _lib
+    """The compiled kernel library, building it (or waiting for the build
+    :func:`start_build` began) on first use."""
+    global _building, _lib
     with _lock:
         if _lib is None:
-            _lib = _build()
+            build, _building = _building or _Build(), None
+            _lib = build.join()
         return _lib
 
 
@@ -262,4 +311,11 @@ def simulate_native(trace: Trace, cfg: ProcessorConfig) -> KernelResult:
     )
 
 
-__all__ = ["COMPILERS", "find_compiler", "load", "simulate_native"]
+__all__ = [
+    "COMPILERS",
+    "find_compiler",
+    "join_build",
+    "load",
+    "simulate_native",
+    "start_build",
+]

@@ -9,17 +9,21 @@ same totals in the JSON record that :mod:`repro.sweep` stores.  The default
 kernel is ``native``, the generic loop compiled from C, when a C compiler is
 on ``PATH``, and the ``specialized`` Python kernel otherwise
 (:data:`DEFAULT_KERNEL_VARIANT`).
+
+``simulate_specialized`` and ``simulate_batch`` are module attributes, as
+``simulate`` and ``simulate_native`` are, so a caller may wrap any kernel by
+name; the first two are imported on first use (:pep:`562`), since their
+modules import numpy and the default ``native`` variant needs neither.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.common.config import ProcessorConfig
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.engine.batch import simulate_batch
-from repro.engine.codegen import simulate_specialized
 from repro.engine.kernel import ENGINE_VERSION, KernelResult, simulate
 from repro.engine.native import find_compiler, simulate_native
 from repro.engine.trace import Trace
@@ -42,6 +46,27 @@ DEFAULT_KERNEL_VARIANT = "native" if find_compiler() else "specialized"
 #: ``REPRO_KERNEL_VARIANT=generic`` to force the readable interpreted loop
 #: (e.g. when debugging a suspected kernel issue) without touching code.
 KERNEL_VARIANT_ENV = "REPRO_KERNEL_VARIANT"
+
+#: Kernels loaded on first use, by the module that defines them.
+_LAZY_KERNELS = {
+    "simulate_specialized": "repro.engine.codegen",
+    "simulate_batch": "repro.engine.batch",
+}
+
+
+def __getattr__(name: str) -> Callable[..., Any]:
+    if name not in _LAZY_KERNELS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    kernel = getattr(importlib.import_module(_LAZY_KERNELS[name]), name)
+    globals()[name] = kernel
+    return kernel
+
+
+def _kernel(name: str) -> Callable[..., Any]:
+    """The module attribute ``name``, loading it on first use; a wrapper
+    set on this module in its place is what runs."""
+    kernel = globals().get(name)
+    return kernel if kernel is not None else __getattr__(name)
 
 
 def resolve_kernel_variant(kernel_variant: Optional[str]) -> str:
@@ -88,9 +113,9 @@ class Pipeline:
             # kernel's pre-pass rejects, before they read out of bounds.
             trace.check_bounds()
             if self.kernel_variant == "specialized":
-                result = simulate_specialized(trace, self.config)
+                result = _kernel("simulate_specialized")(trace, self.config)
             elif self.kernel_variant == "batch":
-                result = simulate_batch([trace], self.config)[0]
+                result = _kernel("simulate_batch")([trace], self.config)[0]
             else:
                 result = simulate(trace, self.config)
         if result.n_instructions and result.cycles <= 0:

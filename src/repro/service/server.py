@@ -59,7 +59,7 @@ from repro.service.jobs import (
 )
 from repro.steering import STEERING_REGISTRY
 from repro.sweep.report import build_tables, render_markdown, rows_from_records
-from repro.workloads import MIX_REGISTRY
+from repro.workloads import MIX_REGISTRY, load_generator
 
 #: Request bodies above this are rejected with 413 — a sweep spec is a few
 #: KB; anything megabyte-sized is a mistake or an attack.
@@ -297,8 +297,11 @@ class SweepService:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Bind the port and start the job runner; :meth:`serve_forever`
-        then accepts connections."""
+        """Load the trace generator (numpy), bind the port and start the
+        job runner; :meth:`serve_forever` then accepts connections.  The
+        service exists to run sweeps, so numpy is loaded here rather than
+        inside the first job's sweep."""
+        load_generator()
         self._httpd = _Server((self.host, self.port), _RequestHandler)
         self._httpd.service = self
         self._httpd.timeout = _POLL_INTERVAL_S

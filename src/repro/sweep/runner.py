@@ -10,14 +10,16 @@ ready points divided by twice the worker count, at least one and at most
 :data:`_CHUNK_CAP`, so chunks shrink as the sweep drains and a small shard
 still spreads over every worker.  A worker is sent its next chunk as soon
 as it holds fewer unstarted points than one chunk, so when it finishes a
-point it starts the next without a round trip to the orchestrator.  It
-answers with one message per point, the point's outcome.  Which point it
-is running, and since when by its own clock, it publishes in a slot of
-shared memory (:class:`_Slot`) that the orchestrator reads without a
-message.  One :func:`multiprocessing.connection.wait` call covers every
-pipe and every worker's exit sentinel; when a point finishes, the
-orchestrator first refills the freed worker and only then hands the
-record on, so no worker idles while the orchestrator appends.
+point it starts the next without a round trip to the orchestrator.  Each
+worker gets every point's payload once, when it starts, so a chunk
+message names points by ``(index, attempt)``.  It answers with one
+message per point, the point's outcome.  Which point it is running, and
+since when by its own clock, it publishes in a slot of shared memory
+(:class:`_Slot`) that the orchestrator reads without a message.  One
+poller (:mod:`selectors`), kept for the pool's life, covers every pipe and
+every worker's exit sentinel; when a point finishes, the orchestrator
+first refills the freed worker and only then hands the record on, so no
+worker idles while the orchestrator appends.
 Completions arrive in whatever order the workers finish; an
 **expansion-order flush frontier** buffers out-of-order results and
 appends each record the moment every earlier point has been appended, so
@@ -77,11 +79,19 @@ claim above instead of merely asserting it.
 
 Each worker process keeps a warm LRU trace memo (a grid that varies only
 machine config reuses one generated trace for all its points); it affects
-wall-clock only, never results.  Under the ``native`` variant the
-orchestrator builds the C kernel (:func:`repro.engine.native.load`) before
-it starts any worker, so a sweep compiles it once and forked workers
-inherit it.  The store's append descriptor is closed
-(:meth:`ResultStore.close`) before :func:`run_sweep` returns or raises.
+wall-clock only, never results.  Under the ``native`` variant
+:func:`run_sweep` starts the C compiler
+(:func:`repro.engine.native.start_build`) as soon as it knows points are
+pending: at entry when the store is empty, else after the cache check, so
+a fully cached sweep never compiles.  While the compiler runs, the sweep
+builds the payloads and each distinct config's C arguments, imports numpy
+(before any worker forks, so workers inherit it) and, inline only, warms
+the trace memo with the first :data:`TRACE_CACHE_SIZE` traces.  It waits
+for the build (:func:`repro.engine.native.load`) before the first kernel
+call or fork, so a sweep compiles once and forked workers inherit the
+library, and on every exit path, so no compiler outlives a sweep.  The
+store's append descriptor is closed (:meth:`ResultStore.close`) before
+:func:`run_sweep` returns or raises.
 """
 
 from __future__ import annotations
@@ -91,6 +101,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import selectors
 import signal
 import threading
 import time
@@ -112,6 +123,7 @@ from repro.workloads import (
     WorkloadMix,
     generate_trace,
     get_mix,
+    load_generator,
     register_mix,
 )
 
@@ -399,19 +411,24 @@ class _Slot:
         return int(index), int(attempt), start
 
 
-def _worker_main(conn: Any, slot: _Slot) -> None:
+def _worker_main(conn: Any, slot: _Slot,
+                 payloads: Sequence[Dict[str, Any]]) -> None:
     """Body of one sweep worker: run each point of each chunk message (a
-    list of ``(index, payload)`` pairs) in order until ``None`` arrives,
+    list of ``(index, attempt)`` pairs) in order until ``None`` arrives,
     publishing the point in ``slot`` before it starts, replying with its
     outcome, and clearing ``slot`` once the outcome is sent (so a worker
     that dies while sending is still charged for the point).
 
-    Each payload is one point, run through the module-global
-    :func:`execute_point` (so a wrapper installed on it runs here too); the
-    outcome is what that returned or the exception it raised.  An outcome
-    that cannot cross back to the orchestrator is sent as a
-    :class:`RuntimeError` naming the exception, or why the record would not
-    pickle, so the point is charged instead of lost.
+    ``payloads`` holds every point's payload by index, handed over once
+    when the worker starts (inherited under ``fork``, pickled once under
+    ``spawn``), so a message carries two integers per point.  Each point
+    runs through the module-global :func:`execute_point` (so a wrapper
+    installed on it runs here too); the outcome is what that returned or
+    the exception it raised.  An outcome that cannot cross back to the
+    orchestrator (a record that will not pickle, an exception that will not
+    pickle or unpickle) is sent as a :class:`RuntimeError` naming the
+    exception, or why the record would not pickle, so the point is charged
+    instead of lost.
 
     Workers ignore SIGINT: a terminal Ctrl-C reaches the whole process
     group, but only the orchestrator may act on it — it then stops every
@@ -421,15 +438,17 @@ def _worker_main(conn: Any, slot: _Slot) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     for chunk in iter(conn.recv, None):
-        for index, payload in chunk:
-            slot.publish(index, payload["_attempt"], time.monotonic())
+        for index, attempt in chunk:
+            slot.publish(index, attempt, time.monotonic())
             try:
-                outcome: Any = execute_point(payload)
+                outcome: Any = execute_point(
+                    dict(payloads[index], _attempt=attempt))
             except Exception as exc:
                 outcome = exc
             try:
                 message = pickle.dumps(outcome)
-                pickle.loads(message)
+                if isinstance(outcome, BaseException):
+                    pickle.loads(message)
             except Exception as exc:
                 culprit = outcome if isinstance(outcome, BaseException) else exc
                 message = pickle.dumps(RuntimeError(
@@ -445,11 +464,12 @@ class _Worker:
 
     __slots__ = ("process", "conn", "slot", "jobs")
 
-    def __init__(self) -> None:
+    def __init__(self, payloads: Sequence[Dict[str, Any]]) -> None:
         self.conn, theirs = multiprocessing.Pipe()
         self.slot = _Slot()
         self.process = multiprocessing.Process(
-            target=_worker_main, args=(theirs, self.slot), daemon=True,
+            target=_worker_main, args=(theirs, self.slot, payloads),
+            daemon=True,
         )
         self.process.start()
         theirs.close()
@@ -487,7 +507,8 @@ class _FrontierExecutor:
         policy: RetryPolicy,
         n_workers: int,
         use_pool: bool,
-        say: Callable[[str], None],
+        native_build: bool,
+        log: Optional[Callable[[str], None]] = None,
         on_point_done: Optional[Callable[[str, Dict[str, Any], int], None]] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> None:
@@ -496,10 +517,15 @@ class _FrontierExecutor:
         self.policy = policy
         self.n_workers = n_workers
         self.use_pool = use_pool
-        self.say = say
+        self.native_build = native_build
+        self.log = log
         self.on_point_done = on_point_done
         self.should_stop = should_stop
         self.workers: List[_Worker] = []
+        #: Every task's payload by index, handed to each pool worker.
+        self.payloads: List[Dict[str, Any]] = []
+        #: Waits on every worker's pipe and exit sentinel while a pool runs.
+        self.poller: Any = None
         self.frontier = FlushFrontier(len(tasks), emit=self._emit)
         self.timings: Dict[str, float] = {}
         self.failures: Dict[str, FailureRecord] = {}
@@ -512,9 +538,14 @@ class _FrontierExecutor:
     def n_flushed(self) -> int:
         return self.frontier.n_flushed
 
+    def say(self, message: str) -> None:
+        if self.log is not None:
+            self.log(message)
+
     # -- lifecycle --------------------------------------------------------
     def run(self) -> None:
         try:
+            self._prepare()
             if self.use_pool:
                 self._run_pool()
             else:
@@ -529,6 +560,30 @@ class _FrontierExecutor:
                     "blocked frontier were not persisted; they will be "
                     "recomputed on the next run"
                 )
+
+    def _prepare(self) -> None:
+        """Everything the points need but the kernel, done while the C
+        compiler that :func:`run_sweep` started runs: numpy, before any
+        worker forks, so no worker imports it again; the C arguments of
+        every distinct config; and, inline, the first
+        :data:`TRACE_CACHE_SIZE` traces (a pool's workers make their own,
+        and the orchestrator keeps none).  Then wait for the build, which
+        raises if it failed.  ``should_stop`` is checked between steps."""
+        self._check_stop()
+        load_generator()
+        if self.native_build:
+            for config in {id(t.point.config): t.point.config
+                           for t in self.tasks}.values():
+                native._arguments(config)  # cached per config
+        if not self.use_pool:
+            warm = {(t.point.mix, t.point.n_instructions, t.point.seed): None
+                    for t in self.tasks}
+            for key in list(warm)[:TRACE_CACHE_SIZE]:
+                self._check_stop()
+                _cached_trace(*key)
+        self._check_stop()
+        if self.native_build:
+            native.load()
 
     def _stop_workers(self) -> None:
         """Stop and join every worker: an idle one is told to exit, a busy
@@ -545,6 +600,9 @@ class _FrontierExecutor:
             worker.process.join()
             worker.conn.close()
         self.workers = []
+        if self.poller is not None:
+            self.poller.close()
+            self.poller = None
 
     # -- frontier ---------------------------------------------------------
     def _emit(self, index: int, payload: Tuple[Dict[str, Any], float]) -> None:
@@ -568,7 +626,8 @@ class _FrontierExecutor:
             self.committed_at = now
         task = self.tasks[index]
         self.timings[task.key] = elapsed
-        self.say(f"  done {task.point.label()} ({elapsed*1e3:.0f} ms)")
+        if self.log is not None:
+            self.log(f"  done {task.point.label()} ({elapsed*1e3:.0f} ms)")
         if self.on_point_done is not None:
             # Progress hook, invoked strictly in expansion order and
             # only after the record is appended and flushed — a
@@ -666,13 +725,19 @@ class _FrontierExecutor:
                 self._complete(*finished.popleft())
 
     # -- pooled execution -------------------------------------------------
+    def _start_worker(self) -> _Worker:
+        """A new worker, with its pipe and exit sentinel on the poller."""
+        worker = _Worker(self.payloads)
+        self.poller.register(worker.conn, selectors.EVENT_READ, worker)
+        self.poller.register(worker.process.sentinel, selectors.EVENT_READ)
+        return worker
+
     def _send(self, worker: _Worker, tasks: List[_PointTask]) -> None:
         """Send the next attempt of each of ``tasks`` to ``worker``, in one
-        message."""
+        message of ``(index, attempt)`` pairs."""
         try:
-            worker.conn.send([
-                (task.index, dict(task.payload, _attempt=task.attempts + 1))
-                for task in tasks])
+            worker.conn.send([(task.index, task.attempts + 1)
+                              for task in tasks])
         except OSError:
             pass  # the worker is dead: the loop sees its exit and resends
         worker.jobs.extend(tasks)
@@ -682,16 +747,17 @@ class _FrontierExecutor:
         count, rounded up, and at most :data:`_CHUNK_CAP`."""
         return min(_CHUNK_CAP, -(-n_ready // (2 * self.n_workers)))
 
-    def _drain(self, worker: _Worker,
-               finished: Deque[Tuple[_PointTask, Dict[str, Any], float]],
-               requeue: List[_PointTask]) -> None:
-        """Settle every outcome ``worker`` has sent so far."""
+    def _receive(self, worker: _Worker,
+                 finished: Deque[Tuple[_PointTask, Dict[str, Any], float]],
+                 requeue: List[_PointTask]) -> bool:
+        """Settle the next outcome ``worker`` sent, waiting for it if need
+        be; ``False`` when the pipe has ended instead (the worker died)."""
         try:
-            while worker.conn.poll():
-                outcome = worker.conn.recv()
-                self._settle(worker.jobs.popleft(), outcome, finished, requeue)
+            outcome = worker.conn.recv()
         except (EOFError, OSError):
-            pass  # the worker died; the loop sees its exit
+            return False
+        self._settle(worker.jobs.popleft(), outcome, finished, requeue)
+        return True
 
     @staticmethod
     def _started(worker: _Worker) -> Optional[float]:
@@ -729,9 +795,13 @@ class _FrontierExecutor:
         self.barren_replacements += 1
         worker = self.workers[n]
         code = worker.process.exitcode
+        self.poller.unregister(worker.conn)
+        self.poller.unregister(worker.process.sentinel)
         worker.process.kill()
         worker.process.join()
-        self._drain(worker, finished, requeue)
+        # Dead and joined, so its pipe ends after what it sent.
+        while self._receive(worker, finished, requeue):
+            pass
         worker.conn.close()
         if code is not None:
             exc: BaseException = WorkerDied(f"worker exited with code {code}")
@@ -752,27 +822,28 @@ class _FrontierExecutor:
                 f"{self.barren_replacements} worker replacements in a row "
                 f"settled no point (last: {exc})")
         self.say(f"  worker replaced ({type(exc).__name__}: {exc})")
-        self.workers[n] = _Worker()
+        self.workers[n] = self._start_worker()
 
     def _run_pool(self) -> None:
-        # Imported here: it costs every inline sweep ~6 ms of start-up.
-        from multiprocessing.connection import wait
-
         # Dispatchable points, lowest expansion index first so the frontier
         # advances soonest (``tasks`` is in index order, so already a
         # heap); retries wait in ``backoff`` until due.
         ready = [(task.index, task) for task in self.tasks]
         backoff: List[Tuple[float, int, _PointTask]] = []
         finished: Deque[Tuple[_PointTask, Dict[str, Any], float]] = deque()
+        self.payloads = [task.payload for task in self.tasks]
+        self.poller = selectors.DefaultSelector()
         for _ in range(self.n_workers):
-            self.workers.append(_Worker())
+            self.workers.append(self._start_worker())
         while True:
             self._check_stop()
             requeue: List[_PointTask] = []
-            # 1. Act on every message that has arrived.  Finished records
-            #    wait for step 4.
-            for worker in self.workers:
-                self._drain(worker, finished, requeue)
+            # 1. Settle the next message of every worker that has sent one
+            #    (a worker's later ones wait for a later pass).  Finished
+            #    records wait for step 4.
+            for key, _events in self.poller.select(0):
+                if key.data is not None:
+                    self._receive(key.data, finished, requeue)
             # 2. Replace each worker that died (reading what it sent before
             #    it did) or overran its running point.
             for n, worker in enumerate(self.workers):
@@ -820,11 +891,8 @@ class _FrontierExecutor:
             #    or backoff falls due.
             due = min([self._deadline(w) for w in self.workers]
                       + [backoff[0][0] if backoff else math.inf])
-            wait(
-                [w.conn for w in self.workers]
-                + [w.process.sentinel for w in self.workers],
-                max(0.0, min(_POLL_INTERVAL_S, due - time.monotonic())),
-            )
+            self.poller.select(
+                max(0.0, min(_POLL_INTERVAL_S, due - time.monotonic())))
 
 
 def run_sweep(
@@ -887,55 +955,64 @@ def run_sweep(
     # Resolve (and validate) the variant once, up front, so a bad name
     # fails before any worker starts.
     resolved_variant = resolve_kernel_variant(kernel_variant)
+    native_build = resolved_variant == "native"
+    # With an empty store every point is pending: start the compiler now,
+    # so it runs while the points are deduplicated and prepared.
+    if native_build and len(points) and not len(store):
+        native.start_build()
+    try:
+        # Deduplicate while preserving expansion order: a grid with
+        # repeated points (e.g. overlapping specs) must not compute the
+        # same key twice.  The service job manager and the fabric
+        # coordinator number this list.
+        unique = list(dedup_points(points).items())
 
-    # Deduplicate while preserving expansion order: a grid with repeated
-    # points (e.g. overlapping specs) must not compute the same key twice.
-    # The service job manager and the fabric coordinator number this list.
-    unique = list(dedup_points(points).items())
+        pending = [
+            (key, point) for key, point in unique
+            if force or key not in store
+        ]
+        n_cached = len(unique) - len(pending)
+        say(f"sweep: {len(unique)} points, {n_cached} cache hits, "
+            f"{len(pending)} to compute")
 
-    pending = [
-        (key, point) for key, point in unique if force or key not in store
-    ]
-    n_cached = len(unique) - len(pending)
-    say(f"sweep: {len(unique)} points, {n_cached} cache hits, "
-        f"{len(pending)} to compute")
-
-    timings: Dict[str, float] = {}
-    failures: Dict[str, FailureRecord] = {}
-    n_computed = 0
-    n_discarded = 0
-    interrupted = False
-    if pending:
-        tasks = []
-        for index, (key, point) in enumerate(pending):
-            payload = _payload_for(point)
-            if kernel_variant is not None:
-                payload["_kernel_variant"] = kernel_variant
-            tasks.append(_PointTask(index, key, point, payload))
-        use_pool = (
-            n_workers > 1
-            and len(pending) >= n_workers * MIN_POINTS_PER_WORKER
-        )
-        if resolved_variant == "native":
-            # Build before the first worker starts: forked workers inherit
-            # the loaded library instead of each compiling its own.
-            native.load()
-        executor = _FrontierExecutor(
-            tasks, store, retry_policy, n_workers, use_pool, say,
-            on_point_done=on_point_done, should_stop=should_stop,
-        )
-        restore_sigterm = _convert_sigterm()
-        try:
-            executor.run()
-        except KeyboardInterrupt:
-            interrupted = True
-            say("  interrupted: frontier flushed, workers stopped")
-        finally:
-            restore_sigterm()
-        timings = executor.timings
-        failures = executor.failures
-        n_computed = executor.n_flushed
-        n_discarded = executor.n_discarded
+        timings: Dict[str, float] = {}
+        failures: Dict[str, FailureRecord] = {}
+        n_computed = 0
+        n_discarded = 0
+        interrupted = False
+        if pending:
+            if native_build:
+                native.start_build()
+            tasks = []
+            for index, (key, point) in enumerate(pending):
+                payload = _payload_for(point)
+                if kernel_variant is not None:
+                    payload["_kernel_variant"] = kernel_variant
+                tasks.append(_PointTask(index, key, point, payload))
+            use_pool = (
+                n_workers > 1
+                and len(pending) >= n_workers * MIN_POINTS_PER_WORKER
+            )
+            executor = _FrontierExecutor(
+                tasks, store, retry_policy, n_workers, use_pool, native_build,
+                log, on_point_done=on_point_done, should_stop=should_stop,
+            )
+            restore_sigterm = _convert_sigterm()
+            try:
+                executor.run()
+            except KeyboardInterrupt:
+                interrupted = True
+                say("  interrupted: frontier flushed, workers stopped")
+            finally:
+                restore_sigterm()
+            timings = executor.timings
+            failures = executor.failures
+            n_computed = executor.n_flushed
+            n_discarded = executor.n_discarded
+    finally:
+        # A sweep that ends before it needs the kernel leaves no compiler
+        # running (after executor.run() this finds nothing to wait for).
+        native.join_build()
 
     summary = SweepSummary(
         n_points=len(unique),

@@ -12,6 +12,7 @@ from repro.workloads.synthetic import (
     generate_trace,
     get_mix,
     list_mixes,
+    load_generator,
     register_mix,
 )
 
@@ -21,5 +22,6 @@ __all__ = [
     "generate_trace",
     "get_mix",
     "list_mixes",
+    "load_generator",
     "register_mix",
 ]

@@ -13,15 +13,20 @@ Dependences are drawn as backward distances over the stream of prior
 read FP producers, integer-pipeline consumers read integer producers), which
 yields the clustered, chain-like dependence structure steering policies care
 about.
+
+numpy, which draws the trace, is imported at the first
+:func:`generate_trace` (or :func:`load_generator`), not with this module:
+importing the package, listing mixes or expanding a grid never loads it.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import sys
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Tuple
-
-import numpy as np
+from typing import Any, Dict, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import SeedLike, spawn_rng
@@ -35,31 +40,61 @@ from repro.engine.trace import (
 
 _N_CLASSES = len(InstrClass)
 
-#: Per-class lookup tables, indexed by opclass value.  Integer-pipeline
-#: consumers read INT producers, FP arithmetic reads FP producers, and FP
-#: stores read the FP value they write to memory; -1 marks no destination.
-_CLASSES = [InstrClass(k) for k in range(_N_CLASSES)]
-_SRC_REGCLASS = np.array([
-    int(RegClass.FP) if k.is_fp_compute or k is InstrClass.FP_STORE
-    else int(RegClass.INT)
-    for k in _CLASSES
-])
-_DST_REGCLASS = np.array([
-    -1 if DEST_REGCLASS_FOR_CLASS[k] is None
-    else int(DEST_REGCLASS_FOR_CLASS[k])
-    for k in _CLASSES
-])
-_IS_BRANCH = np.array([k.is_branch for k in _CLASSES])
-_IS_MEMORY = np.array([k.is_memory for k in _CLASSES])
 
-#: numpy dtype of each :class:`Trace` column typecode.
-_COLUMN_DTYPES = {"b": np.int8, "q": np.int64}
+@functools.lru_cache(maxsize=None)
+def _tables() -> Tuple[Any, ...]:
+    """numpy and the per-class lookup tables, indexed by opclass value:
+    source register class, destination register class (-1 for none), is a
+    branch, is a memory op.  Integer-pipeline consumers read INT producers,
+    FP arithmetic reads FP producers, and FP stores read the FP value they
+    write to memory.
+
+    When numpy is not loaded yet and ``OPENBLAS_NUM_THREADS`` is unset,
+    numpy is imported with that variable at 1 (and the environment restored
+    after): the OpenBLAS bundled with numpy otherwise starts a worker
+    thread at import that busy-waits for about 0.1 s, which here competed
+    with the C compiler a sweep runs at the same time.  The generator does
+    no BLAS work; the process's later BLAS calls run on one thread."""
+    if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    import numpy as np
+
+    classes = [InstrClass(k) for k in range(_N_CLASSES)]
+    return (
+        np,
+        np.array([
+            int(RegClass.FP) if k.is_fp_compute or k is InstrClass.FP_STORE
+            else int(RegClass.INT)
+            for k in classes
+        ]),
+        np.array([
+            -1 if DEST_REGCLASS_FOR_CLASS[k] is None
+            else int(DEST_REGCLASS_FOR_CLASS[k])
+            for k in classes
+        ]),
+        np.array([k.is_branch for k in classes]),
+        np.array([k.is_memory for k in classes]),
+    )
 
 
-def _column(typecode: str, values: np.ndarray) -> array:
+def load_generator() -> None:
+    """Import numpy and build the generator's tables now instead of at the
+    first trace.  Importing this module does neither, so a process that
+    generates no trace never loads numpy; one that will (the sweep runner
+    before it forks workers, the service and the fabric coordinator when
+    they are built) calls this where the cost is hidden or expected."""
+    _tables()
+
+
+def _column(typecode: str, values: Any) -> array:
     """``values`` as an ``array`` of ``typecode``, copied as raw bytes:
-    ``tolist`` would box every element on the way."""
-    return array(typecode, values.astype(_COLUMN_DTYPES[typecode]).tobytes())
+    ``tolist`` would box every element on the way.  numpy reads the two
+    typecodes used here (``b``, ``q``) as the same dtypes (int8, int64)."""
+    return array(typecode, values.astype(typecode).tobytes())
 
 
 @dataclass(frozen=True)
@@ -98,7 +133,9 @@ class WorkloadMix:
                 f"mix {self.name!r}: dep_distance_mean must be >= 1"
             )
 
-    def weight_vector(self) -> np.ndarray:
+    def weight_vector(self) -> Any:
+        """Class probabilities as a numpy array, indexed by opclass."""
+        np = _tables()[0]
         w = np.zeros(_N_CLASSES)
         for klass, weight in self.class_weights.items():
             w[int(klass)] = weight
@@ -221,6 +258,7 @@ def generate_trace(
     if n < 0:
         raise ConfigurationError(f"trace length must be non-negative, got {n}")
 
+    np, src_regclass, dst_regclass, is_branch, is_memory = _tables()
     rng = spawn_rng(seed, "workload", mix.name, n)
 
     opclass = rng.choice(_N_CLASSES, size=n, p=mix.weight_vector())
@@ -239,8 +277,8 @@ def generate_trace(
     # in the stream of earlier producers of i's source register class,
     # clamped to the oldest one: position ``max(before - dist_j, 0)`` of
     # that stream, where ``before`` counts the class's producers ahead of i.
-    src_class = _SRC_REGCLASS[opclass]
-    dst_class = _DST_REGCLASS[opclass]
+    src_class = src_regclass[opclass]
+    dst_class = dst_regclass[opclass]
     reads = opclass != int(InstrClass.NOP)
     src1 = np.full(n, -1, dtype=np.int64)
     src2 = np.full(n, -1, dtype=np.int64)
@@ -255,8 +293,8 @@ def generate_trace(
             src[sel] = producers[np.maximum(before[sel] - dist[sel], 0)]
 
     # Branches are never memory ops, so the two flag families are disjoint.
-    mem_miss = _IS_MEMORY[opclass] & l1_draw
-    flags = ((_IS_BRANCH[opclass] & mispredict_draw) * FLAG_MISPREDICT
+    mem_miss = is_memory[opclass] & l1_draw
+    flags = ((is_branch[opclass] & mispredict_draw) * FLAG_MISPREDICT
              | mem_miss * FLAG_L1_MISS
              | (mem_miss & l2_draw) * FLAG_L2_MISS)
     dst = np.where(dst_class >= 0, dst_regs, -1)
@@ -272,5 +310,6 @@ __all__ = [
     "generate_trace",
     "get_mix",
     "list_mixes",
+    "load_generator",
     "register_mix",
 ]

@@ -106,6 +106,42 @@ class TestAgreement:
         assert result.cycles == 1024 * wrap + 4
         assert result == simulate(trace, cfg)
 
+    def test_conv_grant_keeps_a_bus_cycle_behind_fetch(self):
+        """A CONV grant 1024 cycles ahead must not evict one just behind
+        fetch that a later grant still probes.
+
+        Round robin over two clusters, eight fetched per cycle.  Cluster 0
+        issues a missing load (done at 1025) and two ALU ops (done at 1)
+        at cycle 0; op 3 takes cluster 0's bus at cycle 2 for the first.
+        At fetch cycle 3, op 25 asks for the load's grant at 1026, whose
+        window row cycle 2 holds, and op 27 then asks for the second ALU
+        op's grant, which must find cycle 2 taken and get cycle 3.  A
+        serial chain of divides after op 27 carries the one-cycle
+        difference to the end of the run."""
+        nop, alu, div, load = (int(InstrClass.NOP), int(InstrClass.INT_ALU),
+                               int(InstrClass.INT_DIV), int(InstrClass.LOAD))
+        n = 90
+        ops, src1 = [nop] * n, [-1] * n
+        ops[0] = load
+        ops[2] = ops[3] = ops[4] = ops[25] = alu
+        src1[3], src1[25] = 2, 0
+        for i in range(27, n):
+            ops[i], src1[i] = div, i - 1
+        src1[27] = 4
+        flags = [0] * n
+        flags[0] = FLAG_L1_MISS | FLAG_L2_MISS
+        trace = Trace("behind-fetch", ops, src1, [-1] * n,
+                      [-1 if k == nop else 1 for k in ops], flags)
+        cfg = ProcessorConfig(
+            n_clusters=2, topology=Topology.CONV, steering="round_robin",
+            fetch_width=8, frontend_depth=0,
+            cluster=ClusterConfig(issue_width=4, fu_counts=(3, 1, 1, 1)),
+            memory=MemoryHierarchyConfig(l2_miss_penalty=1013),
+        )
+        result = simulate_native(trace, cfg)
+        assert result.cycles == 1452
+        assert result == simulate(trace, cfg)
+
 
 class TestManyClusters:
     """The slot windows hold at most a fixed number of cells, so their
@@ -172,13 +208,41 @@ class TestMalformedTraces:
     @pytest.mark.parametrize("store_share", [1.0, 0.5])
     def test_conv_grants_to_sources_that_produce_nothing(self, store_share):
         # Unvalidated sources may name stores, which CONV grants lazily
-        # like producers: the grant map must hold them too.
+        # like producers: the bus window must hold them too.
         n = 400
         kinds = [int(InstrClass.STORE) if i % int(1 / store_share) == 0
                  else int(InstrClass.INT_ALU) for i in range(n)]
         trace = self.unchecked(kinds, [-1] + list(range(n - 1)))
         cfg = ProcessorConfig(topology=Topology.CONV, n_clusters=4,
                               steering="round_robin")
+        assert simulate_native(trace, cfg) == simulate(trace, cfg)
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("steering", ["round_robin", "dependence"])
+    def test_conv_grants_with_sources_after_their_consumers(self, forward,
+                                                            steering):
+        # CONV's lazy grants reuse bus cells tagged before the fetch cycle
+        # of instruction i - reach.  A source at or after its consumer
+        # (forward) makes reach the whole trace; without one, the last
+        # 300 instructions read producers 2,501 back, on another cluster,
+        # whose grants land in cycles the window has long since reused.
+        n = 3000
+        kinds = [int(InstrClass.LOAD) if i % 3 == 0 else
+                 int(InstrClass.INT_MUL) if i % 3 == 1 else
+                 int(InstrClass.INT_ALU) for i in range(n)]
+        src1 = [i - 1 - i % 7 if i > 7 else -1 for i in range(n)]
+        src2 = [-1] * (n - 300) + [i - 2501 for i in range(n - 300, n)]
+        if forward:
+            for i in range(0, n - 5, 50):
+                src1[i] = i + 5
+            for i in range(0, n, 97):
+                src2[i] = i
+        flags = [FLAG_L1_MISS | FLAG_L2_MISS if i % 30 == 0 else 0
+                 for i in range(n)]
+        trace = Trace("reach", kinds, src1, src2, [1] * n, flags,
+                      validate=False)
+        cfg = ProcessorConfig(topology=Topology.CONV, n_clusters=4,
+                              steering=steering)
         assert simulate_native(trace, cfg) == simulate(trace, cfg)
 
     def test_column_length_mismatch(self):

@@ -542,7 +542,7 @@ from repro.exec import RetryPolicy
 from repro.sweep import runner
 from repro.sweep.grid import SweepSpec
 from repro.sweep.store import ResultStore
-runner._worker_main = lambda conn, slot: os._exit(3)
+runner._worker_main = lambda conn, slot, payloads: os._exit(3)
 spec = SweepSpec(name="ft", topologies=("ring", "conv"), cluster_counts=(2, 4),
                  n_instructions=300, seeds=(7,))
 messages = []
