@@ -6,15 +6,21 @@ sampling, tie-breaking that the paper describes as "random") draws from a
 are reproducible given a seed, and independent components get independent
 streams derived from the same master seed.
 
+:func:`spawn_rng`'s stream is numpy's ``PCG64`` seeded by a
+``SeedSequence`` over :func:`seed_material`.  :func:`generate_state` is
+that ``SeedSequence``'s state in pure Python, so the trace generator's C
+path (``repro/engine/tracegen.c``) seeds the same stream without numpy.
 numpy is imported on first use, not with this module, so a process that
-never draws a random number (``python -m repro.sweep list``, a sweep whose
-points are all cached) does not pay for it.
+never draws from a :class:`numpy.random.Generator` (``python -m
+repro.sweep list``, a sweep whose traces are drawn in C) does not pay for
+it.
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -24,6 +30,17 @@ SeedLike = Union[int, "np.random.Generator", None]
 #: Default master seed used across the library when the caller does not
 #: provide one.  Chosen arbitrarily; fixed for reproducibility.
 DEFAULT_SEED = 0x5EED_2005
+
+# numpy.random.SeedSequence's constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_XSHIFT = 16
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
 
 
 def make_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -54,27 +71,83 @@ def spawn_rng(seed: SeedLike, *keys: Union[int, str]) -> np.random.Generator:
 
     if isinstance(seed, np.random.Generator):
         # Derive from the generator's own bit stream deterministically.
-        base = int(seed.integers(0, 2**31 - 1))
-    elif seed is None:
-        base = DEFAULT_SEED
-    else:
-        base = int(seed)
-    material = [base & 0xFFFF_FFFF]
-    for key in keys:
-        material.append(_stable_key(key))
-    ss = np.random.SeedSequence(material)
+        seed = int(seed.integers(0, 2**31 - 1))
+    ss = np.random.SeedSequence(seed_material(seed, *keys))
     return np.random.default_rng(ss)
+
+
+def seed_material(seed: Union[int, None], *keys: Union[int, str]) -> List[int]:
+    """The ``SeedSequence`` entropy :func:`spawn_rng` seeds from: the low 32
+    bits of ``seed`` (:data:`DEFAULT_SEED` for ``None``), then one 32-bit
+    word per key."""
+    base = DEFAULT_SEED if seed is None else int(seed)
+    return [base & _MASK32, *(_stable_key(key) for key in keys)]
 
 
 def _stable_key(key: Union[int, str]) -> int:
     """Map a key to a 32-bit integer in a platform-independent way."""
     if isinstance(key, numbers.Integral):  # numpy integers register here
-        return int(key) & 0xFFFF_FFFF
+        return int(key) & _MASK32
     acc = 2166136261  # FNV-1a offset basis
     for byte in str(key).encode("utf-8"):
         acc ^= byte
         acc = (acc * 16777619) & 0xFFFF_FFFF
     return acc
+
+
+def _uint32_words(material: Sequence[int]) -> List[int]:
+    """``material`` as numpy coerces a list of ints: each int as its 32-bit
+    words, least significant first, and ``0`` as one zero word."""
+    words = []
+    for value in material:
+        value = int(value)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & _MASK32)
+        value >>= 32
+        while value:
+            words.append(value & _MASK32)
+            value >>= 32
+    return words
+
+
+def generate_state(material: Sequence[int], n_words: int) -> List[int]:
+    """``numpy.random.SeedSequence(material).generate_state(n_words,
+    numpy.uint64)`` as Python ints, computed without numpy: the 32-bit
+    hash pool mixed from ``material``, then ``2 * n_words`` output words
+    paired little-endian."""
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> _XSHIFT)
+
+    entropy = _uint32_words(material)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0)
+            for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for word in itertools.islice(itertools.cycle(pool), 2 * n_words):
+        word ^= hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        word = (word * hash_const) & _MASK32
+        state.append(word ^ (word >> _XSHIFT))
+    return [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
 
 
 def choice_index(rng: np.random.Generator, weights: Iterable[float]) -> int:
@@ -111,4 +184,6 @@ __all__ = [
     "spawn_rng",
     "choice_index",
     "deterministic_hash",
+    "generate_state",
+    "seed_material",
 ]

@@ -14,19 +14,24 @@ Building.  ``native.c`` is compiled with the first of ``cc``, ``gcc`` or
 ``clang`` on ``PATH``, never at import: :func:`start_build` starts the
 compiler as a child process and returns at once, and :func:`load` waits
 for that build, or compiles on the spot when none was started, and loads
-the result.  The shared object is built in a private
-:func:`tempfile.mkdtemp` directory, loaded with ``dlopen`` and deleted at
-once, so no build artifact outlives the process and there is no on-disk
-cache.  A lock makes the build safe from several threads (the service's
-job thread).  Every config value reaches the C side as an argument, so
-nothing from a spec or config is ever pasted into the source that the
-compiler sees.  A failed build raises
-:class:`~repro.common.errors.ConfigurationError` with the tail of the
-compiler's stderr.  The sweep runner starts the build as soon as it knows
-points are pending, prepares the sweep while the compiler runs, calls
-:func:`load` before the first kernel call or worker fork (so forked
-workers inherit the library and a sweep compiles once) and
-:func:`join_build` on every exit path, so no compiler outlives a sweep.
+the result.  Next to it, :func:`start_build` starts a second compiler for
+the trace generator, ``tracegen.c`` linked with numpy's
+``libnpyrandom.a``, which :func:`load_tracegen` loads the same way for
+:func:`repro.workloads.generate_trace` (and which is ``None`` when there
+is no compiler or no archive, so traces are drawn with numpy).  Each
+shared object is built in a private :func:`tempfile.mkdtemp` directory,
+loaded with ``dlopen`` and deleted at once, so no build artifact outlives
+the process and there is no on-disk cache.  A lock makes the builds safe
+from several threads (the service's job thread).  Every config value
+reaches the C side as an argument, so nothing from a spec or config is
+ever pasted into the source that the compiler sees.  A failed build
+raises :class:`~repro.common.errors.ConfigurationError` with the tail of
+the compiler's stderr.  The sweep runner starts the builds as soon as it
+knows points are pending, prepares the sweep while the compilers run,
+waits for them (:func:`load_tracegen`, :func:`load`) before the first
+trace, kernel call or worker fork (so forked workers inherit both
+libraries and a sweep compiles each once) and calls :func:`join_build` on
+every exit path, so no compiler outlives a sweep.
 
 Fallback.  A steering policy other than the five built-in classes has no C
 implementation: :func:`simulate_native` runs it with the generic loop,
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -75,7 +81,9 @@ from repro.steering import (
 #: Compilers tried, in order, on ``PATH``.
 COMPILERS = ("cc", "gcc", "clang")
 
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "native.c")
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_SOURCE = os.path.join(_HERE, "native.c")
+_TRACEGEN_SOURCE = os.path.join(_HERE, "tracegen.c")
 #: ``-O1`` builds in half the time of ``-O2`` (0.16 s against 0.27-0.36 s)
 #: and ran the 10k-instruction paper grid as fast (2-vCPU x86-64, gcc 12).
 _CFLAGS = ("-O1", "-shared", "-fPIC")
@@ -102,10 +110,14 @@ _MAX_SCALAR = 2**31 - 1
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _I8P = ctypes.POINTER(ctypes.c_int8)
+_U64P = ctypes.POINTER(ctypes.c_uint64)
+_DP = ctypes.POINTER(ctypes.c_double)
 
 _lib: Optional[ctypes.CDLL] = None
-#: The compiler run :func:`start_build` started and no one has joined.
+_tracegen: Optional[ctypes.CDLL] = None
+#: The compiler runs :func:`start_build` started and no one has joined.
 _building: Optional["_Build"] = None
+_tracegen_building: Optional["_Build"] = None
 _lock = threading.Lock()
 
 
@@ -118,30 +130,37 @@ def find_compiler() -> Optional[str]:
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def npyrandom_archive() -> Optional[str]:
+    """Path of numpy's ``libnpyrandom.a`` (the C API for extending
+    ``numpy.random``), found without importing numpy, or ``None``."""
+    spec = importlib.util.find_spec("numpy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        path = os.path.join(root, "random", "lib", "libnpyrandom.a")
+        if os.path.isfile(path):
+            return path
+    return None
+
+
 class _Build:
     """One compiler run: started by the constructor, awaited by
     :meth:`join`, which always removes the private build directory."""
 
-    def __init__(self) -> None:
-        self.compiler = find_compiler()
-        if self.compiler is None:
-            raise ConfigurationError(
-                "kernel variant 'native' needs a C compiler on PATH "
-                f"(one of {', '.join(COMPILERS)}); use kernel_variant="
-                "'specialized' (or REPRO_KERNEL_VARIANT=specialized) instead"
-            )
+    def __init__(self, what: str, compiler: str, *inputs: str) -> None:
+        self.what = what
+        self.compiler = compiler
         self.workdir = tempfile.mkdtemp(prefix="repro-native-")
         self.library = os.path.join(self.workdir, "native.so")
         try:
             self.proc = subprocess.Popen(
-                [self.compiler, *_CFLAGS, "-o", self.library, _SOURCE],
+                [compiler, *_CFLAGS, "-o", self.library, *inputs],
                 stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE, text=True,
             )
         except OSError as exc:
             shutil.rmtree(self.workdir, ignore_errors=True)
             raise ConfigurationError(
-                f"cannot run C compiler {self.compiler}: {exc}") from exc
+                f"cannot run C compiler {compiler}: {exc}") from exc
 
     def join(self) -> ctypes.CDLL:
         """Wait for the compiler and load what it built."""
@@ -149,55 +168,102 @@ class _Build:
             _stdout, stderr = self.proc.communicate()
             if self.proc.returncode != 0:
                 raise ConfigurationError(
-                    f"building the native kernel with {self.compiler} failed "
+                    f"building the {self.what} with {self.compiler} failed "
                     f"(exit {self.proc.returncode}): "
                     f"{stderr.strip()[-_STDERR_TAIL:]}"
                 )
             try:
-                lib = ctypes.CDLL(self.library)
+                return ctypes.CDLL(self.library)
             except OSError as exc:
                 raise ConfigurationError(
-                    f"cannot load the native kernel built by {self.compiler}: "
+                    f"cannot load the {self.what} built by {self.compiler}: "
                     f"{exc}") from exc
         finally:
             if self.proc.returncode is None:  # interrupted while waiting
                 self.proc.kill()
                 self.proc.communicate()
             shutil.rmtree(self.workdir, ignore_errors=True)
-        lib.repro_simulate.restype = ctypes.c_int
-        lib.repro_simulate.argtypes = [
-            ctypes.c_int64, _I8P, _I64P, _I64P, _I8P,
-            _I64P, _I64P, _I64P, _I64P, _I64P, _I64P, _I64P,
-        ]
-        return lib
 
 
-def start_build() -> None:
-    """Start the compiler in the background, unless the library is loaded
-    or already being built, so the caller can do other work while it runs;
-    :func:`load` waits for it.  A build that cannot start is left for
-    :func:`load` to attempt again and report."""
-    global _building
+def _kernel_build() -> _Build:
+    compiler = find_compiler()
+    if compiler is None:
+        raise ConfigurationError(
+            "kernel variant 'native' needs a C compiler on PATH "
+            f"(one of {', '.join(COMPILERS)}); use kernel_variant="
+            "'specialized' (or REPRO_KERNEL_VARIANT=specialized) instead"
+        )
+    return _Build("native kernel", compiler, _SOURCE)
+
+
+def _tracegen_build() -> Optional[_Build]:
+    """A build of the trace generator, or ``None`` when there is no
+    compiler or no numpy archive to link."""
+    compiler, archive = find_compiler(), npyrandom_archive()
+    if compiler is None or archive is None:
+        return None
+    return _Build("native trace generator", compiler, _TRACEGEN_SOURCE,
+                  archive, "-lm")
+
+
+def _bind_kernel(lib: ctypes.CDLL) -> ctypes.CDLL:
+    lib.repro_simulate.restype = ctypes.c_int
+    lib.repro_simulate.argtypes = [
+        ctypes.c_int64, _I8P, _I64P, _I64P, _I8P,
+        _I64P, _I64P, _I64P, _I64P, _I64P, _I64P, _I64P,
+    ]
+    return lib
+
+
+def _bind_tracegen(lib: ctypes.CDLL) -> ctypes.CDLL:
+    lib.repro_generate_trace.restype = ctypes.c_int
+    lib.repro_generate_trace.argtypes = [
+        ctypes.c_int64, _U64P, _DP, _DP, ctypes.c_uint64, _I8P,
+        _I8P, _I64P, _I64P, _I64P, _I8P,
+    ]
+    return lib
+
+
+def start_build(kernel: bool = True) -> None:
+    """Start the compilers in the background, so the caller can do other
+    work while they run: the trace generator's, and the kernel's unless
+    ``kernel`` is false, each unless its library is loaded or already being
+    built.  :func:`load_tracegen` and :func:`load` wait for them.  A build
+    that cannot start is left for those to attempt again and report."""
+    global _building, _tracegen_building
     with _lock:
-        if _lib is None and _building is None:
-            try:
-                _building = _Build()
-            except ConfigurationError:
-                pass
+        try:
+            if kernel and _lib is None and _building is None:
+                _building = _kernel_build()
+        except ConfigurationError:
+            pass
+        try:
+            if _tracegen is None and _tracegen_building is None:
+                _tracegen_building = _tracegen_build()
+        except ConfigurationError:
+            pass
 
 
 def join_build() -> None:
-    """Wait for a build :func:`start_build` began and keep the library if
-    it loads, so no compiler outlives the caller.  A failed build is
-    dropped silently: the next :func:`load` builds again and raises."""
-    global _building, _lib
+    """Wait for the builds :func:`start_build` began and keep each library
+    that loads, so no compiler outlives the caller.  A failed build is
+    dropped silently: the next :func:`load` or :func:`load_tracegen`
+    builds again and raises."""
+    global _building, _lib, _tracegen_building, _tracegen
     with _lock:
-        build, _building = _building, None
-        if build is not None:
-            try:
-                _lib = build.join()
-            except ConfigurationError:
-                pass
+        kernel, _building = _building, None
+        tracegen, _tracegen_building = _tracegen_building, None
+        try:
+            if kernel is not None:
+                _lib = _bind_kernel(kernel.join())
+        except ConfigurationError:
+            pass
+        finally:
+            if tracegen is not None:
+                try:
+                    _tracegen = _bind_tracegen(tracegen.join())
+                except ConfigurationError:
+                    pass
 
 
 def load() -> ctypes.CDLL:
@@ -206,9 +272,25 @@ def load() -> ctypes.CDLL:
     global _building, _lib
     with _lock:
         if _lib is None:
-            build, _building = _building or _Build(), None
-            _lib = build.join()
+            build, _building = _building or _kernel_build(), None
+            _lib = _bind_kernel(build.join())
         return _lib
+
+
+def load_tracegen() -> Optional[ctypes.CDLL]:
+    """The compiled trace generator, building it (or waiting for the build
+    :func:`start_build` began) on first use; ``None`` when it cannot be
+    built here (no C compiler on ``PATH``, or numpy ships no
+    ``libnpyrandom.a``)."""
+    global _tracegen_building, _tracegen
+    with _lock:
+        if _tracegen is None:
+            build, _tracegen_building = (
+                _tracegen_building or _tracegen_build(), None)
+            if build is None:
+                return None
+            _tracegen = _bind_tracegen(build.join())
+        return _tracegen
 
 
 @functools.lru_cache(maxsize=1024)
@@ -316,6 +398,8 @@ __all__ = [
     "find_compiler",
     "join_build",
     "load",
+    "load_tracegen",
+    "npyrandom_archive",
     "simulate_native",
     "start_build",
 ]

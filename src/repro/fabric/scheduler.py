@@ -92,7 +92,6 @@ from repro.sweep.grid import (
 )
 from repro.sweep.runner import FailureRecord, SweepSummary
 from repro.sweep.store import ResultStore
-from repro.workloads import load_generator
 
 #: Default shard size: small enough that a lost peer forfeits little work,
 #: large enough to amortise one job submission per shard.
@@ -232,9 +231,6 @@ class FabricCoordinator:
         }
         #: The live lease table while a run executes (probe/stats read it).
         self._leases: Optional[LeaseTable] = None
-        # A coordinator exists to run sweeps: load numpy for the local
-        # backend's traces now rather than inside the first run.
-        load_generator()
 
     def _say(self, message: str) -> None:
         if self.log is not None:

@@ -48,6 +48,7 @@ from typing import (
 from urllib.parse import parse_qs, urlsplit
 
 from repro.common.errors import ConfigurationError, ReproError
+from repro.engine import native
 from repro.engine.pipeline import resolve_kernel_variant
 from repro.service import schemas
 from repro.service.events import format_sse, is_terminal
@@ -59,7 +60,7 @@ from repro.service.jobs import (
 )
 from repro.steering import STEERING_REGISTRY
 from repro.sweep.report import build_tables, render_markdown, rows_from_records
-from repro.workloads import MIX_REGISTRY, load_generator
+from repro.workloads import MIX_REGISTRY
 
 #: Request bodies above this are rejected with 413 — a sweep spec is a few
 #: KB; anything megabyte-sized is a mistake or an attack.
@@ -297,11 +298,12 @@ class SweepService:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Load the trace generator (numpy), bind the port and start the
-        job runner; :meth:`serve_forever` then accepts connections.  The
-        service exists to run sweeps, so numpy is loaded here rather than
-        inside the first job's sweep."""
-        load_generator()
+        """Start building the C libraries in the background, bind the port
+        and start the job runner; :meth:`serve_forever` then accepts
+        connections.  The service exists to run sweeps, so the trace
+        generator and kernel compile now rather than inside the first
+        job's sweep; :meth:`shutdown` waits for any build still running."""
+        native.start_build()
         self._httpd = _Server((self.host, self.port), _RequestHandler)
         self._httpd.service = self
         self._httpd.timeout = _POLL_INTERVAL_S
@@ -338,6 +340,7 @@ class SweepService:
         except OSError:
             pass
         self.manager.shutdown(drain)
+        native.join_build()
         self._stopped.set()
         self.say("service: stopped")
 

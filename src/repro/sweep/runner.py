@@ -79,19 +79,20 @@ claim above instead of merely asserting it.
 
 Each worker process keeps a warm LRU trace memo (a grid that varies only
 machine config reuses one generated trace for all its points); it affects
-wall-clock only, never results.  Under the ``native`` variant
-:func:`run_sweep` starts the C compiler
-(:func:`repro.engine.native.start_build`) as soon as it knows points are
-pending: at entry when the store is empty, else after the cache check, so
-a fully cached sweep never compiles.  While the compiler runs, the sweep
-builds the payloads and each distinct config's C arguments, imports numpy
-(before any worker forks, so workers inherit it) and, inline only, warms
-the trace memo with the first :data:`TRACE_CACHE_SIZE` traces.  It waits
-for the build (:func:`repro.engine.native.load`) before the first kernel
-call or fork, so a sweep compiles once and forked workers inherit the
-library, and on every exit path, so no compiler outlives a sweep.  The
-store's append descriptor is closed (:meth:`ResultStore.close`) before
-:func:`run_sweep` returns or raises.
+wall-clock only, never results.  :func:`run_sweep` starts the C
+compilers (:func:`repro.engine.native.start_build`: the trace generator's,
+and under the ``native`` variant the kernel's) as soon as it knows points
+are pending: at entry when the store is empty, else after the cache check,
+so a fully cached sweep never compiles.  While they run, the sweep builds
+the payloads and each distinct config's C arguments and, inline only,
+waits for the trace generator and warms the trace memo with the first
+:data:`TRACE_CACHE_SIZE` traces while the kernel still compiles.  It waits
+for both builds before the first kernel call or fork, so a sweep compiles
+each library once and forked workers inherit them, and on every exit path,
+so no compiler outlives a sweep.  Where the trace generator builds, no
+process of a sweep imports numpy.  The store's append descriptor is
+closed (:meth:`ResultStore.close`) before :func:`run_sweep` returns or
+raises.
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ from repro.workloads import (
     WorkloadMix,
     generate_trace,
     get_mix,
-    load_generator,
     register_mix,
 )
 
@@ -563,14 +563,13 @@ class _FrontierExecutor:
 
     def _prepare(self) -> None:
         """Everything the points need but the kernel, done while the C
-        compiler that :func:`run_sweep` started runs: numpy, before any
-        worker forks, so no worker imports it again; the C arguments of
-        every distinct config; and, inline, the first
+        compilers that :func:`run_sweep` started run: the C arguments of
+        every distinct config and, inline, the first
         :data:`TRACE_CACHE_SIZE` traces (a pool's workers make their own,
-        and the orchestrator keeps none).  Then wait for the build, which
-        raises if it failed.  ``should_stop`` is checked between steps."""
+        and the orchestrator keeps none).  Then wait for both builds, which
+        raises if one failed, so a forked worker inherits both libraries.
+        ``should_stop`` is checked between steps."""
         self._check_stop()
-        load_generator()
         if self.native_build:
             for config in {id(t.point.config): t.point.config
                            for t in self.tasks}.values():
@@ -582,6 +581,7 @@ class _FrontierExecutor:
                 self._check_stop()
                 _cached_trace(*key)
         self._check_stop()
+        native.load_tracegen()
         if self.native_build:
             native.load()
 
@@ -956,10 +956,10 @@ def run_sweep(
     # fails before any worker starts.
     resolved_variant = resolve_kernel_variant(kernel_variant)
     native_build = resolved_variant == "native"
-    # With an empty store every point is pending: start the compiler now,
-    # so it runs while the points are deduplicated and prepared.
-    if native_build and len(points) and not len(store):
-        native.start_build()
+    # With an empty store every point is pending: start the compilers now,
+    # so they run while the points are deduplicated and prepared.
+    if len(points) and not len(store):
+        native.start_build(kernel=native_build)
     try:
         # Deduplicate while preserving expansion order: a grid with
         # repeated points (e.g. overlapping specs) must not compute the
@@ -981,8 +981,7 @@ def run_sweep(
         n_discarded = 0
         interrupted = False
         if pending:
-            if native_build:
-                native.start_build()
+            native.start_build(kernel=native_build)
             tasks = []
             for index, (key, point) in enumerate(pending):
                 payload = _payload_for(point)
@@ -1010,7 +1009,7 @@ def run_sweep(
             n_computed = executor.n_flushed
             n_discarded = executor.n_discarded
     finally:
-        # A sweep that ends before it needs the kernel leaves no compiler
+        # A sweep that ends before it needs a library leaves no compiler
         # running (after executor.run() this finds nothing to wait for).
         native.join_build()
 

@@ -12,7 +12,6 @@ from repro.workloads.synthetic import (
     generate_trace,
     get_mix,
     list_mixes,
-    load_generator,
     register_mix,
 )
 
@@ -22,6 +21,5 @@ __all__ = [
     "generate_trace",
     "get_mix",
     "list_mixes",
-    "load_generator",
     "register_mix",
 ]

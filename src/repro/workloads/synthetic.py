@@ -14,23 +14,31 @@ read FP producers, integer-pipeline consumers read integer producers), which
 yields the clustered, chain-like dependence structure steering policies care
 about.
 
-numpy, which draws the trace, is imported at the first
-:func:`generate_trace` (or :func:`load_generator`), not with this module:
-importing the package, listing mixes or expanding a grid never loads it.
+The columns are drawn from numpy's ``PCG64`` stream seeded by
+:func:`repro.common.rng.spawn_rng`'s ``SeedSequence``, with one of two
+generators that agree byte for byte.  Where a C compiler and numpy's
+``libnpyrandom.a`` are available and the seed is an integer or ``None``,
+``repro/engine/tracegen.c`` (built by :mod:`repro.engine.native`) makes
+the draws and assembles the columns without importing numpy.  Otherwise,
+and for a :class:`numpy.random.Generator` seed, :func:`_numpy_columns`
+does, importing numpy on first use; it is also the reference the C path is
+tested against.  Importing this module loads neither.
 """
 
 from __future__ import annotations
 
-import functools
-import os
-import sys
+import ctypes
+import itertools
+import math
+import numbers
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.rng import SeedLike, spawn_rng
+from repro.common.rng import SeedLike, generate_state, seed_material, spawn_rng
 from repro.common.types import DEST_REGCLASS_FOR_CLASS, InstrClass, RegClass
+from repro.engine import native
 from repro.engine.trace import (
     FLAG_L1_MISS,
     FLAG_L2_MISS,
@@ -41,53 +49,24 @@ from repro.engine.trace import (
 _N_CLASSES = len(InstrClass)
 
 
-@functools.lru_cache(maxsize=None)
-def _tables() -> Tuple[Any, ...]:
-    """numpy and the per-class lookup tables, indexed by opclass value:
-    source register class, destination register class (-1 for none), is a
-    branch, is a memory op.  Integer-pipeline consumers read INT producers,
-    FP arithmetic reads FP producers, and FP stores read the FP value they
-    write to memory.
-
-    When numpy is not loaded yet and ``OPENBLAS_NUM_THREADS`` is unset,
-    numpy is imported with that variable at 1 (and the environment restored
-    after): the OpenBLAS bundled with numpy otherwise starts a worker
-    thread at import that busy-waits for about 0.1 s, which here competed
-    with the C compiler a sweep runs at the same time.  The generator does
-    no BLAS work; the process's later BLAS calls run on one thread."""
-    if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        try:
-            import numpy
-        finally:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-    import numpy as np
-
-    classes = [InstrClass(k) for k in range(_N_CLASSES)]
-    return (
-        np,
-        np.array([
-            int(RegClass.FP) if k.is_fp_compute or k is InstrClass.FP_STORE
-            else int(RegClass.INT)
-            for k in classes
-        ]),
-        np.array([
-            -1 if DEST_REGCLASS_FOR_CLASS[k] is None
-            else int(DEST_REGCLASS_FOR_CLASS[k])
-            for k in classes
-        ]),
-        np.array([k.is_branch for k in classes]),
-        np.array([k.is_memory for k in classes]),
+#: Per-class lookup rows, indexed by opclass value: source register class,
+#: destination register class (-1 for none), is a branch, is a memory op.
+#: Integer-pipeline consumers read INT producers, FP arithmetic reads FP
+#: producers, and FP stores read the FP value they write to memory.  The
+#: rows are in the order ``tracegen.c`` reads them.
+_CLASS_TABLE: Tuple[Tuple[int, ...], ...] = tuple(
+    tuple(row(InstrClass(k)) for k in range(_N_CLASSES))
+    for row in (
+        lambda k: int(RegClass.FP) if k.is_fp_compute
+        or k is InstrClass.FP_STORE else int(RegClass.INT),
+        lambda k: -1 if DEST_REGCLASS_FOR_CLASS[k] is None
+        else int(DEST_REGCLASS_FOR_CLASS[k]),
+        lambda k: int(k.is_branch),
+        lambda k: int(k.is_memory),
     )
-
-
-def load_generator() -> None:
-    """Import numpy and build the generator's tables now instead of at the
-    first trace.  Importing this module does neither, so a process that
-    generates no trace never loads numpy; one that will (the sweep runner
-    before it forks workers, the service and the fabric coordinator when
-    they are built) calls this where the cost is hidden or expected."""
-    _tables()
+)
+_C_CLASS_TABLE = (ctypes.c_int8 * (4 * _N_CLASSES))(
+    *(v for row in _CLASS_TABLE for v in row))
 
 
 def _column(typecode: str, values: Any) -> array:
@@ -115,12 +94,21 @@ class WorkloadMix:
         if not self.class_weights:
             raise ConfigurationError(f"mix {self.name!r}: empty class weights")
         for klass, weight in self.class_weights.items():
+            if not math.isfinite(weight):
+                raise ConfigurationError(
+                    f"mix {self.name!r}: weight {weight} for {klass.name} "
+                    "is not finite"
+                )
             if weight < 0:
                 raise ConfigurationError(
                     f"mix {self.name!r}: negative weight for {klass.name}"
                 )
-        if sum(self.class_weights.values()) <= 0:
-            raise ConfigurationError(f"mix {self.name!r}: weights sum to zero")
+        total = sum(self.class_weights.values())
+        if not 0 < total < math.inf:
+            raise ConfigurationError(
+                f"mix {self.name!r}: weights sum to {total}, not to a "
+                "positive finite number"
+            )
         for field_name in ("dep_prob", "second_src_prob", "mispredict_rate",
                            "l1_miss_rate", "l2_miss_rate"):
             v = getattr(self, field_name)
@@ -128,18 +116,43 @@ class WorkloadMix:
                 raise ConfigurationError(
                     f"mix {self.name!r}: {field_name}={v} outside [0, 1]"
                 )
-        if self.dep_distance_mean < 1.0:
+        if not 1.0 <= self.dep_distance_mean < math.inf:
             raise ConfigurationError(
-                f"mix {self.name!r}: dep_distance_mean must be >= 1"
+                f"mix {self.name!r}: dep_distance_mean="
+                f"{self.dep_distance_mean} must be finite and >= 1"
+            )
+        regs = self.n_arch_regs
+        if (not isinstance(regs, numbers.Integral) or isinstance(regs, bool)
+                or not 1 <= regs <= 2**63):
+            raise ConfigurationError(
+                f"mix {self.name!r}: n_arch_regs={regs!r} must be an "
+                "integer in [1, 2**63]"
             )
 
     def weight_vector(self) -> Any:
         """Class probabilities as a numpy array, indexed by opclass."""
-        np = _tables()[0]
+        import numpy as np
+
         w = np.zeros(_N_CLASSES)
         for klass, weight in self.class_weights.items():
             w[int(klass)] = weight
         return w / w.sum()
+
+    def class_cdf(self) -> List[float]:
+        """The CDF ``Generator.choice`` searches for
+        ``p=self.weight_vector()``, in numpy's float order: the weights'
+        sum is numpy's pairwise sum of 12 doubles (eight accumulators over
+        the first eight, added as a tree, then the last four in turn), each
+        probability is a weight over that sum, and the CDF is their running
+        sum over its last entry."""
+        w = [0.0] * _N_CLASSES
+        for klass, weight in self.class_weights.items():
+            w[int(klass)] = float(weight)
+        total = ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7]))
+        for x in w[8:]:
+            total += x
+        cdf = list(itertools.accumulate(x / total for x in w))
+        return [c / cdf[-1] for c in cdf]
 
 
 #: Registry of workload mixes, keyed by name.  The sweep grid and the CLI
@@ -257,8 +270,49 @@ def generate_trace(
         mix = get_mix(mix)
     if n < 0:
         raise ConfigurationError(f"trace length must be non-negative, got {n}")
+    lib = None
+    if seed is None or isinstance(seed, numbers.Integral):
+        lib = native.load_tracegen()
+    if lib is None:
+        columns = _numpy_columns(mix, n, seed)
+    else:
+        columns = _c_columns(lib, mix, n, seed)
+    return Trace(f"{mix.name}-{n}", *columns, validate=validate)
 
-    np, src_regclass, dst_regclass, is_branch, is_memory = _tables()
+
+def _c_columns(lib: ctypes.CDLL, mix: WorkloadMix, n: int,
+               seed: "int | None") -> Tuple[array, ...]:
+    """The trace's five columns, drawn and assembled by ``tracegen.c``."""
+    opclass, flags = array("b", bytes(n)), array("b", bytes(n))
+    src1, src2, dst = (array("q", bytes(8 * n)) for _ in range(3))
+    state = generate_state(seed_material(seed, "workload", mix.name, n), 4)
+    rates = (mix.dep_prob, mix.second_src_prob,
+             min(1.0, 1.0 / mix.dep_distance_mean), mix.mispredict_rate,
+             mix.l1_miss_rate, mix.l2_miss_rate)
+    i8, i64 = ctypes.c_int8 * n, ctypes.c_int64 * n
+    rc = lib.repro_generate_trace(
+        n, (ctypes.c_uint64 * 4)(*state),
+        (ctypes.c_double * _N_CLASSES)(*mix.class_cdf()),
+        (ctypes.c_double * len(rates))(*rates), int(mix.n_arch_regs) - 1,
+        _C_CLASS_TABLE, i8.from_buffer(opclass), i64.from_buffer(src1),
+        i64.from_buffer(src2), i64.from_buffer(dst), i8.from_buffer(flags),
+    )
+    if rc != 0:
+        raise MemoryError(f"trace generator: out of memory for {n} "
+                          "instructions")
+    return opclass, src1, src2, dst, flags
+
+
+def _numpy_columns(mix: WorkloadMix, n: int,
+                   seed: SeedLike) -> Tuple[array, ...]:
+    """The trace's five columns, drawn with numpy: the reference the C
+    path matches, and the path without a compiler or for a
+    :class:`numpy.random.Generator` seed."""
+    import numpy as np
+
+    src_regclass, dst_regclass = (np.array(row) for row in _CLASS_TABLE[:2])
+    is_branch, is_memory = (np.array(row, dtype=bool)
+                            for row in _CLASS_TABLE[2:])
     rng = spawn_rng(seed, "workload", mix.name, n)
 
     opclass = rng.choice(_N_CLASSES, size=n, p=mix.weight_vector())
@@ -298,10 +352,8 @@ def generate_trace(
              | mem_miss * FLAG_L1_MISS
              | (mem_miss & l2_draw) * FLAG_L2_MISS)
     dst = np.where(dst_class >= 0, dst_regs, -1)
-
-    return Trace(f"{mix.name}-{n}", _column("b", opclass), _column("q", src1),
-                 _column("q", src2), _column("q", dst), _column("b", flags),
-                 validate=validate)
+    return (_column("b", opclass), _column("q", src1), _column("q", src2),
+            _column("q", dst), _column("b", flags))
 
 
 __all__ = [
@@ -310,6 +362,5 @@ __all__ = [
     "generate_trace",
     "get_mix",
     "list_mixes",
-    "load_generator",
     "register_mix",
 ]

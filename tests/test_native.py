@@ -39,6 +39,9 @@ from repro.steering import (
 from repro.workloads import generate_trace
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+#: Libraries a cold sweep compiles: the kernel, and the trace generator
+#: where numpy ships the archive it links.
+N_LIBRARIES = 1 + (native.npyrandom_archive() is not None)
 
 pytestmark = pytest.mark.skipif(
     native.find_compiler() is None, reason="no C compiler on PATH")
@@ -344,19 +347,40 @@ class TestBuild:
         with pytest.raises(ConfigurationError, match="broken.c"):
             native.load()
 
-    def test_failed_build_exits_2_from_the_cli(self, tmp_path):
+    @staticmethod
+    def failing_smoke_sweep(tmp_path, fails):
+        """The CLI's smoke sweep with a ``cc`` that fails on the sources
+        matching the shell pattern ``fails`` and compiles the rest."""
         fake = tmp_path / "bin"
         fake.mkdir()
         cc = fake / "cc"
-        cc.write_text("#!/bin/sh\necho 'cc: simulated failure' >&2\nexit 1\n")
+        cc.write_text(
+            f"#!/bin/sh\ncase \"$*\" in {fails})\n"
+            "  echo 'cc: simulated failure' >&2; exit 1;;\nesac\n"
+            f"exec '{native.find_compiler()}' \"$@\"\n")
         cc.chmod(0o755)
-        proc = run_python(
+        return run_python(
             "import sys; from repro.sweep.cli import main; "
             "sys.exit(main(['run', '--smoke', '--workers', '1', "
             "'--store', 's.jsonl']))",
             f"{fake}{os.pathsep}{os.environ.get('PATH', '')}", tmp_path)
+
+    def test_failed_build_exits_2_from_the_cli(self, tmp_path):
+        proc = self.failing_smoke_sweep(tmp_path, "*native.c*")
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: building the native kernel")
+        assert "simulated failure" in proc.stderr
+
+    @pytest.mark.skipif(native.npyrandom_archive() is None,
+                        reason="numpy ships no libnpyrandom.a to link")
+    def test_failed_trace_generator_build_exits_2_from_the_cli(
+            self, tmp_path):
+        # The inline sweep needs the trace generator first, and a build
+        # that started and failed is an error, not a fallback to numpy.
+        proc = self.failing_smoke_sweep(tmp_path, "*")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(
+            "error: building the native trace generator")
         assert "simulated failure" in proc.stderr
 
     def test_one_compile_per_sweep_process_tree(self, tmp_path):
@@ -374,7 +398,7 @@ class TestBuild:
             "assert s.kernel_variant == 'native' and s.n_computed == 24\n",
             f"{fake}{os.pathsep}{os.environ.get('PATH', '')}", tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert log.read_text().splitlines() == ["cc"]
+        assert log.read_text().splitlines() == ["cc"] * N_LIBRARIES
 
     def test_no_compiler_defaults_to_specialized(self, tmp_path):
         empty = tmp_path / "empty"

@@ -1,10 +1,11 @@
 """What a sweep process pays before its first point, and what it leaves.
 
-Importing the entry points loads no numpy; ``run_sweep`` compiles the C
-kernel in the background once it knows points are pending (never for a
-fully cached sweep), joins that build on every exit path, and imports
-numpy before it forks pool workers so that they inherit it.  Each case
-runs in a fresh interpreter, where nothing is loaded or built yet.
+Importing the entry points loads no numpy, and with the trace generator
+built in C no process of a sweep imports it at all; ``run_sweep`` compiles
+the C kernel and the trace generator in the background once it knows
+points are pending (never for a fully cached sweep) and joins both builds
+on every exit path.  Each case runs in a fresh interpreter, where nothing
+is loaded or built yet.
 """
 
 import os
@@ -16,6 +17,9 @@ import pytest
 from repro.engine import native
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+#: Libraries a cold sweep compiles: the kernel, and the trace generator
+#: where numpy ships the archive it links.
+N_LIBRARIES = 1 + (native.npyrandom_archive() is not None)
 
 
 def run_python(code, tmp_path, cc_log=None, cc_delay_s=0.0):
@@ -23,7 +27,7 @@ def run_python(code, tmp_path, cc_log=None, cc_delay_s=0.0):
     ``cc_log``, ``cc`` on ``PATH`` is a wrapper that logs each call there
     and sleeps ``cc_delay_s`` before it runs the real compiler."""
     env = {k: v for k, v in os.environ.items()
-           if k not in ("REPRO_KERNEL_VARIANT", "OPENBLAS_NUM_THREADS")}
+           if k != "REPRO_KERNEL_VARIANT"}
     env.update(PYTHONPATH=SRC, TMPDIR=str(tmp_path))
     if cc_log is not None:
         fake = tmp_path / "bin"
@@ -51,22 +55,33 @@ def test_entry_points_load_no_numpy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "ok"
 
 
-def test_pool_workers_inherit_numpy(tmp_path):
-    # numpy is imported before the first fork, so no worker imports it.
+@pytest.mark.skipif(
+    native.find_compiler() is None or native.npyrandom_archive() is None,
+    reason="traces are drawn with numpy without a C compiler and "
+           "numpy's libnpyrandom.a")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_sweep_process_imports_numpy(tmp_path, workers):
+    # Neither the sweeping process nor a pool worker imports numpy, whether
+    # the sweep computes its points or finds them all cached.
     proc = run_python(
         "import sys\n"
         "from repro.sweep import ResultStore, run_sweep, runner, smoke_spec\n"
         "real = runner._worker_main\n"
         "def worker(*args):\n"
+        "    real(*args)\n"
         "    with open('workers.log', 'a') as fh:\n"
         "        fh.write(f\"{'numpy' in sys.modules}\\n\")\n"
-        "    real(*args)\n"
         "runner._worker_main = worker\n"
-        "s = run_sweep(smoke_spec().expand(), ResultStore('s.jsonl'), "
-        "workers=2)\n"
-        "assert s.n_computed == 24\n", tmp_path)
+        "for computed in (24, 0):\n"
+        "    s = run_sweep(smoke_spec().expand(), ResultStore('s.jsonl'), "
+        f"workers={workers})\n"
+        "    assert s.n_computed == computed\n"
+        "print('numpy' in sys.modules)\n", tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "workers.log").read_text().split() == ["True", "True"]
+    assert proc.stdout.split() == ["False"]
+    log = tmp_path / "workers.log"
+    workers_saw = log.read_text().split() if log.exists() else []
+    assert workers_saw == ["False"] * (2 if workers == 2 else 0)
 
 
 @pytest.mark.skipif(native.find_compiler() is None,
@@ -85,19 +100,19 @@ class TestBackgroundBuild:
         cold = run_python(sweep, tmp_path, cc_log=log)
         assert cold.returncode == 0, cold.stderr
         assert cold.stdout.split() == ["native", "0", "24"]
-        assert log.read_text().splitlines() == ["cc"]
+        assert log.read_text().splitlines() == ["cc"] * N_LIBRARIES
         (tmp_path / "bin").rename(tmp_path / "bin-cold")
         cached = run_python(sweep, tmp_path, cc_log=log)
         assert cached.returncode == 0, cached.stderr
         assert cached.stdout.split() == ["native", "24", "0"]
-        assert log.read_text().splitlines() == ["cc"]
+        assert log.read_text().splitlines() == ["cc"] * N_LIBRARIES
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_stop_during_preparation_leaves_nothing_behind(
             self, tmp_path, workers):
-        # The compiler is still running (the wrapper sleeps first) when
-        # should_stop fires; the sweep waits for it instead of leaving it
-        # behind, and its build directory is gone.
+        # The compilers are still running (the wrapper sleeps first) when
+        # should_stop fires; the sweep waits for them instead of leaving
+        # them behind, and their build directories are gone.
         log = tmp_path / "cc.log"
         proc = run_python(
             "import glob, os, tempfile\n"
@@ -121,19 +136,4 @@ class TestBackgroundBuild:
             tmp_path, cc_log=log, cc_delay_s=0.5)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]"]
-        assert log.read_text().splitlines() == ["cc"]
-
-
-@pytest.mark.parametrize("preset", [None, "3"])
-def test_generator_restores_the_blas_thread_setting(tmp_path, preset):
-    # numpy is loaded with one OpenBLAS thread unless the caller chose a
-    # count; either way the environment is left as it was.
-    proc = run_python(
-        "import os\n"
-        + (f"os.environ['OPENBLAS_NUM_THREADS'] = {preset!r}\n" if preset
-           else "")
-        + "from repro.workloads import load_generator\n"
-        "load_generator()\n"
-        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n", tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(preset)]
+        assert log.read_text().splitlines() == ["cc"] * N_LIBRARIES

@@ -26,6 +26,37 @@ class TestMixRegistry:
             WorkloadMix(name="bad", class_weights={InstrClass.INT_ALU: 1.0},
                         mispredict_rate=1.5)
 
+    @pytest.mark.parametrize("fields", [
+        {"n_arch_regs": 0},
+        {"n_arch_regs": -3},
+        {"n_arch_regs": 2.5},
+        {"n_arch_regs": True},
+        {"n_arch_regs": 2**63 + 1},
+        {"dep_distance_mean": float("inf")},
+        {"dep_distance_mean": float("nan")},
+        {"dep_distance_mean": 0.5},
+        {"class_weights": {InstrClass.INT_ALU: float("nan")}},
+        {"class_weights": {InstrClass.INT_ALU: 1.0,
+                           InstrClass.LOAD: float("inf")}},
+        {"class_weights": {InstrClass.INT_ALU: 1e308,
+                           InstrClass.LOAD: 1e308}},
+    ], ids=repr)
+    def test_mix_rejects_what_a_generator_would(self, fields):
+        # Each of these used to fail only inside numpy at generation, with
+        # numpy's ValueError, or to generate without any error.
+        fields = {"class_weights": {InstrClass.INT_ALU: 1.0}, **fields}
+        with pytest.raises(ConfigurationError):
+            WorkloadMix(name="bad", **fields)
+
+    def test_mix_accepts_the_extremes(self):
+        mix = WorkloadMix(name="edge", class_weights={InstrClass.INT_ALU: 1},
+                          dep_distance_mean=1e300, n_arch_regs=2**63)
+        trace = generate_trace(mix, 50, seed=1)
+        trace.validate()
+        assert min(trace.dst) >= 0
+        # A distance past every producer clamps to the oldest one.
+        assert set(trace.src1) <= {-1, 0}
+
 
 class TestGeneration:
     def test_traces_are_structurally_valid(self):
